@@ -28,7 +28,7 @@ from .errors import (
     InputError,
 )
 from .icm import IcmResult, enumerate_icm, minkowski_index_bound, refine_by_sigma
-from .ingest import ExternalClassRecord, FixtureLoad, cross_validate, fetch_remote, load_fixture
+from .ingest import ExternalClassRecord, FixtureLoad, cross_validate, load_fixture
 from .linalg import (
     SnfResult,
     cofactor_matrix,
@@ -92,7 +92,6 @@ __all__ = [
     "discriminant",
     "enumerate_icm",
     "enumerate_weil_contexts",
-    "fetch_remote",
     "frobenius_pair_order",
     "group_structure_oracle",
     "hermite_normal_form",

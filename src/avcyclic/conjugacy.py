@@ -147,8 +147,7 @@ def _basis_change(lat: IdealLattice, w) -> list[list[int]]:
     return p_int
 
 
-def matrices_conjugate(ctx: WeilContext, a, b,
-                       search_bound: int | None = None) -> ConjugacyResult:
+def matrices_conjugate(ctx: WeilContext, a, b) -> ConjugacyResult:
     """Decides GL_n(Z)-conjugacy of a and b (both with characteristic
     polynomial f, f irreducible) by testing equivalence of the associated
     lattices.  On success the witness u satisfies b = u a u^-1, verified by
@@ -157,12 +156,14 @@ def matrices_conjugate(ctx: WeilContext, a, b,
     _check_charpoly(ctx, b)
     if not ctx.is_irreducible:
         raise InputError("not_irreducible", "conjugacy test requires an irreducible polynomial")
+    if not ctx.is_weil:
+        raise InputError("not_weil", "conjugacy test requires a Weil polynomial")
     if [list(r) for r in a] == [list(r) for r in b]:
         ident = linalg.freeze(linalg.identity(ctx.n))
         return ConjugacyResult("conjugate", ident)
     lat_a, wa = _cyclic_basis(ctx, a)
     lat_b, wb = _cyclic_basis(ctx, b)
-    eq = orders.ideal_equivalent(lat_a, lat_b, search_bound=search_bound)
+    eq = orders.ideal_equivalent(lat_a, lat_b)
     if eq.status == "not_equivalent":
         return ConjugacyResult("not_conjugate")
     if eq.status == "indeterminate":

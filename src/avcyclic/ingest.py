@@ -2,28 +2,20 @@
 
 Fixture files are JSON lines, one record per line, with published-style
 constant-first coefficient lists; the reversal to the internal monic-first
-order happens here and nowhere else.  Remote fetching is strictly opt-in
-and cache-first, so the test suite never touches the network.
+order happens here and nowhere else.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
-import tempfile
-import urllib.error
-import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import CapabilityError, InputError
+from .errors import InputError
 from .weil import make_context, prime_power_split
 
 logger = logging.getLogger(__name__)
-
-CACHE_ENV_VAR = "AVCYCLIC_CACHE_DIR"
 
 
 @dataclass(frozen=True)
@@ -100,52 +92,6 @@ def load_fixture(path) -> FixtureLoad:
     if not records:
         raise InputError("no_valid_records", f"no valid records in fixture {path}")
     return FixtureLoad(tuple(records), tuple(rejected))
-
-
-def _cache_path(cache_dir, q: int, g: int) -> Path:
-    base = cache_dir or os.environ.get(CACHE_ENV_VAR) or (Path.home() / ".cache" / "avcyclic")
-    return Path(base) / f"external_q{q}_g{g}.jsonl"
-
-
-def fetch_remote(q: int, g: int, endpoint: str, *, allow_network: bool = False,
-                 cache_dir=None, timeout: float = 30.0) -> FixtureLoad:
-    """Cache-first record retrieval.  A cache hit never touches the network;
-    a miss requires allow_network, fetches, validates, and writes the cache
-    atomically (temp file then rename) so rejected bodies leave no trace."""
-    cache = _cache_path(cache_dir, q, g)
-    if cache.exists():
-        return load_fixture(cache)
-    if not allow_network:
-        raise CapabilityError("network access is disabled; pass allow_network=True "
-                              "or provide a fixture/cache file")
-    query = urllib.parse.urlencode({"q": q, "g": g})
-    url = f"{endpoint}?{query}"
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
-            if resp.status != 200:
-                raise InputError("bad_status", f"endpoint returned HTTP {resp.status}")
-            body = resp.read().decode("utf-8")
-    except urllib.error.URLError as exc:
-        raise InputError("fetch_failed", f"fetch from {endpoint} failed: {exc}") from exc
-    try:
-        payload = json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise InputError("malformed_body", f"response is not JSON (offset {exc.pos})") from exc
-    if not isinstance(payload, list):
-        raise InputError("malformed_body", "response must be a JSON array of records")
-    lines = [json.dumps(obj, sort_keys=True, separators=(",", ":")) for obj in payload]
-    content = "\n".join(lines) + ("\n" if lines else "")
-    cache.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        os.replace(tmp, cache)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return load_fixture(cache)
 
 
 def cross_validate(records) -> dict:

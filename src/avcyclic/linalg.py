@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Sequence
+from math import gcd, isqrt, lcm
+from typing import Iterator, Sequence
 
 from .errors import DegenerateLatticeError
 
@@ -39,20 +39,8 @@ def mat_mul(a: Matrix, b: Matrix) -> list[list]:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_sub(a: Matrix, b: Matrix) -> list[list]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_add(a: Matrix, b: Matrix) -> list[list]:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a: Matrix, c) -> list[list]:
     return [[c * x for x in row] for row in a]
-
-
-def mat_vec(a: Matrix, v: Sequence) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def vec_mat(v: Sequence, a: Matrix) -> list:
@@ -202,14 +190,14 @@ def charpoly(a: Matrix) -> tuple:
 # Hermite normal form
 
 
-def _hnf_core(rows: list[list[int]], want_transform: bool):
+def _hnf_core(rows: list[list[int]]):
     """Row HNF.  Returns (h, u, rank) with u unimodular, u * rows = h,
     zero rows of h collected at the bottom.  Deterministic: columns left to
     right, pivot chained down from the first nonzero row."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     h = copy_rows(rows)
-    u = identity(m) if want_transform else None
+    u = identity(m)
     r = 0
     for col in range(n):
         if r == m:
@@ -223,38 +211,24 @@ def _hnf_core(rows: list[list[int]], want_transform: bool):
             continue
         if piv != r:
             h[r], h[piv] = h[piv], h[r]
-            if u is not None:
-                u[r], u[piv] = u[piv], u[r]
+            u[r], u[piv] = u[piv], u[r]
         for i in range(r + 1, m):
             while h[i][col] != 0:
                 q = h[r][col] // h[i][col]
                 h[r] = [x - q * y for x, y in zip(h[r], h[i])]
-                if u is not None:
-                    u[r] = [x - q * y for x, y in zip(u[r], u[i])]
+                u[r] = [x - q * y for x, y in zip(u[r], u[i])]
                 h[r], h[i] = h[i], h[r]
-                if u is not None:
-                    u[r], u[i] = u[i], u[r]
+                u[r], u[i] = u[i], u[r]
         if h[r][col] < 0:
             h[r] = [-x for x in h[r]]
-            if u is not None:
-                u[r] = [-x for x in u[r]]
+            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = h[i][col] // h[r][col]
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                if u is not None:
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
     return h, u, r
-
-
-def hnf_rows(rows: Matrix) -> list[list[int]]:
-    """Canonical HNF of the row span, zero rows dropped (rank x n)."""
-    rows = copy_rows(rows)
-    if not rows:
-        return []
-    h, _, r = _hnf_core(rows, want_transform=False)
-    return h[:r]
 
 
 def hermite_normal_form(a: Matrix) -> tuple[list[list[Fraction]], list[list[int]]]:
@@ -282,13 +256,13 @@ def hnf_rational(a: Matrix) -> tuple[list[list[int]], list[list[int]], int, int]
         for x in row:
             den = lcm(den, x.denominator)
     cleared = [[int(x * den) for x in row] for row in rows]
-    h, u, rank = _hnf_core(cleared, want_transform=True)
+    h, u, rank = _hnf_core(cleared)
     return h, u, den, rank
 
 
 def kernel_int(a: Matrix) -> list[list[int]]:
     """Basis of the left integer kernel {x : x * a = 0} of an integer matrix."""
-    h, u, rank = _hnf_core(copy_rows(a), want_transform=True)
+    h, u, rank = _hnf_core(copy_rows(a))
     return [u[i] for i in range(rank, len(u))]
 
 
@@ -400,39 +374,94 @@ def lll_reduce_gram(gram: Matrix, delta: Fraction = Fraction(99, 100)) -> list[l
     arithmetic is exact Fraction work, so the output is deterministic.
     Raises ValueError when the form is not positive definite (a
     Gram-Schmidt length comes out zero or negative).
+
+    The Gram matrix of the current basis is kept up to date, and only the
+    Gram-Schmidt row being worked on is recomputed (Cohen, GTM 138,
+    Alg. 2.6.3).
     """
     n = len(gram)
-    g0 = [[Fraction(x) for x in row] for row in gram]
+    g = [[Fraction(x) for x in row] for row in gram]  # Gram matrix of u * basis
     u = identity(n)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = [Fraction(0)] * n
 
-    def inner(x, y):
-        return sum(x[i] * g0[i][j] * y[j] for i in range(n) for j in range(n))
-
-    def orthogonalize():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        norms = [Fraction(0)] * n
-        for i in range(n):
-            for j in range(i):
-                mu[i][j] = (inner(u[i], u[j]) - sum(mu[j][k] * mu[i][k] * norms[k]
-                                                    for k in range(j))) / norms[j]
-            norms[i] = inner(u[i], u[i]) - sum(mu[i][k] ** 2 * norms[k] for k in range(i))
-            if norms[i] <= 0:
-                raise ValueError("gram matrix is not positive definite")
-        return mu, norms
+    def orthogonalize(i):
+        for j in range(i):
+            mu[i][j] = (g[i][j] - sum(mu[j][m] * mu[i][m] * norms[m]
+                                      for m in range(j))) / norms[j]
+        norms[i] = g[i][i] - sum(mu[i][m] ** 2 * norms[m] for m in range(i))
+        if norms[i] <= 0:
+            raise ValueError("gram matrix is not positive definite")
 
     # terminates: each swap shrinks the Lovasz potential by a factor of delta
-    mu, norms = orthogonalize()
+    if n:
+        orthogonalize(0)
     k = 1
     while k < n:
+        orthogonalize(k)
         for j in range(k - 1, -1, -1):
             q = round(mu[k][j])
             if q:
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                mu, norms = orthogonalize()
+                g[k] = [x - q * y for x, y in zip(g[k], g[j])]
+                for row in g:
+                    row[k] -= q * row[j]
+                mu[k][j] -= q
+                for m in range(j):
+                    mu[k][m] -= q * mu[j][m]
         if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             u[k], u[k - 1] = u[k - 1], u[k]
-            mu, norms = orthogonalize()
+            g[k], g[k - 1] = g[k - 1], g[k]
+            for row in g:
+                row[k], row[k - 1] = row[k - 1], row[k]
             k = max(1, k - 1)
+            if k == 1:
+                orthogonalize(0)
     return u
+
+
+def short_vectors(gram: Matrix, bound) -> Iterator[tuple[int, ...]]:
+    """Fincke-Pohst enumeration of the nonzero integer vectors v with
+    v * gram * v^T <= bound, for a positive definite rational Gram matrix.
+
+    Yields one vector of each pair +-v (the one whose last nonzero
+    coordinate is positive), in a fixed order.  Exact Fraction and isqrt
+    arithmetic, so the enumeration is complete.  Raises ValueError when the
+    form is not positive definite.
+    """
+    n = len(gram)
+    # Cohen, GTM 138, Alg. 2.7.6: v G v^T = sum_i q_ii (v_i + sum_{j>i} q_ij v_j)^2
+    q = [[Fraction(x) for x in row] for row in gram]
+    for i in range(n):
+        if q[i][i] <= 0:
+            raise ValueError("gram matrix is not positive definite")
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] /= q[i][i]
+        for k in range(i + 1, n):
+            for m in range(k, n):
+                q[k][m] -= q[k][i] * q[i][m]
+    v = [0] * n
+
+    def search(i: int, room: Fraction, on_axis: bool):
+        # on_axis: every coordinate above i is zero, so the center is 0 and
+        # the sign of v is fixed by taking v_i >= 0
+        center = -sum((q[i][j] * v[j] for j in range(i + 1, n)), Fraction(0))
+        num, den = center.numerator, center.denominator
+        radius = room / q[i][i] * den * den
+        m = isqrt(radius.numerator // radius.denominator)
+        lo = 0 if on_axis else -((m - num) // den)
+        for x in range(lo, (num + m) // den + 1):
+            v[i] = x
+            if i == 0:
+                if x or not on_axis:
+                    yield tuple(v)
+            else:
+                yield from search(i - 1, room - q[i][i] * (x - center) ** 2,
+                                  on_axis and x == 0)
+        v[i] = 0
+
+    if n:
+        yield from search(n - 1, Fraction(bound), True)

@@ -14,8 +14,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 from . import linalg
 from .errors import ConsistencyError, DegenerateLatticeError, InputError
@@ -385,135 +384,156 @@ def discriminant(order: OrderDesc) -> int:
 class EquivalenceResult:
     status: str  # "equivalent" | "not_equivalent" | "indeterminate"
     witness: FieldElement | None = None
-    search_bound: int | None = None
+    search_bound: int | None = None  # the trace bound of an exhausted g >= 3 search
 
 
-def _quadratic_disc(ctx: WeilContext) -> int:
-    a1, a2 = ctx.f_low[1], ctx.f_low[0]
-    return a1 * a1 - 4 * a2
-
-
-def _iroot_ceil(v: int, k: int) -> int:
-    """Smallest integer r with r^k >= v (v >= 1)."""
-    r = max(1, int(round(v ** (1.0 / k))))
-    while r**k < v:
-        r += 1
-    while r > 1 and (r - 1) ** k >= v:
-        r -= 1
-    return r
-
-
-def _int_mult_matrix(ctx: WeilContext, coords: list[int]) -> list[list[int]]:
-    """Multiplication matrix for integer power-basis coordinates (all int)."""
-    n = ctx.n
-    top = ctx.power_rows[n]
-    rows = [list(coords)]
-    for _ in range(n - 1):
-        prev = rows[-1]
-        carry = prev[n - 1]
-        rows.append([carry * top[0]] + [prev[j - 1] + carry * top[j] for j in range(1, n)])
-    return rows
-
-
-def ideal_equivalent(a: IdealLattice, b: IdealLattice,
-                     search_bound: int | None = None) -> EquivalenceResult:
+def ideal_equivalent(a: IdealLattice, b: IdealLattice) -> EquivalenceResult:
     """Searches for x with x * a = b.
 
-    2g = 2 with negative discriminant: the norm form on (b : a) is positive
-    definite, the coefficient box derived from the Gram inverse is
-    exhaustive, and a failed search is a proof of inequivalence.  Larger
-    fields fall back to a bounded sup-norm search over a basis of (b : a)
-    reduced against the conjugation trace form (positive definite on a
-    totally imaginary field, so witnesses sit at small coordinates) and
-    report indeterminate when it is exhausted.
+    Every witness lies in (b : a) and has |N(x)| = [a : b].  The search is
+    an exact Fincke-Pohst enumeration of (b : a) under trace forms
+    Tr(w * x * conj(x)), w totally positive in K+, each on an LLL-reduced
+    basis.  An irreducible Weil polynomial makes K a CM field, on which
+    these forms are positive definite.  For g <= 2 (unit rank g - 1 <= 1)
+    the bounds provably cover some witness, and a failed search is a proof
+    of inequivalence.  For g >= 3 the bound is heuristic and an exhausted
+    search reports indeterminate.
     """
     _same_ctx(a, b)
     ctx = a.ctx
+    if not ctx.is_weil:
+        raise InputError("not_weil", "equivalence search requires a Weil polynomial")
+    if not ctx.is_irreducible:
+        raise InputError("not_irreducible", "equivalence search requires an irreducible polynomial")
     if a == b:
         return EquivalenceResult("equivalent", one(ctx))
-    ra = multiplicator_ring(a)
-    rb = multiplicator_ring(b)
-    if ra.lattice != rb.lattice:
+    if multiplicator_ring(a).lattice != multiplicator_ring(b).lattice:
         return EquivalenceResult("not_equivalent")
     target = lattice_index(b, a)  # the |N(x)| any witness must have
     quo = ideal_quotient(b, a)
-    n = ctx.n
-
-    if n == 2 and _quadratic_disc(ctx) < 0:
-        return _equivalence_definite(a, b, quo, target)
-
-    if search_bound is None:
-        ceil_t = -((-target.numerator) // target.denominator)
-        search_bound = max(2, 4 * _iroot_ceil(max(1, ceil_t), n))
-    rows = _reduced_quotient_rows(quo)
-    den = quo.den
-    den_pow = Fraction(den) ** n
-    for shell in range(1, search_bound + 1):
-        for u in _sup_norm_shell(n, shell):
-            coords = [sum(u[i] * rows[i][j] for i in range(n)) for j in range(n)]
-            nrm = Fraction(linalg.determinant(_int_mult_matrix(ctx, coords))) / den_pow
-            if abs(nrm) != target:
+    n, den = ctx.n, quo.den
+    basis = quo.elements
+    conj_basis = [e.conj() for e in basis]
+    products = [[bi * cj for cj in conj_basis] for bi in basis]
+    scale = lcm(*(c.denominator for row in products for p in row for c in p.coeffs))
+    products = [[[int(c * scale) for c in p.coeffs] for p in row] for row in products]
+    forms, certified = _search_forms(a, target)
+    want_det = target * den**n
+    red = linalg.identity(n)  # consecutive forms differ little: reduce from the last basis
+    for traces, bound in forms:
+        # scale * Tr(w b_i conj(b_j)), as Tr(w y) = sum_k y_k Tr(w alpha^k)
+        gram = [[sum(c * t for c, t in zip(p, traces)) for p in row] for row in products]
+        gram = linalg.mat_mul(linalg.mat_mul(red, gram), linalg.transpose(red))
+        u = linalg.lll_reduce_gram(gram)
+        gram = linalg.mat_mul(linalg.mat_mul(u, gram), linalg.transpose(u))
+        red = linalg.mat_mul(u, red)
+        rows = linalg.mat_mul(red, quo.mat)  # reduced basis of den * (b : a)
+        for v in linalg.short_vectors(gram, scale * bound):
+            coords = [sum(v[i] * rows[i][j] for i in range(n)) for j in range(n)]
+            # |N(x)| = T, read off the integer multiplication matrix of den * x
+            if abs(linalg.determinant(FieldElement(ctx, tuple(coords)).mult_matrix())) != want_det:
                 continue
+            if next(c for c in coords if c) < 0:
+                coords = [-c for c in coords]
             x = FieldElement(ctx, tuple(Fraction(c, den) for c in coords))
             if a.scale(x) == b:
                 _assert_equal_rings(a, b)
                 return EquivalenceResult("equivalent", x)
-    return EquivalenceResult("indeterminate", search_bound=search_bound)
+    if certified:
+        return EquivalenceResult("not_equivalent")
+    return EquivalenceResult("indeterminate", search_bound=forms[0][1])
 
 
-def _reduced_quotient_rows(quo: IdealLattice) -> list[list[int]]:
-    """Basis rows of quo reduced against Tr(x * conj(y)).  The form is
-    positive definite exactly when conjugation is complex conjugation on
-    every embedding; anything else keeps the raw HNF rows."""
-    n = quo.ctx.n
-    basis = quo.elements
-    gram = [[(basis[i] * basis[j].conj()).trace() for j in range(n)] for i in range(n)]
-    try:
-        u = linalg.lll_reduce_gram(gram)
-    except ValueError:
-        return [list(row) for row in quo.mat]
-    return [[sum(u[k][i] * quo.mat[i][j] for i in range(n)) for j in range(n)]
-            for k in range(n)]
+# g = 2: up to this |Tr_{K+/Q}(eta)| + 2, one search under the unit's whole
+# range is cheaper than the weighted scan of _search_forms (measured on the
+# F_2 .. F_5 quartics); above it the single search visits lattice points in
+# proportion to its square, while the scan runs about 2 log2 of it searches
+UNIT_SCAN_FROM = 16
 
 
-def _equivalence_definite(a: IdealLattice, b: IdealLattice,
-                          quo: IdealLattice, target: Fraction) -> EquivalenceResult:
+def _search_forms(a: IdealLattice, target: Fraction) -> tuple[list[tuple[tuple, Fraction | int]], bool]:
+    """Forms Tr(w * x * conj(x)), each given by (Tr(w alpha^k))_k and a
+    bound, such that some witness x meets one of them, and whether that is
+    proven.  A witness can be moved by any unit of S = (a : a).
+
+    g = 1: w = 1 and Tr(x * conj(x)) = 2 N(x) = 2T exactly.
+    g = 2: write P_i = |x_i|^2 at the two places of K+, so P_1 P_2 = T, and
+    let eta be a real unit of S; multiplying x by eta moves P_1 / P_2 by
+    eta_1^(+-4).  So some witness has Tr(x * conj(x)) = 2 (P_1 + P_2)
+    <= 2 sqrt(T) (|eta_1| + |eta_2|) <= 2 sqrt(T) (|Tr_{K+/Q}(eta)| + 2).
+    When that is large, scan instead: with gamma = (A - sqrt(d))^2 in K+,
+    sqrt(d) = 2 beta + a1 taken positive at place 1, and
+    rho = gamma_2 / gamma_1 in [4, 9), the weights w = gamma^j,
+    j = 0 .. m with rho^m >= max(|eta_1|, |eta_2|)^4, bring
+    w_1 P_1 / (w_2 P_2) into [rho^(-1/2), rho^(1/2)] for some j, where
+    Tr(w * x * conj(x)) <= 2 (rho^(1/4) + rho^(-1/4)) sqrt(N(w) T)
+    <= (14/3) sqrt(N(w) T).
+    g >= 3: w = 1 under a fixed multiple of the AM-GM floor n T^(1/g),
+    heuristic.
+    """
     ctx = a.ctx
-    basis = quo.elements
-    conj_basis = [e.conj() for e in basis]
-    gram = [[(basis[i] * conj_basis[j]).trace() / 2 for j in range(2)] for i in range(2)]
-    ginv = linalg.mat_inverse_fraction(gram)
-    bounds = []
-    for k in range(2):
-        cap = target * ginv[k][k]
-        bounds.append(isqrt(cap.numerator // cap.denominator))
-    for u0 in range(0, bounds[0] + 1):
-        lo = -bounds[1] if u0 > 0 else 1  # half box: first nonzero coordinate positive
-        for u1 in range(lo, bounds[1] + 1):
-            if u0 == 0 and u1 == 0:
-                continue
-            val = (gram[0][0] * u0 * u0 + 2 * gram[0][1] * u0 * u1 + gram[1][1] * u1 * u1)
-            if val != target:
-                continue
-            x = FieldElement(ctx, tuple(u0 * p + u1 * q for p, q in
-                                        zip(basis[0].coeffs, basis[1].coeffs)))
-            if a.scale(x) == b:
-                _assert_equal_rings(a, b)
-                return EquivalenceResult("equivalent", x)
-    return EquivalenceResult("not_equivalent")
+    plain = ctx.trace_sums[:ctx.n]
+    if ctx.g == 1:
+        return [(plain, 2 * target)], True
+    if ctx.g >= 3:
+        r = 1
+        while Fraction(r) ** ctx.g < target:
+            r += 1
+        return [(plain, 4 * ctx.n * r)], False
+    a1, a2 = ctx.f_low[3], ctx.f_low[2]
+    d = a1 * a1 - 4 * (a2 - 2 * ctx.q)  # disc of beta = alpha + q/alpha; not a square
+    beta = alpha(ctx) + q_over_alpha(ctx)
+    span = _real_unit_trace(a, d, beta) + 2
+    if span <= UNIT_SCAN_FROM:
+        return [(plain, 2 * _sqrt_ceil(target) * span)], True
+    # A in (2 sqrt(d), 3 sqrt(d)] puts (A + sqrt(d)) / (A - sqrt(d)) in [2, 3)
+    big_a = isqrt(4 * d) + 1
+    root = FieldElement.make(ctx, [big_a - a1]) - 2 * beta  # sqrt(d) = +-(2 beta + a1)
+    gamma, gamma_norm = root * root, (big_a * big_a - d) ** 2
+    forms, w = [], one(ctx)
+    for j in range(2 * span.bit_length() + 1):  # rho^m >= 4^m > span^4
+        traces = tuple(int(FieldElement(ctx, tuple(row)).trace()) for row in w.mult_matrix())
+        forms.append((traces, Fraction(14, 3) * _sqrt_ceil(target * gamma_norm**j)))
+        w = w * gamma
+    return forms, True
+
+
+def _sqrt_ceil(x: Fraction) -> Fraction:
+    """A rational upper bound for sqrt(x), exact when x is a square."""
+    m = x.numerator * x.denominator
+    root = isqrt(m)
+    root += root * root < m
+    return Fraction(root, x.denominator)
+
+
+def _real_unit_trace(a: IdealLattice, d: int, beta: FieldElement) -> int:
+    """|Tr_{K+/Q}(eta)| for eta the least power of the fundamental unit eps
+    of Z[beta], beta = alpha + q/alpha of discriminant d, that lies in
+    S = (a : a) (g = 2 only)."""
+    ctx = a.ctx
+    a1 = ctx.f_low[3]
+    # eps = (G + B sqrt(d)) / 2 with G = 2h - (d mod 2) k, B = k for the first
+    # convergent h/k of ((d mod 2) + sqrt(d)) / 2 with G^2 - d B^2 = +-4
+    # (Cohen, GTM 138, section 5.7); complete quotients are (num + sqrt(d)) / den
+    sigma, root = d % 2, isqrt(d)
+    num, den = sigma, 2
+    h_prev, h, k_prev, k = 0, 1, 1, 0
+    while True:
+        c = (num + root) // den
+        h_prev, h, k_prev, k = h, c * h + h_prev, k, c * k + k_prev
+        big_g = 2 * h - sigma * k
+        if big_g * big_g - d * k * k in (4, -4):
+            break
+        num = c * den - num
+        den = (d - num * num) // den
+    eps = FieldElement.make(ctx, [Fraction(big_g + k * a1, 2)]) + k * beta  # sqrt(d) = 2 beta + a1
+    ring = multiplicator_ring(a).lattice
+    eta = eps
+    while eta not in ring:
+        eta = eta * eps
+    return abs(int(eta.trace())) // 2
 
 
 def _assert_equal_rings(a: IdealLattice, b: IdealLattice) -> None:
     if multiplicator_ring(a).lattice != multiplicator_ring(b).lattice:
         raise ConsistencyError("equivalent ideals with distinct multiplicator rings")
-
-
-def _sup_norm_shell(n: int, s: int):
-    """Integer vectors with sup norm exactly s, first nonzero coordinate
-    positive, in deterministic order."""
-    for u in product(range(-s, s + 1), repeat=n):
-        if max(abs(c) for c in u) != s:
-            continue
-        lead = next((c for c in u if c != 0), 0)
-        if lead > 0:
-            yield u

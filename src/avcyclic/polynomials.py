@@ -12,7 +12,6 @@ irreducibility sieve.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 Poly = tuple
@@ -41,24 +40,6 @@ def neg(p: Sequence) -> Poly:
 
 def sub(p: Sequence, q: Sequence) -> Poly:
     return add(p, neg(q))
-
-
-def scale(p: Sequence, c) -> Poly:
-    if c == 0:
-        return ()
-    return tuple(c * a for a in p)
-
-
-def mul(p: Sequence, q: Sequence) -> Poly:
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return trim(out)
 
 
 def evaluate(p: Sequence, x):
@@ -114,31 +95,9 @@ def gcd_poly(p: Sequence, q: Sequence) -> Poly:
     return monic(a)
 
 
-def int_coeffs(p: Sequence) -> Poly:
-    """Cast rational coefficients known to be integral back to int."""
-    out = []
-    for c in p:
-        f = Fraction(c)
-        if f.denominator != 1:
-            raise ValueError(f"coefficient {c} is not an integer")
-        out.append(f.numerator)
-    return tuple(out)
-
-
-def content(p: Sequence) -> int:
-    g = 0
-    for c in p:
-        g = gcd(g, c)
-    return g
-
-
 def from_monic_first(seq: Sequence) -> Poly:
     """Convert a coefficient list written highest degree first."""
     return trim(list(reversed(list(seq))))
-
-
-def to_monic_first(p: Sequence) -> tuple:
-    return tuple(reversed(trim(p)))
 
 
 def power_sums(f_low: Sequence, count: int) -> list:

@@ -51,11 +51,13 @@ def second_largest(factors):
 
 def test_criterion_1_verdict_oracle_equivalence():
     results, elapsed = corpus()
-    with criterion(1, "100% verdict/oracle agreement, corpus runtime < 600 s"):
+    with criterion(1, "100% verdict/oracle agreement, 100% certified, corpus runtime < 600 s"):
         g1 = sum(1 for res in results if res.ctx.g == 1)
         g2 = sum(1 for res in results if res.ctx.g == 2)
         assert g1 == 42  # every ordinary irreducible quadratic for the 7 fields
         assert g2 == 2 * QUARTICS_PER_FIELD
+        heuristic = [res.ctx.f for res in results if res.completeness != "certified"]
+        assert heuristic == [], heuristic
         classes = 0
         for res in results:
             for rep in res.reports:
@@ -83,7 +85,7 @@ def test_criterion_2_worked_examples():
 
 def test_criterion_3_round_trips():
     results, _ = corpus()
-    with criterion(3, "100% verified round trips; 0 indeterminate at g=1, < 10% at g=2"):
+    with criterion(3, "100% verified round trips; 0 indeterminate at g=1 and at g=2"):
         counts = {1: [0, 0], 2: [0, 0]}  # g -> [comparisons, indeterminate]
         for res in results:
             ctx = res.ctx
@@ -111,8 +113,7 @@ def test_criterion_3_round_trips():
                     assert linalg.is_unimodular(u)
                     assert linalg.mat_mul(m1, u) == linalg.mat_mul(u, m0)
         assert counts[1][1] == 0, "indeterminate appeared at g = 1"
-        total2, indet2 = counts[2]
-        assert indet2 < 0.10 * total2, f"{indet2}/{total2} indeterminate at g = 2"
+        assert counts[2][1] == 0, f"{counts[2][1]}/{counts[2][0]} indeterminate at g = 2"
 
 
 def test_criterion_4_two_route_agreement_and_sigma():

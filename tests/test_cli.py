@@ -172,6 +172,15 @@ def test_convert_charpoly_mismatch_is_a_refusal(capsys):
     assert json.loads(out)["error"]["code"] == "charpoly_mismatch"
 
 
+def test_convert_non_weil_is_a_refusal(capsys):
+    # t^2 + 4t + 2 is self-reciprocal for q = 2 but its roots are real
+    base = ["convert", "--p", "2", "--r", "1", "--g", "1", "--poly", "1,4,2"]
+    for direction in ("--matrix=9,-17;7,-13", "--ideal=1,0;0,1"):
+        code, out = run(capsys, base + [direction])
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "not_weil"
+
+
 def test_sweep_small_field(capsys):
     code, out = run(capsys, ["sweep", "--p", "2", "--r", "1", "--g", "1", "--no-timing"])
     assert code == 0

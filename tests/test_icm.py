@@ -73,8 +73,9 @@ def test_bound_edge_cases():
 
 
 def test_monotone_and_stabilizing():
-    for p, r_, coeffs in ((2, 1, [1, 1, 2]), (5, 1, [1, -2, 5]), (2, 2, [1, 1, 4])):
-        o = pair_order(p, r_, 1, coeffs)
+    for p, r_, g, coeffs in ((2, 1, 1, [1, 1, 2]), (5, 1, 1, [1, -2, 5]), (2, 2, 1, [1, 1, 4]),
+                             (2, 1, 2, [1, 0, 1, 0, 4])):
+        o = pair_order(p, r_, g, coeffs)
         mink = icm.minkowski_index_bound(o)
         at_mink = icm.enumerate_icm(o, index_bound=mink)
         doubled = icm.enumerate_icm(o, index_bound=2 * mink)
@@ -90,25 +91,90 @@ def test_requires_irreducible():
     assert e.value.code == "not_irreducible"
 
 
-def test_quartic_default_bound_is_capped():
+def test_quartic_default_bound_is_minkowski():
     ctx = weil.make_context(2, 1, 2, [1, 1, 1, 2, 4])
     o = orders.frobenius_pair_order(ctx)
     r = icm.enumerate_icm(o)
-    assert r.index_bound <= icm.QUARTIC_DEFAULT_INDEX_CAP
-    assert len(r.classes) >= 1
+    assert r.index_bound == icm.minkowski_index_bound(o)
+    assert r.completeness == "certified"
     assert r.classes[0] == o.lattice
 
 
-def test_quartic_indeterminate_pairs_are_reported():
-    ctx = weil.make_context(2, 1, 2, [1, 0, 1, 0, 4])
-    r = icm.enumerate_icm(orders.frobenius_pair_order(ctx))
-    assert r.indeterminate_pairs  # frozen: this context exhausts one search
+def test_quartic_default_bound_is_capped(monkeypatch):
+    # above the cap the default bound stops there, flagged heuristic, and
+    # every pair below it is still decided
+    o = pair_order(5, 1, 2, [1, -1, 1, -5, 25])
+    assert icm.minkowski_index_bound(o) > icm.QUARTIC_INDEX_CAP
+    monkeypatch.setattr(icm, "QUARTIC_INDEX_CAP", 4)
+    r = icm.enumerate_icm(o)
+    assert r.index_bound == 4
     assert r.completeness == "heuristic"
+    assert r.indeterminate_pairs == ()
+
+
+def test_high_genus_default_bound_is_capped(monkeypatch):
+    o = pair_order(2, 1, 3, [1, -2, 1, 1, 2, -8, 8])
+    mink = icm.minkowski_index_bound(o)
+    assert mink > icm.HIGH_GENUS_INDEX_CAP
+    monkeypatch.setattr(icm, "HIGH_GENUS_INDEX_CAP", 3)
+    r = icm.enumerate_icm(o)
+    assert r.index_bound == min(mink, 3)
+    assert r.completeness == "heuristic"
+
+
+def test_sextic_indeterminate_pairs_are_reported():
+    # g = 3: a pair with no witness within the heuristic equivalence bound
+    # stays undecided and is surfaced (values frozen)
+    r = icm.enumerate_icm(pair_order(2, 1, 3, [1, -1, 2, -1, 4, -4, 8]), index_bound=4)
+    assert r.completeness == "heuristic"
+    assert r.indeterminate_pairs == ((0, 1, 48),)
     for i, j, bound in r.indeterminate_pairs:
         assert 0 <= i < j < len(r.classes)
-        assert bound >= 1
         eq = orders.ideal_equivalent(r.classes[i], r.classes[j])
         assert eq.status == "indeterminate"
+        assert eq.search_bound == bound
+
+
+def test_quartic_class_list_is_certified():
+    # the t^4 + t^2 + 4 list once held an undecided pair; every pair is now
+    # decided (test_monotone_and_stabilizing doubles its bound)
+    r = icm.enumerate_icm(pair_order(2, 1, 2, [1, 0, 1, 0, 4]))
+    assert r.indeterminate_pairs == ()
+    assert r.completeness == "certified"
+    assert len(r.classes) == 2
+    for i in range(len(r.classes)):
+        for j in range(i + 1, len(r.classes)):
+            assert orders.ideal_equivalent(r.classes[i], r.classes[j]).status == "not_equivalent"
+
+
+def _reduced_form_count(d: int) -> int:
+    """Reduced positive definite forms a x^2 + b xy + c y^2 of discriminant
+    d < 0, primitive or not: |b| <= a <= c, and b >= 0 if |b| = a or a = c."""
+    count = 0
+    a = 1
+    while 3 * a * a <= -d:
+        for b in range(-a + 1, a + 1):
+            if (b * b - d) % (4 * a) == 0:
+                c = (b * b - d) // (4 * a)
+                if c >= a and not (b < 0 and a == c):
+                    count += 1
+        a += 1
+    return count
+
+
+def test_g1_class_counts_match_kronecker_class_number():
+    # ordinary g = 1: the ideal classes of Z[pi] are counted by the Kronecker
+    # class number H(a^2 - 4q), the sum of h(O) over the orders O containing
+    # Z[pi] (Deuring; Schoof 1987, Thm 4.6)
+    fields = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
+    checked = 0
+    for p, r_ in fields:
+        for ctx in weil.enumerate_weil_contexts(p, r_, 1, ordinary=True, irreducible=True):
+            res = icm.enumerate_icm(orders.frobenius_pair_order(ctx))
+            assert res.completeness == "certified"
+            assert len(res.classes) == _reduced_form_count(ctx.f[1] ** 2 - 4 * ctx.q), ctx.f
+            checked += 1
+    assert checked == 76
 
 
 def test_refine_by_sigma_values():

@@ -1,14 +1,12 @@
-"""Fixture parsing, claim cross-validation, cache-first remote fetch."""
+"""Fixture parsing and claim cross-validation."""
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
 
 from avcyclic import ingest
-from avcyclic.errors import CapabilityError, InputError
+from avcyclic.errors import InputError
 from avcyclic.ingest import ExternalClassRecord
 
 FIXTURE = Path(__file__).parent / "fixtures" / "external_records.jsonl"
@@ -91,90 +89,3 @@ def test_cross_validate_detects_flipped_claims():
     by_label = {m["label"]: m for m in report["mismatches"]}
     assert by_label["bad-count"]["claimed"] == 3
     assert by_label["bad-count"]["computed"] == 2
-
-
-def test_fetch_remote_requires_opt_in(tmp_path):
-    with pytest.raises(CapabilityError):
-        ingest.fetch_remote(2, 1, "http://127.0.0.1:1/none", cache_dir=tmp_path)
-
-
-def test_fetch_remote_cache_hit_never_needs_network(tmp_path):
-    cache = tmp_path / "external_q2_g1.jsonl"
-    cache.write_text(
-        json.dumps({"label": "a", "q": 2, "g": 1, "poly": [2, -1, 1]}) + "\n",
-        encoding="utf-8",
-    )
-    load = ingest.fetch_remote(2, 1, "http://127.0.0.1:1/none", cache_dir=tmp_path)
-    assert [r.label for r in load.records] == ["a"]
-
-
-def test_cache_dir_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv(ingest.CACHE_ENV_VAR, str(tmp_path))
-    cache = tmp_path / "external_q3_g1.jsonl"
-    cache.write_text(
-        json.dumps({"label": "e", "q": 3, "g": 1, "poly": [3, -1, 1]}) + "\n",
-        encoding="utf-8",
-    )
-    load = ingest.fetch_remote(3, 1, "http://127.0.0.1:1/none")
-    assert [r.label for r in load.records] == ["e"]
-
-
-class _StubHandler(BaseHTTPRequestHandler):
-    payload: bytes = b"[]"
-    status: int = 200
-
-    def do_GET(self):
-        self.send_response(self.status)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(self.payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/records"
-    server.shutdown()
-    thread.join(timeout=5)
-
-
-def test_fetch_remote_round_trip(tmp_path, stub_server):
-    _StubHandler.status = 200
-    _StubHandler.payload = json.dumps([
-        {"label": "srv", "q": 2, "g": 1, "poly": [2, -1, 1],
-         "is_ordinary_claimed": True, "point_count_claimed": 2},
-    ]).encode()
-    load = ingest.fetch_remote(2, 1, stub_server, allow_network=True, cache_dir=tmp_path)
-    assert [r.label for r in load.records] == ["srv"]
-    cache = tmp_path / "external_q2_g1.jsonl"
-    assert cache.exists()
-    # second call with the network forbidden hits the cache
-    again = ingest.fetch_remote(2, 1, "http://127.0.0.1:1/none", cache_dir=tmp_path)
-    assert again == load
-
-
-def test_fetch_remote_malformed_body_leaves_no_cache(tmp_path, stub_server):
-    _StubHandler.status = 200
-    _StubHandler.payload = b"not json"
-    with pytest.raises(InputError) as e:
-        ingest.fetch_remote(5, 1, stub_server, allow_network=True, cache_dir=tmp_path)
-    assert e.value.code == "malformed_body"
-    assert not (tmp_path / "external_q5_g1.jsonl").exists()
-    _StubHandler.payload = json.dumps({"not": "an array"}).encode()
-    with pytest.raises(InputError) as e:
-        ingest.fetch_remote(5, 1, stub_server, allow_network=True, cache_dir=tmp_path)
-    assert e.value.code == "malformed_body"
-    assert not (tmp_path / "external_q5_g1.jsonl").exists()
-
-
-def test_fetch_remote_http_error(tmp_path, stub_server):
-    _StubHandler.status = 404
-    _StubHandler.payload = b"[]"
-    with pytest.raises(InputError) as e:
-        ingest.fetch_remote(7, 1, stub_server, allow_network=True, cache_dir=tmp_path)
-    assert e.value.code == "fetch_failed"

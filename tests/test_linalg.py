@@ -4,8 +4,10 @@ Oracle values were computed by hand (2x2 cofactor rule, row reduction)
 before the implementation and are frozen here.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -215,3 +217,59 @@ def test_kernel_int():
     assert len(ker) == 1
     x = ker[0]
     assert [x[0] * 1 + x[1] * 2, x[0] * 2 + x[1] * 4] == [0, 0]
+
+
+def _random_gram(rng, n):
+    while True:
+        b = random_int_matrix(rng, n, bound=4)
+        if linalg.determinant(b) != 0:
+            return linalg.mat_mul(b, linalg.transpose(b))
+
+
+def _form(gram, v):
+    n = len(v)
+    return sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+
+def test_lll_reduce_gram_output_is_reduced():
+    rng = random.Random(26)
+    for _ in range(40):
+        n = rng.choice([2, 3, 4])
+        gram = _random_gram(rng, n)
+        u = linalg.lll_reduce_gram(gram)
+        assert linalg.is_unimodular(u)
+        g = linalg.mat_mul(linalg.mat_mul(u, gram), linalg.transpose(u))
+        # Gram-Schmidt of the reduced basis: size reduced, Lovasz with 99/100
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        norms = []
+        for i in range(n):
+            for j in range(i):
+                mu[i][j] = (g[i][j] - sum(mu[j][k] * mu[i][k] * norms[k]
+                                          for k in range(j))) / norms[j]
+                assert abs(mu[i][j]) <= Fraction(1, 2)
+            norms.append(g[i][i] - sum(mu[i][k] ** 2 * norms[k] for k in range(i)))
+            if i:
+                assert norms[i] >= (Fraction(99, 100) - mu[i][i - 1] ** 2) * norms[i - 1]
+    with pytest.raises(ValueError):
+        linalg.lll_reduce_gram([[1, 0], [0, -1]])
+
+
+def test_short_vectors_match_brute_force():
+    rng = random.Random(1985)
+    for _ in range(30):
+        n = rng.choice([1, 2, 3])
+        gram = [[Fraction(x, 2) for x in row] for row in _random_gram(rng, n)]
+        bound = Fraction(rng.randint(1, 80), rng.randint(1, 3))
+        got = list(linalg.short_vectors(gram, bound))
+        # v_i^2 <= bound * (gram^-1)_ii on the ellipsoid
+        inv = linalg.mat_inverse_fraction(gram)
+        box = [isqrt(int(bound * inv[i][i])) + 1 for i in range(n)]
+        want = set()
+        for v in itertools.product(*[range(-r, r + 1) for r in box]):
+            last = next((c for c in reversed(v) if c), 0)
+            if last > 0 and _form(gram, v) <= bound:
+                want.add(v)
+        assert len(got) == len(set(got))
+        assert set(got) == want
+    with pytest.raises(ValueError):
+        list(linalg.short_vectors([[1, 0], [0, -1]], 5))

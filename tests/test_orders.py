@@ -1,11 +1,13 @@
 """Field arithmetic, canonical lattices, ideal operations, orders,
 discriminants, equivalence with witnesses."""
 
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from avcyclic import orders, weil
+from avcyclic import icm, orders, weil
 from avcyclic.errors import ConsistencyError, DegenerateLatticeError, InputError
 from avcyclic.orders import FieldElement, IdealLattice
 
@@ -261,16 +263,126 @@ def test_equivalence_quartic_heuristic():
     assert std.scale(r.witness) == moved
 
 
-def test_equivalence_quartic_indeterminate():
-    # same multiplicator ring, no witness within the bound: reported, not
-    # decided (values frozen from the t^4 + t^2 + 4 class list over F_2)
+def test_equivalence_quartic_certified_negative():
+    # same multiplicator ring and no witness: the exhausted search is a proof
+    # (values frozen from the t^4 + t^2 + 4 class list over F_2)
     c = weil.make_context(2, 1, 2, [1, 0, 1, 0, 4])
     a = IdealLattice(c, 2, ((2, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 0), (0, 0, 0, 2)))
     b = IdealLattice(c, 2, ((2, 0, 0, 2), (0, 1, 0, 1), (0, 0, 2, 2), (0, 0, 0, 4)))
     assert orders.multiplicator_ring(a).lattice == orders.multiplicator_ring(b).lattice
-    r = orders.ideal_equivalent(a, b, search_bound=2)
+    for x, y in ((a, b), (b, a)):
+        r = orders.ideal_equivalent(x, y)
+        assert r.status == "not_equivalent"
+        assert r.witness is None and r.search_bound is None
+
+
+def _real_unit(c):
+    """A unit s + w beta != +-1 of Z[beta], beta = alpha + q/alpha, by brute
+    force: beta^2 + a1 beta + (a2 - 2q) = 0 gives the norm s^2 - a1 s w +
+    (a2 - 2q) w^2."""
+    a1, a2 = c.f[1], c.f[2]
+    for w in range(1, 50):
+        for s in range(-50 * w, 50 * w + 1):
+            if abs(s * s - a1 * s * w + (a2 - 2 * c.q) * w * w) == 1:
+                return FieldElement.make(c, [s]) + w * (orders.alpha(c) + orders.q_over_alpha(c))
+    raise AssertionError("no small real unit")
+
+
+@pytest.mark.parametrize("p, coeffs", [
+    (2, [1, 1, 1, 2, 4]),
+    (2, [1, 0, 1, 0, 4]),
+    (3, [1, -1, 1, -3, 9]),
+])
+def test_equivalence_quartic_principal_multiples(p, coeffs):
+    # q/alpha is not in Z[alpha], so a unit of Z[alpha + q/alpha] need not
+    # lie in the multiplicator ring Z[alpha]: x * Z[alpha] with x = y * u^j
+    # is reached only through the least power of the unit that does
+    c = weil.make_context(p, 1, 2, coeffs)
+    std = IdealLattice.standard(c)
+    unit = _real_unit(c)
+    assert orders.q_over_alpha(c) not in std and unit not in std
+    rng = random.Random(2001)
+    for _ in range(12):
+        x = FieldElement.make(c, [rng.randint(-4, 4) for _ in range(4)])
+        if x.is_zero():
+            continue
+        for _ in range(rng.randint(0, 3)):
+            x = x * unit
+        moved = std.scale(x)
+        r = orders.ideal_equivalent(std, moved)
+        assert r.status == "equivalent", x.coeffs
+        assert std.scale(r.witness) == moved
+        assert next(v for v in r.witness.coeffs if v) > 0
+
+
+@pytest.mark.parametrize("p, coeffs", [
+    (2, [1, 0, 1, 0, 4]),
+    (3, [1, -1, 1, -3, 9]),
+    (5, [1, 0, -1, 0, 25]),
+])
+def test_equivalence_quartic_unit_scan_agrees_with_one_search(p, coeffs, monkeypatch):
+    # the weighted scan used for large units and the one search under the
+    # whole unit range must reach the same, correct verdicts: each class
+    # against a moved copy of every class
+    c = weil.make_context(p, 1, 2, coeffs)
+    classes = icm.enumerate_icm(orders.frobenius_pair_order(c), index_bound=6).classes
+    assert len(classes) >= 2
+    rng = random.Random(2001)
+    pairs = []
+    for i, x in enumerate(classes):
+        for j, y in enumerate(classes):
+            z = FieldElement.make(c, [rng.randint(-3, 3) for _ in range(3)] + [1])
+            pairs.append((x, y.scale(z), i == j))
+    for scan_from in (0, 10**9):
+        monkeypatch.setattr(orders, "UNIT_SCAN_FROM", scan_from)
+        for x, y, same in pairs:
+            r = orders.ideal_equivalent(x, y)
+            assert r.status == ("equivalent" if same else "not_equivalent")
+            if same:
+                assert x.scale(r.witness) == y
+
+
+def test_equivalence_quartic_huge_unit():
+    # Z[alpha + q/alpha] = Z[sqrt(46)], fundamental unit 24335 + 3588 sqrt(46):
+    # one search under the whole unit range would run to about 1e5 sqrt(T),
+    # the weighted scan decides each pair at once
+    c = weil.make_context(2, 4, 2, [1, 2, -13, 32, 256])
+    classes = icm.enumerate_icm(orders.frobenius_pair_order(c), index_bound=2).classes
+    assert len(classes) == 3
+    for x, y in permutations(classes, 2):
+        assert orders.ideal_equivalent(x, y).status == "not_equivalent"
+    root = orders.alpha(c) + orders.q_over_alpha(c) + orders.one(c)  # +-sqrt(46)
+    unit = FieldElement.make(c, [24335]) + 3588 * root
+    assert unit.norm() == 1
+    moved = classes[1].scale(unit * unit * (orders.alpha(c) + orders.one(c)))
+    r = orders.ideal_equivalent(classes[1], moved)
+    assert r.status == "equivalent"
+    assert classes[1].scale(r.witness) == moved
+
+
+def test_equivalence_sextic_finds_witness():
+    c = weil.make_context(2, 1, 3, [1, -2, 1, 1, 2, -8, 8])
+    std = IdealLattice.standard(c)
+    moved = std.scale(orders.alpha(c))
+    r = orders.ideal_equivalent(std, moved)
+    assert r.status == "equivalent"
+    assert std.scale(r.witness) == moved
+
+
+def test_equivalence_sextic_indeterminate():
+    # g = 3: with no witness within the heuristic bound 4 n ceil(T^(1/3)) the
+    # pair is reported, not decided (values frozen from the class list of
+    # t^6 - t^5 + 2t^4 - t^3 + 4t^2 - 4t + 8 over F_2 at index bound 4)
+    c = weil.make_context(2, 1, 3, [1, -1, 2, -1, 4, -4, 8])
+    a = IdealLattice(c, 4, ((4, 0, 0, 0, 0, 0), (0, 2, 0, 2, 2, 0), (0, 0, 1, 2, 1, 3),
+                            (0, 0, 0, 4, 0, 0), (0, 0, 0, 0, 4, 0), (0, 0, 0, 0, 0, 4)))
+    b = IdealLattice(c, 4, ((4, 0, 0, 0, 0, 4), (0, 2, 0, 2, 2, 4), (0, 0, 1, 2, 1, 3),
+                            (0, 0, 0, 4, 0, 8), (0, 0, 0, 0, 4, 4), (0, 0, 0, 0, 0, 12)))
+    assert orders.multiplicator_ring(a).lattice == orders.multiplicator_ring(b).lattice
+    assert orders.lattice_index(b, a) == 3
+    r = orders.ideal_equivalent(a, b)
     assert r.status == "indeterminate"
-    assert r.search_bound == 2
+    assert r.search_bound == 4 * 6 * 2  # ceil(3^(1/3)) = 2
     assert r.witness is None
 
 
