@@ -169,6 +169,15 @@ def cmd_classify(args) -> int:
     return 0 if result.all_oracle_agree else 3
 
 
+def _refuse_non_simple(ctx: weil.WeilContext) -> None:
+    """Both conversions and their round trips need K = Q[t]/(f) to be a CM
+    field, so refuse the rest after the input parses and before converting."""
+    if not ctx.is_weil:
+        raise InputError("not_weil", f"not a Weil polynomial: {ctx.weil_reason}")
+    if not ctx.is_irreducible:
+        raise InputError("not_irreducible", "polynomial is reducible; class is not simple")
+
+
 def cmd_convert(args) -> int:
     try:
         ctx = _context_from_args(args)
@@ -179,6 +188,8 @@ def cmd_convert(args) -> int:
         raise InputError("bad_direction", "pass exactly one of --matrix or --ideal")
     if args.matrix is not None:
         m = _parse_matrix(args.matrix)
+        conjugacy._check_charpoly(ctx, m)
+        _refuse_non_simple(ctx)
         lat = conjugacy.matrix_to_ideal(ctx, m)
         back = conjugacy.ideal_to_matrix(lat)
         conj = conjugacy.matrices_conjugate(ctx, m, [list(r) for r in back.rep])
@@ -198,6 +209,7 @@ def cmd_convert(args) -> int:
         return 0
     rows = _parse_ideal(args.ideal)
     lat = orders.IdealLattice.from_rows(ctx, rows)
+    _refuse_non_simple(ctx)
     mclass = conjugacy.ideal_to_matrix(lat)
     lat_back = conjugacy.matrix_to_ideal(ctx, [list(r) for r in mclass.rep])
     eq = orders.ideal_equivalent(lat, lat_back)
@@ -348,7 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors (2) and --help (0)
+        return exc.code
     try:
         return args.func(args)
     except InputError as exc:

@@ -12,7 +12,6 @@ multiplication-by-alpha matrix on the power basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg, orders
 from .errors import ConsistencyError, InputError
@@ -37,11 +36,6 @@ class ConjugacyResult:
     search_bound: int | None = None
 
 
-def _alpha_row_matrix(ctx: WeilContext) -> list[list[int]]:
-    # row i is the coordinate vector of alpha^(i+1)
-    return [list(ctx.power_rows[i + 1]) for i in range(ctx.n)]
-
-
 def _check_charpoly(ctx: WeilContext, m) -> None:
     if len(m) != ctx.n or any(len(row) != ctx.n for row in m):
         raise InputError("bad_shape", f"matrix must be {ctx.n} x {ctx.n}")
@@ -58,49 +52,39 @@ def ideal_to_matrix(lat: IdealLattice) -> MatrixClass:
     """Integer matrix of multiplication by alpha on the lattice, in the
     canonical basis.  The lattice must be stable under alpha."""
     ctx = lat.ctx
-    b = lat.rows_fraction
-    bt = linalg.transpose(b)
-    bt_inv = linalg.mat_inverse_fraction(bt)
-    malpha_t = linalg.transpose(_alpha_row_matrix(ctx))
-    m = linalg.mat_mul(linalg.mat_mul(bt_inv, malpha_t), bt)
-    out = []
-    for row in m:
-        ints = []
-        for x in row:
-            x = Fraction(x)
-            if x.denominator != 1:
-                raise InputError("not_stable", "not a Z[alpha]-module: lattice moves under alpha")
-            ints.append(int(x))
-        out.append(tuple(ints))
-    rep = tuple(out)
+    rows = orders.multiplication_matrix(orders.alpha(ctx), lat.elements, lat)
+    if rows is None:
+        raise InputError("not_stable", "not a Z[alpha]-module: lattice moves under alpha")
+    rep = linalg.freeze(linalg.transpose(rows))
     if linalg.charpoly([list(r) for r in rep]) != ctx.f_low:
         raise ConsistencyError("multiplication matrix has wrong characteristic polynomial")
     return MatrixClass(rep, ctx.f_low, lat)
 
 
-def _cyclic_basis(ctx: WeilContext, m, v0=None) -> tuple[IdealLattice, list[list[Fraction]]]:
+def _cyclic_basis(ctx: WeilContext, m, v0=None) -> tuple[IdealLattice, list[FieldElement]]:
     """Lattice pulled back from Z^n through c -> (c as polynomial in m) v0,
-    together with the column matrix W = [v0 | m v0 | ...] realizing the map."""
+    together with the basis that this map sends to the standard basis: the
+    rows of (W^T)^-1 for the column matrix W = [v0 | m v0 | ...]."""
     n = ctx.n
-    mf = [[Fraction(x) for x in row] for row in m]
     candidates = [v0] if v0 is not None else [
         [1 if i == k else 0 for i in range(n)] for k in range(n)
     ]
-    w = None
     for cand in candidates:
-        cur = [[Fraction(x)] for x in cand]
-        cols = []
-        for _ in range(n):
-            cols.append([row[0] for row in cur])
-            cur = linalg.mat_mul(mf, cur)
-        stacked = linalg.transpose(cols)
-        if linalg.determinant_fraction(stacked) != 0:
-            w = stacked
-            break
-    if w is None:
-        raise ConsistencyError("no cyclic vector found; is the polynomial irreducible?")
-    rows = linalg.mat_inverse_fraction(linalg.transpose(w))
-    return IdealLattice.from_rows(ctx, rows), w
+        cols = [list(cand)]
+        for _ in range(n - 1):
+            cols.append([sum(x * y for x, y in zip(row, cols[-1])) for row in m])
+        if linalg.determinant(cols) != 0:
+            basis = [FieldElement(ctx, tuple(r)) for r in linalg.mat_inverse_fraction(cols)]
+            return IdealLattice.from_elements(ctx, basis), basis
+    raise ConsistencyError("no cyclic vector found; is the polynomial irreducible?")
+
+
+def _to_canonical(lat: IdealLattice, basis) -> list[list[int]]:
+    """Unimodular P with basis = P * (canonical basis of lat)."""
+    p = orders.multiplication_matrix(orders.one(lat.ctx), basis, lat)
+    if p is None or not linalg.is_unimodular(p):
+        raise ConsistencyError("construction basis does not span the lattice")
+    return p
 
 
 def matrix_to_ideal(ctx: WeilContext, m, v0=None) -> IdealLattice:
@@ -114,37 +98,13 @@ def matrix_to_ideal(ctx: WeilContext, m, v0=None) -> IdealLattice:
             raise InputError("bad_shape", f"v0 must have {ctx.n} entries")
         if all(x == 0 for x in v0):
             raise InputError("zero_vector", "v0 must be nonzero")
-    lat, w = _cyclic_basis(ctx, m, v0)
-    p = _basis_change(lat, w)
-    pt = linalg.transpose(p)
-    lhs = linalg.mat_mul(pt, [list(r) for r in ideal_to_matrix(lat).rep])
-    rhs = linalg.mat_mul([list(r) for r in m], pt)
-    if lhs != rhs:
+    lat, basis = _cyclic_basis(ctx, m, v0)
+    # alpha acts on the rows of basis by m^T and on the canonical rows by
+    # rep^T, so basis = P * canonical gives rep P^T = P^T m
+    pt = linalg.transpose(_to_canonical(lat, basis))
+    if linalg.mat_mul(ideal_to_matrix(lat).rep, pt) != linalg.mat_mul(pt, m):
         raise ConsistencyError("pulled-back lattice does not realize the matrix")
     return lat
-
-
-def _integer_cast(mat, what: str) -> list[list[int]]:
-    out = []
-    for row in mat:
-        ints = []
-        for x in row:
-            x = Fraction(x)
-            if x.denominator != 1:
-                raise ConsistencyError(f"{what} is not an integer matrix")
-            ints.append(int(x))
-        out.append(ints)
-    return out
-
-
-def _basis_change(lat: IdealLattice, w) -> list[list[int]]:
-    """P with (canonical rows) = P * (construction rows); P = C * W^T."""
-    c = lat.rows_fraction
-    p = linalg.mat_mul(c, linalg.transpose(w))
-    p_int = _integer_cast(p, "basis change")
-    if not linalg.is_unimodular(p_int):
-        raise ConsistencyError("basis change between lattice bases is not unimodular")
-    return p_int
 
 
 def matrices_conjugate(ctx: WeilContext, a, b) -> ConjugacyResult:
@@ -161,32 +121,27 @@ def matrices_conjugate(ctx: WeilContext, a, b) -> ConjugacyResult:
     if [list(r) for r in a] == [list(r) for r in b]:
         ident = linalg.freeze(linalg.identity(ctx.n))
         return ConjugacyResult("conjugate", ident)
-    lat_a, wa = _cyclic_basis(ctx, a)
-    lat_b, wb = _cyclic_basis(ctx, b)
+    lat_a, basis_a = _cyclic_basis(ctx, a)
+    lat_b, basis_b = _cyclic_basis(ctx, b)
     eq = orders.ideal_equivalent(lat_a, lat_b)
     if eq.status == "not_equivalent":
         return ConjugacyResult("not_conjugate")
     if eq.status == "indeterminate":
         return ConjugacyResult("indeterminate", search_bound=eq.search_bound)
-    u = _witness_from_element(ctx, eq.witness, lat_a, wa, lat_b, wb)
+    u = _witness_from_element(eq.witness, basis_a, lat_b, basis_b)
     _verify_witness(a, b, u)
     return ConjugacyResult("conjugate", linalg.freeze(u))
 
 
-def _witness_from_element(ctx: WeilContext, x: FieldElement,
-                          lat_a: IdealLattice, wa,
-                          lat_b: IdealLattice, wb) -> list[list[int]]:
-    pa = _basis_change(lat_a, wa)
-    pb = _basis_change(lat_b, wb)
-    ca = lat_a.rows_fraction
-    cb = lat_b.rows_fraction
-    mx = x.mult_matrix()
-    xrows = linalg.mat_mul(ca, mx)  # coords of x * (canonical basis of a)
-    q = _integer_cast(linalg.mat_mul(xrows, linalg.mat_inverse_fraction(cb)),
-                      "rebasing of the scaled lattice")
-    pa_inv = linalg.inverse_unimodular(pa)
-    u = linalg.transpose(linalg.mat_mul(linalg.mat_mul(pa_inv, q), pb))
-    return [list(r) for r in u]
+def _witness_from_element(x: FieldElement, basis_a, lat_b: IdealLattice,
+                          basis_b) -> list[list[int]]:
+    """u^T is multiplication by x from basis_a to basis_b: the two cyclic
+    bases stand for the standard bases on which a and b act."""
+    xrows = orders.multiplication_matrix(x, basis_a, lat_b)  # x * basis_a in lat_b
+    if xrows is None:
+        raise ConsistencyError("witness does not carry the lattice of a into that of b")
+    back = linalg.inverse_unimodular(_to_canonical(lat_b, basis_b))
+    return linalg.transpose(linalg.mat_mul(xrows, back))
 
 
 def _verify_witness(a, b, u) -> None:

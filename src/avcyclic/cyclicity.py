@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from . import conjugacy, icm, linalg, orders
 from .conjugacy import MatrixClass
@@ -113,7 +113,7 @@ def q_stability_check(m, ctx: WeilContext) -> bool:
     via_tau = linalg.tau(m) % ctx.q ** (ctx.g - 1) == 0
     lat = conjugacy.matrix_to_ideal(ctx, m)
     v = orders.q_over_alpha(ctx)
-    via_lattice = all((v * e) in lat for e in lat.elements)
+    via_lattice = orders.multiplication_matrix(v, lat.elements, lat) is not None
     if not (direct == via_tau == via_lattice):
         raise ConsistencyError(
             f"q-stability routes disagree: inverse={direct} tau={via_tau} lattice={via_lattice}"
@@ -127,10 +127,7 @@ def group_structure_oracle(m, ctx: WeilContext) -> tuple[tuple[int, ...], bool]:
     conjugacy._check_charpoly(ctx, m)
     snf = linalg.smith_normal_form(_one_minus(_as_lists(m)))
     factors = snf.invariant_factors
-    order = 1
-    for d in factors:
-        order *= d
-    if order != ctx.point_count:
+    if prod(factors) != ctx.point_count:
         raise ConsistencyError("group order from invariant factors differs from f(1)")
     cyclic = len(factors) < 2 or factors[-2] == 1
     return factors, cyclic
@@ -150,17 +147,19 @@ def structural_identities(ctx: WeilContext, m) -> dict[str, bool]:
     """The exact identities every class representative must satisfy."""
     m = _as_lists(m)
     one_minus = _one_minus(m)
-    tau_im = linalg.tau(one_minus)
     factors = linalg.smith_normal_form(one_minus).invariant_factors
-    prod = 1
-    for d in factors:
-        prod *= d
+    return _identities(ctx, m, one_minus, linalg.tau(one_minus), factors)
+
+
+def _identities(ctx: WeilContext, m, one_minus, tau_im: int,
+                factors: tuple[int, ...]) -> dict[str, bool]:
+    """structural_identities given tau(1 - m) and the invariant factors of 1 - m."""
     zero = [[0] * ctx.n for _ in range(ctx.n)]
     return {
         "det_m": linalg.determinant(m) == ctx.q**ctx.g,
         "det_one_minus_m": linalg.determinant(one_minus) == ctx.point_count,
         "tau_divides_count": tau_im != 0 and ctx.point_count % tau_im == 0,
-        "factor_product": prod == ctx.point_count,
+        "factor_product": prod(factors) == ctx.point_count,
         "annihilated_by_f": _poly_at_matrix(ctx.f_low, m) == zero,
     }
 
@@ -177,7 +176,7 @@ def _report_for(ctx: WeilContext, mclass: MatrixClass) -> CyclicityReport:
     descriptor = tuple(d for d in factors if d != 1)
     verdict = "not_cyclic" if c2 else "cyclic"
     agrees = (verdict == "not_cyclic") == (not cyclic)
-    checks = structural_identities(ctx, m)
+    checks = _identities(ctx, m, one_minus, tau_im, factors)
     if not all(checks.values()):
         failed = ", ".join(k for k, v in checks.items() if not v)
         raise ConsistencyError(f"structural identity failed on a class representative: {failed}")

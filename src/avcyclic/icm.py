@@ -78,46 +78,12 @@ def _sublattice_shapes(n: int, d: int):
             yield t
 
 
-def _solve_in_triangular(t: list[list[int]], w: list[int]) -> bool:
-    """Whether w lies in the row span of the upper triangular t over Z."""
-    n = len(t)
-    u = [0] * n
-    for j in range(n):
-        acc = w[j]
-        for i in range(j):
-            acc -= u[i] * t[i][j]
-        q, r = divmod(acc, t[j][j])
-        if r:
-            return False
-        u[j] = q
-    return True
-
-
-def _generator_matrices(order: OrderDesc) -> list[list[list[int]]]:
-    """Integer matrices of multiplication by each ring generator, acting on
-    row coordinate vectors taken with respect to the order's basis."""
-    rows = order.lattice.rows_fraction
-    inv = linalg.mat_inverse_fraction(rows)
-    gens = []
-    for g in order.generators:
-        m = linalg.mat_mul(linalg.mat_mul(rows, g.mult_matrix()), inv)
-        gens.append([[_as_int(x) for x in row] for row in m])
-    return gens
-
-
-def _as_int(x) -> int:
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise InputError("not_integral", "generator does not stabilize the order")
-    return int(x)
-
-
 def _stable(t: list[list[int]], gens: list[list[list[int]]]) -> bool:
     n = len(t)
     for g in gens:
         for row in t:
             w = [sum(row[i] * g[i][j] for i in range(n)) for j in range(n)]
-            if not _solve_in_triangular(t, w):
+            if orders.integer_coords(t, w) is None:
                 return False
     return True
 
@@ -140,22 +106,22 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
         index_bound = mink if ctx.g == 1 else min(mink, cap)
     if index_bound < 1:
         raise InputError("bad_bound", "index bound must be a positive integer")
-    gens = _generator_matrices(order)
+    # multiplication by each ring generator on coordinates in the order's basis
+    gens = [orders.multiplication_matrix(g, order.lattice.elements, order.lattice)
+            for g in order.generators]
+    if None in gens:
+        raise InputError("not_integral", "generator does not stabilize the order")
     base_rows = order.lattice.rows_fraction
     reps: list[IdealLattice] = []
     rings: list[IdealLattice] = []
     indeterminate: list[tuple[int, int, int]] = []
-    seen: set = set()
     definitive = True
     for d in range(1, index_bound + 1):
         for t in _sublattice_shapes(ctx.n, d):
             if not _stable(t, gens):
                 continue
-            rows = linalg.mat_mul([[x for x in row] for row in t], base_rows)
-            cand = IdealLattice.from_rows(ctx, rows)
-            if (cand.den, cand.mat) in seen:
-                continue
-            seen.add((cand.den, cand.mat))
+            # distinct shapes t give distinct sublattices t * L of one lattice L
+            cand = IdealLattice.from_rows(ctx, linalg.mat_mul(t, base_rows))
             ring = orders.multiplicator_ring(cand).lattice
             duplicate = False
             unresolved = []
@@ -201,8 +167,7 @@ def refine_by_sigma(result: IcmResult, ell: int) -> list[IdealLattice]:
     sigma = orders.sigma_element(ctx, ell)
     kept = []
     for lat, ring in zip(result.classes, result.multiplicator_rings):
-        scaled = lat.scale(sigma)
-        stable = all(e in lat for e in scaled.elements)
+        stable = orders.multiplication_matrix(sigma, lat.elements, lat) is not None
         in_ring = sigma in ring
         if stable != in_ring:
             raise ConsistencyError("sigma stability disagrees with ring membership")

@@ -5,7 +5,9 @@ Elements carry power-basis coordinates as Fractions.  A lattice stores the
 canonical pair (den, mat): mat is the row Hermite normal form of den times
 a generating set, den the least common denominator of the generators.
 Equal lattices always produce identical pairs, so dataclass equality is
-lattice equality.
+lattice equality.  The lattice kernels that other modules need (integer
+coordinates, multiplication matrices between bases, colon ideals) live
+here and work on that integer pair.
 """
 
 from __future__ import annotations
@@ -222,19 +224,16 @@ class IdealLattice:
             det *= Fraction(self.mat[k][k], self.den)
         return abs(det)
 
+    def coords(self, x: FieldElement) -> list[int] | None:
+        """Integer coordinates of x in the basis rows, or None when x is
+        not in the lattice."""
+        target = [c * self.den for c in x.coeffs]
+        if any(c.denominator != 1 for c in target):
+            return None
+        return integer_coords(self.mat, [int(c) for c in target])
+
     def __contains__(self, x: FieldElement) -> bool:
-        n = self.ctx.n
-        target = [Fraction(c) * self.den for c in x.coeffs]
-        u: list[Fraction] = []
-        for j in range(n):
-            acc = target[j]
-            for i in range(j):
-                acc -= u[i] * self.mat[i][j]
-            val = acc / self.mat[j][j]
-            if val.denominator != 1:
-                return False
-            u.append(val)
-        return True
+        return self.coords(x) is not None
 
     def scale(self, x: FieldElement) -> "IdealLattice":
         if x.is_zero():
@@ -256,8 +255,6 @@ def ideal_product(a: IdealLattice, b: IdealLattice) -> IdealLattice:
 def ideal_intersection(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     _same_ctx(a, b)
     n = a.ctx.n
-    from math import lcm
-
     d = lcm(a.den, b.den)
     am = [[x * (d // a.den) for x in row] for row in a.mat]
     bm = [[x * (d // b.den) for x in row] for row in b.mat]
@@ -269,14 +266,52 @@ def ideal_intersection(a: IdealLattice, b: IdealLattice) -> IdealLattice:
 
 
 def ideal_quotient(a: IdealLattice, b: IdealLattice) -> IdealLattice:
-    """(a : b) = {x in K : x * b is contained in a}."""
+    """(a : b) = {x in K : x * b is contained in a}.
+
+    x * b_j lies in a exactly when x * T_j is integral, where T_j = M(b_j) A^-1
+    takes power-basis coordinates to coordinates in a (M(b_j) multiplies by
+    the j-th basis element of b, A stacks the basis rows of a).  So (a : b) is
+    the dual {x : x . v in Z} of the lattice spanned by the n^2 columns v of
+    [T_1 | ... | T_n]: one Hermite form of those columns, cleared of one
+    common denominator, inverted and transposed (Cohen, GTM 138, 2.4).
+    """
     _same_ctx(a, b)
-    result = None
-    for e in b.elements:
-        minv = linalg.mat_inverse_fraction(e.mult_matrix())
-        lat = IdealLattice.from_rows(a.ctx, linalg.mat_mul(a.rows_fraction, minv))
-        result = lat if result is None else ideal_intersection(result, lat)
-    return result
+    ctx = a.ctx
+    # s T_j = M(den_b b_j) adj(mat_a) with s = den_b det(mat_a) / den_a,
+    # since A^-1 = den_a mat_a^-1 and adj(mat_a) = det(mat_a) mat_a^-1
+    adj = linalg.adjugate(a.mat)
+    cols = []
+    for row in b.mat:
+        cols += linalg.transpose(linalg.mat_mul(FieldElement(ctx, row).mult_matrix(), adj))
+    h = linalg.hnf_rational(cols)[0][:ctx.n]
+    # the columns span s L, so (a : b) = L^* has basis rows s (h^-1)^T
+    scale = Fraction(b.den * linalg.determinant(a.mat), a.den * linalg.determinant(h))
+    return IdealLattice.from_rows(ctx, [[scale * x for x in col]
+                                        for col in zip(*linalg.adjugate(h))])
+
+
+def integer_coords(mat, w) -> list[int] | None:
+    """Integer u with u * mat = w for an upper triangular integer matrix
+    with nonzero diagonal, or None when w is not in its row lattice."""
+    n = len(mat)
+    u = [0] * n
+    for j in range(n):
+        acc = w[j]
+        for i in range(j):
+            acc -= u[i] * mat[i][j]
+        q, r = divmod(acc, mat[j][j])
+        if r:
+            return None
+        u[j] = q
+    return u
+
+
+def multiplication_matrix(x: FieldElement, basis, lat: IdealLattice) -> list[list[int]] | None:
+    """Integer matrix of multiplication by x from the given basis elements
+    to the basis of lat: row i holds the coordinates in lat of x * basis[i].
+    None when some product is not in lat."""
+    rows = [lat.coords(x * e) for e in basis]
+    return None if None in rows else rows
 
 
 def lattice_index(sub: IdealLattice, sup: IdealLattice) -> Fraction:

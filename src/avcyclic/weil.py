@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import comb, gcd, isqrt
 from typing import Sequence
 
@@ -352,22 +353,42 @@ def _subset_sums(multiset: list[int]) -> set[int]:
 def _has_factor_of_degree(f_low: tuple, d: int) -> bool:
     """Exhaustive search for a monic integer factor of degree d.
 
-    Any factor's roots are roots of f, so the coefficient of t^k obeys the
-    elementary-symmetric bound |c_k| <= C(d, d-k) * RB^(d-k) with RB the
-    Cauchy root bound; the constant term additionally divides f(0)."""
-    from itertools import product
-
-    rb = 1 + max(abs(c) for c in f_low[:-1])
-    c0_divs = _divisors(abs(f_low[0]))
-    ranges = [range(-comb(d, d - k) * rb ** (d - k), comb(d, d - k) * rb ** (d - k) + 1)
-              for k in range(1, d)]
-    for mids in product(*ranges):
-        for c0 in c0_divs:
+    Any factor's roots are roots of f, so the coefficient of t^k is an
+    elementary symmetric function of d of them: |c_k| <= C(d, k) R^(d-k) for
+    a bound R on their moduli.  When f is a Weil polynomial for q (every
+    root of modulus sqrt(q)) this is exact, with |c_0| = q^(d/2) (so odd d
+    needs q square); otherwise R is the Cauchy root bound and c_0 divides
+    f(0)."""
+    q = _weil_q(f_low)
+    if q is None:
+        rb = 1 + max(abs(c) for c in f_low[:-1])
+        tops = [comb(d, k) * rb ** (d - k) for k in range(1, d)]
+        c0_abs = _divisors(abs(f_low[0]))
+    else:
+        root = isqrt(q**d)
+        if root * root != q**d:
+            return False
+        tops = [isqrt(comb(d, k) ** 2 * q ** (d - k)) for k in range(1, d)]
+        c0_abs = [root]
+    for mids in product(*(range(-top, top + 1) for top in tops)):
+        for c0 in c0_abs:
             for signed in (c0, -c0):
                 cand = poly.trim((signed,) + mids + (1,))
                 if poly.divides(cand, f_low):
                     return True
     return False
+
+
+def _weil_q(f_low: tuple) -> int | None:
+    """The q for which f is a Weil polynomial, if any: q^g = f(0)."""
+    n, c0 = len(f_low) - 1, f_low[0]
+    if n % 2 or c0 < 1:
+        return None
+    g, q, hi = n // 2, 1, c0
+    while q < hi:  # bisect for the least q with q^g >= c0
+        mid = (q + hi) // 2
+        q, hi = (mid + 1, hi) if mid**g < c0 else (q, mid)
+    return q if q**g == c0 and _weil_reason(f_low, q)[0] else None
 
 
 # ---------------------------------------------------------------------------

@@ -225,3 +225,31 @@ def test_sweep_capability_exit_2(capsys):
     code, out = run(capsys, ["sweep", "--p", "2", "--r", "1", "--g", "3"])
     assert code == 2
     assert json.loads(out)["error"]["code"] == "capability"
+
+
+def test_convert_reducible_is_a_refusal(capsys):
+    # (t^2 + t + 2)^2 is Weil and ordinary, but K = Q[t]/(f) is no field;
+    # this matrix has no cyclic vector, which used to surface as exit 3
+    base = ["convert", "--p", "2", "--r", "1", "--g", "2", "--poly", "1,2,5,4,4"]
+    code, out = run(capsys, base + ["--matrix=0,-2,0,0;1,-1,0,0;0,0,0,-2;0,0,1,-1"])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "not_irreducible"
+    # non-Weil is reported first: (t + 1)(t + 2) has real roots
+    base = ["convert", "--p", "2", "--r", "1", "--g", "1", "--poly", "1,3,2"]
+    for direction in ("--matrix=-1,0;0,-2", "--ideal=1,0;0,1"):
+        code, out = run(capsys, base + [direction])
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "not_weil"
+
+
+def test_main_returns_usage_errors(capsys):
+    # argparse reads "-1,0;0,1" as an option; main returns its status 2
+    # instead of raising SystemExit (the --matrix= form parses)
+    base = ["convert", "--p", "5", "--r", "1", "--g", "1", "--poly", "1,-2,5"]
+    assert cli.main(base + ["--matrix", "-1,0;0,1"]) == 2
+    assert "usage" in capsys.readouterr().err
+    assert cli.main(["classify", "--help"]) == 0
+    assert "--index-bound" in capsys.readouterr().out
+    code, out = run(capsys, base + ["--matrix=-1,0;0,1"])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "charpoly_mismatch"

@@ -393,3 +393,27 @@ def test_element_charpoly_has_integer_coeffs_for_integral_elements():
     assert a.charpoly() == tuple(Fraction(x) for x in (4, 2, 1, 1, 1))
     v = orders.q_over_alpha(c)
     assert v.is_integral()  # Verschiebung is integral even off Z[alpha]
+
+
+def _quotient_by_intersection(a, b):
+    """(a : b) as the intersection of the a * b_j^-1 over a basis of b."""
+    result = None
+    for e in b.elements:
+        lat = a.scale(e.inverse())
+        result = lat if result is None else orders.ideal_intersection(result, lat)
+    return result
+
+
+def test_ideal_quotient_matches_intersection_of_scaled_copies():
+    contexts = [c for p, r in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
+                for c in weil.enumerate_weil_contexts(p, r, 1, ordinary=True, irreducible=True)]
+    contexts += weil.enumerate_weil_contexts(2, 1, 2, ordinary=True, irreducible=True)[:10]
+    pairs = 0
+    for c in contexts:
+        result = icm.enumerate_icm(orders.frobenius_pair_order(c))
+        lattices = list(dict.fromkeys(result.classes + result.multiplicator_rings))
+        for a in lattices:
+            for b in lattices:
+                assert orders.ideal_quotient(a, b) == _quotient_by_intersection(a, b), (c.f, a, b)
+                pairs += 1
+    assert len(contexts) == 52 and pairs == 237

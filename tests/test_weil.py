@@ -116,6 +116,12 @@ def test_irreducibility_matches_sympy():
         [1, 0, 0, 0, 4],
         [1, 2, 3, 4, 4],
         [1, -2, 2, -6, 9],
+        # (t^2 + t + 2)(t^2 - t + 2): found in the Weil box of degree-2 factors
+        [1, 0, 3, 0, 4],
+        # Weil octic over F_2, every sieve prime leaves [2, 2, 2, 2] or [4, 4]:
+        # the degree-4 search has 12650 candidates |c_k| <= C(4, k) 2^((4-k)/2),
+        # where the Cauchy box has about 2e11
+        [1, 0, 0, 0, 1, 0, 0, 0, 16],
     ]
     for coeffs in cases:
         expected = sympy.Poly(coeffs, t).is_irreducible
