@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import conjugacy, cyclicity, ingest, orders, weil
-from .errors import CapabilityError, ConsistencyError, InputError
+from .errors import CapabilityError, ConsistencyError, DegenerateLatticeError, InputError
 
 SCHEMA_VERSION = "1"
 
@@ -371,6 +371,9 @@ def main(argv=None) -> int:
         return 1 if exc.code in _REFUSAL_CODES else 2
     except CapabilityError as exc:
         _emit(_error_doc("capability", str(exc)), None)
+        return 2
+    except DegenerateLatticeError as exc:  # e.g. a rank-deficient --ideal basis
+        _emit(_error_doc("degenerate_lattice", str(exc)), None)
         return 2
     except ConsistencyError as exc:
         _emit(_error_doc("consistency", str(exc)), None)

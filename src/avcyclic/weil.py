@@ -163,11 +163,6 @@ def validate_weil(coeffs: Sequence[int], q: int) -> bool:
     return ok
 
 
-def weil_failure_reason(coeffs: Sequence[int], q: int) -> str | None:
-    _, reason = _weil_reason(poly.from_monic_first(coeffs), q)
-    return reason
-
-
 def _weil_reason(f_low: tuple, q: int) -> tuple[bool, str | None]:
     n = len(f_low) - 1
     if n < 2 or n % 2:
@@ -413,23 +408,18 @@ def enumerate_weil_contexts(
     q = p**r
     if q > ENUM_Q_CAP:
         raise CapabilityError(f"enumeration supports q <= {ENUM_Q_CAP}")
-    out = []
     # Only coefficient vectors already satisfying the functional equation can
     # pass validate_weil, so the generator fixes the mirrored coefficients.
     if g == 1:
         top = isqrt(4 * q)
-        for a1 in range(-top, top + 1):
-            ctx = make_context(p, r, g, [1, a1, q])
-            if ctx.is_weil and _match(ctx, ordinary, irreducible):
-                out.append(ctx)
+        box = ([1, a1, q] for a1 in range(-top, top + 1))
     else:
         top1 = isqrt(16 * q)
-        for a1 in range(-top1, top1 + 1):
-            for a2 in range(-6 * q, 6 * q + 1):
-                ctx = make_context(p, r, g, [1, a1, a2, q * a1, q * q])
-                if ctx.is_weil and _match(ctx, ordinary, irreducible):
-                    out.append(ctx)
-    return out
+        box = ([1, a1, a2, q * a1, q * q]
+               for a1 in range(-top1, top1 + 1) for a2 in range(-6 * q, 6 * q + 1))
+    # the Weil test comes first, so irreducibility is decided only for Weil input
+    contexts = (make_context(p, r, g, coeffs) for coeffs in box if validate_weil(coeffs, q))
+    return [ctx for ctx in contexts if _match(ctx, ordinary, irreducible)]
 
 
 def _match(ctx: WeilContext, ordinary: bool | None, irreducible: bool | None) -> bool:

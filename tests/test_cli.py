@@ -181,6 +181,18 @@ def test_convert_non_weil_is_a_refusal(capsys):
         assert json.loads(out)["error"]["code"] == "not_weil"
 
 
+def test_convert_degenerate_ideal_exit_2(capsys):
+    # a basis that does not span a full-rank lattice is malformed input:
+    # exit 2 with an error document, no traceback
+    base = ["convert", "--p", "5", "--r", "1", "--g", "1", "--poly", "1,-2,5"]
+    for ideal in ("--ideal=1,0", "--ideal=1,2;2,4"):
+        code, out = run(capsys, base + [ideal])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["schema_version"] == "1"
+        assert doc["error"]["code"] == "degenerate_lattice"
+
+
 def test_sweep_small_field(capsys):
     code, out = run(capsys, ["sweep", "--p", "2", "--r", "1", "--g", "1", "--no-timing"])
     assert code == 0

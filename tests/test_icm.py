@@ -1,9 +1,11 @@
 """Ideal class monoid enumeration: bounds, dedup, completeness flags,
 local refinement."""
 
+from itertools import product
+
 import pytest
 
-from avcyclic import icm, orders, weil
+from avcyclic import icm, linalg, orders, weil
 from avcyclic.errors import InputError
 from avcyclic.orders import IdealLattice
 
@@ -186,3 +188,58 @@ def test_refine_by_sigma_values():
     with pytest.raises(InputError) as e:
         icm.refine_by_sigma(r5, 3)
     assert e.value.code == "ell_not_dividing"
+
+
+def _ordered_factorizations(d, k):
+    if k == 1:
+        return [(d,)]
+    return [(a,) + rest for a in range(1, d + 1) if d % a == 0
+            for rest in _ordered_factorizations(d // a, k - 1)]
+
+
+def _hermite_walk(order, bound):
+    """Brute-force oracle: every upper triangular Hermite shape of index at
+    most bound whose row span, in the order's coordinates, the generators
+    map into itself; by index, diagonal, then entries column by column."""
+    n, lat = order.ctx.n, order.lattice
+    gens = [orders.multiplication_matrix(g, lat.elements, lat) for g in order.generators]
+    cells = [(i, j) for j in range(n) for i in range(j)]
+    out = []
+    for d in range(1, bound + 1):
+        for diag in _ordered_factorizations(d, n):
+            for vals in product(*(range(diag[j]) for _, j in cells)):
+                t = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+                for (i, j), v in zip(cells, vals):
+                    t[i][j] = v
+                if all(orders.integer_coords(t, linalg.vec_mat(row, a)) is not None
+                       for a in gens for row in t):
+                    out.append(t)
+    return out
+
+
+def test_integral_ideals_match_hermite_walk():
+    cases = []
+    for p in (2, 3):  # the corpus quartics at their default bounds
+        for ctx in weil.enumerate_weil_contexts(p, 1, 2, ordinary=True, irreducible=True)[:10]:
+            o = orders.frobenius_pair_order(ctx)
+            cases.append((o, min(icm.minkowski_index_bound(o), icm.QUARTIC_INDEX_CAP)))
+    f5 = weil.enumerate_weil_contexts(5, 1, 2, ordinary=True, irreducible=True)
+    cases += [(orders.frobenius_pair_order(ctx), 12) for ctx in f5[::13][:5]]
+    cases.append((pair_order(2, 1, 3, [1, -2, 1, 1, 2, -8, 8]), 6))
+    for o, bound in cases:
+        assert icm.integral_ideals(o, bound) == _hermite_walk(o, bound), (o.ctx.f, bound)
+
+
+def test_integral_ideals_find_prime_of_residue_degree_two():
+    # f = t^2 (t^2 + t + 1) mod 2, and P = (2, alpha^2 + alpha + 1) has
+    # R/P = F_4, with no line stable under R: no eigenline of alpha finds P,
+    # only the search over all points of P^3(F_2)
+    o = pair_order(2, 1, 2, [1, -1, -1, -2, 4])
+    a = orders.alpha(o.ctx)
+    gen = a * a + a + orders.one(o.ctx)
+    prime = IdealLattice.from_elements(
+        o.ctx, [2 * e for e in o.lattice.elements] + [gen * e for e in o.lattice.elements])
+    assert orders.lattice_index(prime, o.lattice) == 4
+    base = o.lattice.rows_fraction
+    assert prime in [IdealLattice.from_rows(o.ctx, linalg.mat_mul(t, base))
+                     for t in icm.integral_ideals(o, 4)]

@@ -1,9 +1,12 @@
 """Context validation: root location, ordinariness, irreducibility,
 enumeration completeness at desk scale."""
 
+from math import isqrt
+
 import pytest
 import sympy
 
+from avcyclic import polynomials as poly
 from avcyclic import weil
 from avcyclic.errors import CapabilityError, InputError
 
@@ -64,14 +67,14 @@ def test_validate_weil_examples():
     assert weil.validate_weil([1, 4, 4], 4)
     # trace too large: roots leave the circle
     assert not weil.validate_weil([1, -5, 2], 2)
-    assert weil.weil_failure_reason([1, -5, 2], 2) == "root_location"
+    assert weil._weil_reason(poly.from_monic_first([1, -5, 2]), 2)[1] == "root_location"
     # wrong constant term
     assert not weil.validate_weil([1, 0, -2], 2)
-    assert weil.weil_failure_reason([1, 0, -2], 2) == "constant_term"
+    assert weil._weil_reason(poly.from_monic_first([1, 0, -2]), 2)[1] == "constant_term"
     # odd degree never qualifies
-    assert weil.weil_failure_reason([1, 0, 0, -8], 2) == "bad_degree"
+    assert weil._weil_reason(poly.from_monic_first([1, 0, 0, -8]), 2)[1] == "bad_degree"
     # quartic functional equation violation: a3 must equal q * a1
-    assert weil.weil_failure_reason([1, 1, 1, 0, 4], 2) == "functional_equation"
+    assert weil._weil_reason(poly.from_monic_first([1, 1, 1, 0, 4]), 2)[1] == "functional_equation"
 
 
 def test_validate_weil_quartics():
@@ -170,6 +173,20 @@ def test_enumeration_brute_force_g1():
                 brute.add((1, a1, q))
         got = {ctx.f for ctx in weil.enumerate_weil_contexts(p, r, 1)}
         assert got == brute
+
+
+def test_enumeration_matches_make_context_over_the_box():
+    # the enumerator tests the Weil condition before building a context;
+    # the result must equal make_context over the whole quartic box, filtered
+    q = 2
+    box = [weil.make_context(2, 1, 2, [1, a1, a2, q * a1, q * q])
+           for a1 in range(-isqrt(16 * q), isqrt(16 * q) + 1) for a2 in range(-6 * q, 6 * q + 1)]
+    weil_box = [ctx for ctx in box if ctx.is_weil]
+    assert weil.enumerate_weil_contexts(2, 1, 2) == weil_box
+    assert weil.enumerate_weil_contexts(2, 1, 2, ordinary=True, irreducible=True) == [
+        ctx for ctx in weil_box if ctx.is_ordinary and ctx.is_irreducible]
+    assert weil.enumerate_weil_contexts(2, 1, 2, irreducible=False) == [
+        ctx for ctx in weil_box if not ctx.is_irreducible]
 
 
 def test_enumeration_caps():
