@@ -10,10 +10,12 @@ order R.  Below an ideal M of index m, the ideals N with pM <= N < M are
 the preimages of the subspaces W of M/pM that the ring maps into
 themselves; dually U = W^perp is stable too, of dimension at most
 c = floor(log_p(bound / m)).  For c = 1, U is a common eigenline, whose
-eigenvalue under alpha is a root of f mod p; for c >= 2, U is a sum of the
-cyclic subspaces spanned from the points of the projective space.  Ideals
-I and J of coprime indices d and e then intersect in e I + d J.  The
-candidates are visited by index and Hermite shape, so the first
+eigenvalue under alpha is a root of f mod p; for c >= 2, U is the cyclic
+subspace spanned from a point of the projective space.  These cyclic steps
+reach every ideal: a stable U contains a cyclic U', whose ideal N' has
+smaller index and is queued itself, and the ideal of U lies between pN' and
+N'.  Ideals I and J of coprime indices d and e then intersect in e I + d J.
+The candidates are visited by index and Hermite shape, so the first
 representative of each class is the least shape of index at most the
 bound.
 
@@ -135,10 +137,10 @@ def _local_ideals(mats, f_low, p: int, bound: int) -> list[tuple[int, list[list[
 
 
 def _stable_subspaces(spaces, gens, p: int, c: int) -> set[tuple[tuple[int, ...], ...]]:
-    """Every subspace of dimension 1..c of F_p^n that each matrix in gens
-    maps into itself and that is a sum of cyclic subspaces spanned from
-    points of the given spaces, in reduced echelon form."""
-    cyclic = set()
+    """Every subspace of dimension 1..c of F_p^n that gens span from one
+    point of the given spaces (the smallest one containing the point that
+    each matrix in gens maps into itself), in reduced echelon form."""
+    found = set()
     for basis in spaces:
         for lead in range(len(basis)):
             for tail in product(range(p), repeat=len(basis) - lead - 1):
@@ -146,18 +148,7 @@ def _stable_subspaces(spaces, gens, p: int, c: int) -> set[tuple[tuple[int, ...]
                          for j in range(len(basis[0]))]
                 span = _cyclic_span(point, gens, p, c)
                 if span:
-                    cyclic.add(span)
-    found = set(cyclic)
-    queue = list(cyclic)
-    for s in queue:
-        # a sum with a subspace not inside s has dimension above len(s)
-        for cyc in cyclic if len(s) < c else ():
-            total = s
-            for v in cyc:
-                total = _insert_mod(total, v, p)
-            if len(total) <= c and total not in found:
-                found.add(total)
-                queue.append(total)
+                    found.add(span)
     return found
 
 

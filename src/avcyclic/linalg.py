@@ -3,7 +3,10 @@
 Matrices are sequences of rows.  Every function returns fresh lists and
 never mutates its input.  Determinants use fraction-free Bareiss
 elimination; Hermite and Smith normal forms are deterministic (fixed pivot
-rules) so canonical forms are reproducible byte for byte.
+rules) so canonical forms are reproducible byte for byte.  Rational input
+reaches these integer kernels through one common denominator: the
+determinant, inverse, characteristic polynomial and Hermite form of A are
+read off those of d A, d the least common denominator of the entries.
 """
 
 from __future__ import annotations
@@ -76,19 +79,17 @@ def determinant(a: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _cleared(a: Matrix) -> tuple[list[list[int]], int]:
+    """(d * a as integer rows, d) for d the least common denominator of the
+    entries of the rational matrix a."""
+    d = lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
+
+
 def determinant_fraction(a: Matrix) -> Fraction:
-    """Exact determinant of a rational matrix: clear each row, Bareiss, divide."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    scaled = []
-    den = Fraction(1)
-    for row in a:
-        fr = [Fraction(x) for x in row]
-        d = lcm(*(c.denominator for c in fr)) if fr else 1
-        den *= d
-        scaled.append([int(c * d) for c in fr])
-    return Fraction(determinant(scaled)) / den
+    """Exact determinant of a rational matrix: det(d A) / d^n."""
+    b, d = _cleared(a)
+    return Fraction(determinant(b), d ** len(b))
 
 
 def minor(a: Matrix, i: int, j: int) -> list[list]:
@@ -143,47 +144,34 @@ def inverse_unimodular(a: Matrix) -> list[list[int]]:
 
 
 def mat_inverse_fraction(a: Matrix) -> list[list[Fraction]]:
-    """Gauss-Jordan inverse over Q with the first nonzero pivot rule."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise DegenerateLatticeError("singular matrix")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                c = m[r][col]
-                m[r] = [x - c * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    """Exact inverse of a rational matrix: d adj(B) / det(B) for B = d A."""
+    b, d = _cleared(a)
+    det = determinant(b)
+    if det == 0:
+        raise DegenerateLatticeError("singular matrix")
+    return [[Fraction(d * x, det) for x in row] for row in adjugate(b)]
 
 
 def charpoly(a: Matrix) -> tuple:
     """Characteristic polynomial det(tI - A), lowest degree first, monic.
 
-    Faddeev-LeVerrier with Fraction accumulators; integer input yields
-    integer output (cast back to int).
+    Integer Faddeev-LeVerrier on B = d A, where each c_k = -tr(M_k) / k is
+    an exact integer; the coefficient of t^(n-k) of A is c_k / d^k.  Integer
+    input gives int coefficients, any other input Fraction.
     """
-    n = len(a)
-    af = [[Fraction(x) for x in row] for row in a]
-    coeffs_high = [Fraction(1)]  # c_0 = 1, then c_1 .. c_n
-    m = [[Fraction(0)] * n for _ in range(n)]
+    b, d = _cleared(a)
+    n = len(b)
+    high = [1]  # c_0 = 1, then c_1 .. c_n
+    m = zeros(n, n)
     for k in range(1, n + 1):
-        # M_k = A (M_{k-1} + c_{k-1} I)
-        shifted = [row[:] for row in m]
+        # M_k = B (M_{k-1} + c_{k-1} I)
         for i in range(n):
-            shifted[i][i] += coeffs_high[k - 1]
-        m = mat_mul(af, shifted)
-        c = -sum(m[i][i] for i in range(n)) / k
-        coeffs_high.append(c)
-    low_first = list(reversed(coeffs_high))
+            m[i][i] += high[-1]
+        m = mat_mul(b, m)
+        high.append(-sum(m[i][i] for i in range(n)) // k)
     if all(isinstance(x, int) for row in a for x in row):
-        return tuple(int(c) for c in low_first)
-    return tuple(low_first)
+        return tuple(reversed(high))
+    return tuple(Fraction(c, d ** k) for k, c in enumerate(high))[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +236,9 @@ def hermite_normal_form(a: Matrix) -> tuple[list[list[Fraction]], list[list[int]
 def hnf_rational(a: Matrix) -> tuple[list[list[int]], list[list[int]], int, int]:
     """Clear denominators and reduce: returns (h, u, den, rank) where
     u * (den * a) = h, h canonical with zero rows at the bottom."""
-    rows = [[Fraction(x) for x in row] for row in a]
-    if not rows:
+    cleared, den = _cleared(a)
+    if not cleared:
         raise DegenerateLatticeError("empty generating set")
-    den = 1
-    for row in rows:
-        for x in row:
-            den = lcm(den, x.denominator)
-    cleared = [[int(x * den) for x in row] for row in rows]
     h, u, rank = _hnf_core(cleared)
     return h, u, den, rank
 

@@ -414,9 +414,14 @@ def enumerate_weil_contexts(
         top = isqrt(4 * q)
         box = ([1, a1, q] for a1 in range(-top, top + 1))
     else:
+        # every Weil quartic has 2|a1|sqrt(q) - 2q <= a2 <= a1^2/4 + 2q (Rueck,
+        # Compositio Math. 76 (1990); Maisner & Nart, Experiment. Math. 11
+        # (2002)), here rounded inward exactly
         top1 = isqrt(16 * q)
         box = ([1, a1, a2, q * a1, q * q]
-               for a1 in range(-top1, top1 + 1) for a2 in range(-6 * q, 6 * q + 1))
+               for a1 in range(-top1, top1 + 1)
+               for a2 in range((isqrt(4 * a1 * a1 * q - 1) + 1 if a1 else 0) - 2 * q,
+                               a1 * a1 // 4 + 2 * q + 1))
     # the Weil test comes first, so irreducibility is decided only for Weil input
     contexts = (make_context(p, r, g, coeffs) for coeffs in box if validate_weil(coeffs, q))
     return [ctx for ctx in contexts if _match(ctx, ordinary, irreducible)]

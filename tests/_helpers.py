@@ -1,8 +1,25 @@
-"""Shared test utilities: seeded random matrix generation."""
+"""Shared test utilities: the acceptance corpus and seeded random matrix
+generation."""
 
 import random
 
-from avcyclic import linalg
+from avcyclic import linalg, weil
+
+# The acceptance corpus: every ordinary irreducible g = 1 context for these
+# fields plus the first ten ordinary irreducible quartics over F_2 and F_3.
+G1_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
+QUARTIC_FIELDS = ((2, 1), (3, 1))
+QUARTICS_PER_FIELD = 10
+
+
+def corpus_contexts():
+    """The 62 corpus contexts in enumeration order."""
+    for p, r in G1_FIELDS:
+        yield from weil.enumerate_weil_contexts(p, r, 1, ordinary=True, irreducible=True)
+    for p, r in QUARTIC_FIELDS:
+        quartics = weil.enumerate_weil_contexts(p, r, 2, ordinary=True, irreducible=True)
+        assert len(quartics) >= QUARTICS_PER_FIELD
+        yield from quartics[:QUARTICS_PER_FIELD]
 
 
 def random_unimodular(rng: random.Random, n: int, entry_bound: int = 5,

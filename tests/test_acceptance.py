@@ -13,12 +13,9 @@ import sympy
 
 from avcyclic import cli, conjugacy, cyclicity, icm, ingest, linalg, orders, weil
 
-from _helpers import random_unimodular
+from _helpers import G1_FIELDS, QUARTICS_PER_FIELD, corpus_contexts, random_unimodular
 from conftest import criterion
 
-G1_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
-QUARTIC_FIELDS = ((2, 1), (3, 1))
-QUARTICS_PER_FIELD = 10
 RUNTIME_BUDGET_SECONDS = 600.0
 
 FIXTURE = Path(__file__).parent / "fixtures" / "external_records.jsonl"
@@ -32,15 +29,7 @@ def corpus():
     global _corpus_cache
     if _corpus_cache is None:
         started = time.monotonic()
-        results = []
-        for p, r in G1_FIELDS:
-            for ctx in weil.enumerate_weil_contexts(p, r, 1, ordinary=True, irreducible=True):
-                results.append(cyclicity.classify_isogeny_class(ctx))
-        for p, r in QUARTIC_FIELDS:
-            quartics = weil.enumerate_weil_contexts(p, r, 2, ordinary=True, irreducible=True)
-            assert len(quartics) >= QUARTICS_PER_FIELD
-            for ctx in quartics[:QUARTICS_PER_FIELD]:
-                results.append(cyclicity.classify_isogeny_class(ctx))
+        results = [cyclicity.classify_isogeny_class(ctx) for ctx in corpus_contexts()]
         _corpus_cache = (results, time.monotonic() - started)
     return _corpus_cache
 

@@ -1,7 +1,8 @@
 """Exact integer/rational matrix kernel tests.
 
 Oracle values were computed by hand (2x2 cofactor rule, row reduction)
-before the implementation and are frozen here.
+before the implementation and are frozen here; the property tests at the
+end compare the kernels with sympy on random integer and rational matrices.
 """
 
 import itertools
@@ -10,6 +11,10 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from avcyclic import linalg
 from avcyclic.errors import DegenerateLatticeError
@@ -273,3 +278,75 @@ def test_short_vectors_match_brute_force():
         assert set(got) == want
     with pytest.raises(ValueError):
         list(linalg.short_vectors([[1, 0], [0, -1]], 5))
+
+
+# ---------------------------------------------------------------------------
+# Property tests against sympy
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _square(entries):
+    return st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+INT_MATRICES = _square(st.integers(-5, 5))
+# mixed denominators up to 5, so d is the lcm of several distinct ones
+RATIONAL_MATRICES = _square(st.fractions(-4, 4, max_denominator=5))
+
+
+def _fraction(x) -> Fraction:
+    x = sympy.Rational(x)
+    return Fraction(int(x.p), int(x.q))
+
+
+def _sympy_charpoly(m) -> tuple:
+    t = sympy.Symbol("t")
+    coeffs = sympy.Matrix(m).charpoly(t).all_coeffs()
+    return tuple(_fraction(c) for c in reversed(coeffs))
+
+
+@PROPERTY
+@given(st.one_of(INT_MATRICES, RATIONAL_MATRICES))
+def test_charpoly_matches_sympy(m):
+    cp = linalg.charpoly(m)
+    assert cp == _sympy_charpoly(m)
+    # integer input gives int coefficients, any other input Fraction
+    integral = all(isinstance(x, int) for row in m for x in row)
+    assert all(type(c) is (int if integral else Fraction) for c in cp)
+
+
+@PROPERTY
+@given(st.one_of(INT_MATRICES, RATIONAL_MATRICES))
+def test_determinant_and_inverse_match_sympy(m):
+    det = _fraction(sympy.Matrix(m).det())
+    assert linalg.determinant_fraction(m) == det
+    if det == 0:
+        with pytest.raises(DegenerateLatticeError):
+            linalg.mat_inverse_fraction(m)
+        return
+    inv = linalg.mat_inverse_fraction(m)
+    assert inv == [[_fraction(x) for x in row] for row in sympy.Matrix(m).inv().tolist()]
+    assert all(type(x) is Fraction for row in inv for x in row)
+
+
+@PROPERTY
+@given(st.one_of(INT_MATRICES, RATIONAL_MATRICES), st.data())
+def test_singular_inverse_raises(m, data):
+    # overwrite one row with a rational combination of the others
+    m, n = [list(row) for row in m], len(m)
+    i = data.draw(st.integers(0, n - 1))
+    weights = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n))
+    m[i] = [sum((w * row[j] for k, (w, row) in enumerate(zip(weights, m)) if k != i),
+                Fraction(0)) for j in range(n)]
+    assert linalg.determinant_fraction(m) == 0
+    with pytest.raises(DegenerateLatticeError, match="singular matrix"):
+        linalg.mat_inverse_fraction(m)
+
+
+@PROPERTY
+@given(INT_MATRICES)
+def test_smith_invariant_factors_match_sympy(m):
+    want = sympy_invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
+    assert linalg.invariant_factors(m) == tuple(int(x) for x in want)

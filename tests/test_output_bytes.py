@@ -1,0 +1,69 @@
+"""Same JSON bytes: sha256 digests of `classify --no-timing` on every corpus
+context and of `convert --matrix=M` on every class matrix M it lists,
+against the digests stored in fixtures/output_digests.json.
+
+A change that alters these bytes on purpose rewrites the fixture with
+
+    PYTHONPATH=src python tests/test_output_bytes.py --write
+
+and says so in CHANGES.md.
+"""
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from avcyclic import cli
+
+from _helpers import corpus_contexts
+
+FIXTURE = Path(__file__).parent / "fixtures" / "output_digests.json"
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _context_args(ctx) -> list[str]:
+    # joined --opt=value form: a value starting with '-' would read as an option
+    return ["--p", str(ctx.p), "--r", str(ctx.r), "--g", str(ctx.g),
+            "--poly=" + ",".join(map(str, ctx.f))]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def output_digests():
+    """Yield (label, sha256) in corpus order: the classify document of each
+    context, then the convert document of each class matrix it lists."""
+    for ctx in corpus_contexts():
+        key = f"{ctx.p},{ctx.r},{ctx.g}:" + ",".join(map(str, ctx.f))
+        code, text = _run(["classify", *_context_args(ctx), "--no-timing"])
+        assert code == 0, key
+        yield f"classify {key}", _digest(text)
+        for i, cls in enumerate(json.loads(text)["classes"]):
+            matrix = ";".join(",".join(row) for row in cls["matrix"])
+            code, conv = _run(["convert", *_context_args(ctx), "--matrix=" + matrix])
+            assert code == 0, (key, i)
+            yield f"convert {key} class {i}", _digest(conv)
+
+
+def test_output_bytes_match_recorded_digests():
+    recorded = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    got = dict(output_digests())
+    for label, digest in got.items():
+        assert recorded.get(label) == digest, f"first differing document: {label}"
+    assert got.keys() == recorded.keys()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_output_bytes.py --write")
+    FIXTURE.write_text(json.dumps(dict(output_digests()), indent=1) + "\n", encoding="utf-8")

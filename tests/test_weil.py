@@ -189,6 +189,24 @@ def test_enumeration_matches_make_context_over_the_box():
         ctx for ctx in weil_box if not ctx.is_irreducible]
 
 
+def test_quartic_box_is_exact():
+    """The generated range 2|a1|sqrt(q) - 2q <= a2 <= a1^2/4 + 2q keeps every
+    Weil quartic of the wide box |a2| <= 6q, in the same order, and both
+    ends are attained, so neither can be tightened."""
+    for p, r in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
+        q = p**r
+        top1 = isqrt(16 * q)
+        wide = [(1, a1, a2, q * a1, q * q) for a1 in range(-top1, top1 + 1)
+                for a2 in range(-6 * q, 6 * q + 1)
+                if weil.validate_weil([1, a1, a2, q * a1, q * q], q)]
+        assert [ctx.f for ctx in weil.enumerate_weil_contexts(p, r, 2)] == wide, q
+        # a2 - 1 falls below the lower end, or a2 + 1 above the upper end
+        lower_edge = [f for f in wide if f[2] - 1 + 2 * q < 0
+                      or (f[2] - 1 + 2 * q) ** 2 < 4 * f[1] ** 2 * q]
+        upper_edge = [f for f in wide if 4 * (f[2] + 1 - 2 * q) > f[1] ** 2]
+        assert lower_edge and upper_edge, q
+
+
 def test_enumeration_caps():
     with pytest.raises(CapabilityError):
         weil.enumerate_weil_contexts(2, 1, 3)
