@@ -3,6 +3,10 @@
 Every class of fractional ideals contains an integral ideal of index at
 most a Minkowski-type bound, so listing the integral ideals up to that
 index and deduplicating them under equivalence yields the full monoid.
+At g = 1 each ideal is invertible over its multiplicator ring, and its
+reduced binary quadratic form names its class, so deduplication is one set
+lookup per candidate; for g >= 2 each candidate is tested against every
+kept representative with the same multiplicator ring.
 
 The integral ideals are built prime by prime (Cohen, GTM 138, 6.2).  For
 each prime p the ideals of p-power index grow breadth first from the
@@ -30,7 +34,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 
 from . import linalg, orders
 from . import polynomials as poly
@@ -207,7 +211,11 @@ def _kernel_mod(rows, p: int) -> list[list[int]]:
 
 def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult:
     """All ideal classes of the order, as canonical integral representatives
-    of index at most index_bound, pairwise inequivalent.
+    of index at most index_bound, pairwise inequivalent: the first candidate
+    of each class in the order of integral_ideals.  At g = 1 a candidate is
+    new when its reduced form (_form_key) is; for g >= 2 when
+    orders.ideal_equivalent separates it from every kept representative
+    with the same multiplicator ring.
 
     completeness is "certified" when the bound covers the Minkowski-type
     bound and every equivalence test was definitive; any indeterminate
@@ -228,8 +236,16 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
     rings: list[IdealLattice] = []
     indeterminate: list[tuple[int, int, int]] = []
     definitive = True
+    keys = set()
     for t in integral_ideals(order, index_bound):
         cand = IdealLattice.from_rows(ctx, linalg.mat_mul(t, base_rows))
+        if ctx.g == 1:
+            key = _form_key(cand)
+            if key not in keys:
+                keys.add(key)
+                reps.append(cand)
+                rings.append(orders.multiplicator_ring(cand).lattice)
+            continue
         ring = orders.multiplicator_ring(cand).lattice
         duplicate = False
         unresolved = []
@@ -262,6 +278,35 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
         completeness="certified" if certified else "heuristic",
         indeterminate_pairs=tuple(indeterminate),
     )
+
+
+def _form_key(lat: IdealLattice) -> tuple[int, int, int]:
+    """The reduced form of a g = 1 lattice: its class under K^* scaling.
+
+    With basis u = (m00 + m01 alpha) / den, v = m11 alpha / den, the form
+    N(x u + y v) den^2 = A x^2 + B xy + C y^2 over content is primitive of
+    the discriminant of the multiplicator ring O (every ideal of a quadratic
+    order is invertible over O); every basis here is oriented alike
+    (m00 m11 > 0), so equal reduced forms mean lambda I = J for some
+    lambda in K^* (Cohen, GTM 138, 5.2.8), never I and its conjugate.
+    """
+    (m00, m01), (_, m11) = lat.mat
+    q, a1 = lat.ctx.f_low[:2]  # N(c0 + c1 alpha) = c0^2 - a1 c0 c1 + q c1^2
+    a = m00 * m00 - a1 * m00 * m01 + q * m01 * m01
+    b = m11 * (2 * q * m01 - a1 * m00)  # Tr(u conj(v)) den^2
+    c = q * m11 * m11
+    g = gcd(a, b, c)
+    a, b, c = a // g, b // g, c // g
+    # reduce to |b| <= a <= c, b >= 0 if |b| = a or a = c (Cohen, 5.4.2)
+    while True:
+        if not -a < b <= a:
+            k, r = divmod(b, 2 * a)
+            if r > a:
+                k, r = k + 1, r - 2 * a
+            b, c = r, c - (b + r) // 2 * k
+        if a <= c:
+            return (a, -b if a == c and b < 0 else b, c)
+        a, b, c = c, -b, a
 
 
 def refine_by_sigma(result: IcmResult, ell: int) -> list[IdealLattice]:

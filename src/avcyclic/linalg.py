@@ -1,12 +1,13 @@
 """Exact linear algebra over Z and Q.
 
 Matrices are sequences of rows.  Every function returns fresh lists and
-never mutates its input.  Determinants use fraction-free Bareiss
-elimination; Hermite and Smith normal forms are deterministic (fixed pivot
-rules) so canonical forms are reproducible byte for byte.  Rational input
-reaches these integer kernels through one common denominator: the
-determinant, inverse, characteristic polynomial and Hermite form of A are
-read off those of d A, d the least common denominator of the entries.
+never mutates its input.  Determinants and the rational inverse use
+fraction-free Bareiss elimination; Hermite and Smith normal forms are
+deterministic (fixed pivot rules) so canonical forms are reproducible byte
+for byte.  Rational input reaches these integer kernels through one common
+denominator: the determinant, inverse, characteristic polynomial and
+Hermite form of A are read off those of d A, d the least common
+denominator of the entries.
 """
 
 from __future__ import annotations
@@ -144,12 +145,28 @@ def inverse_unimodular(a: Matrix) -> list[list[int]]:
 
 
 def mat_inverse_fraction(a: Matrix) -> list[list[Fraction]]:
-    """Exact inverse of a rational matrix: d adj(B) / det(B) for B = d A."""
+    """Exact inverse of a rational matrix: d B^-1 for B = d A.
+
+    One fraction-free (Bareiss) Gauss-Jordan elimination takes [B | I] to
+    [D I | E] with E B = D I, where D = +-det(B) and every division by the
+    previous pivot is exact, so B^-1 = E / D in O(n^3) integer operations.
+    """
     b, d = _cleared(a)
-    det = determinant(b)
-    if det == 0:
-        raise DegenerateLatticeError("singular matrix")
-    return [[Fraction(d * x, det) for x in row] for row in adjugate(b)]
+    n = len(b)
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            raise DegenerateLatticeError("singular matrix")
+        m[k], m[piv] = m[piv], m[k]
+        top = m[k]
+        for i, row in enumerate(m):
+            if i != k:
+                c = row[k]
+                m[i] = [(top[k] * x - c * y) // prev for x, y in zip(row, top)]
+        prev = top[k]
+    return [[Fraction(d * x, prev) for x in row[n:]] for row in m]
 
 
 def charpoly(a: Matrix) -> tuple:

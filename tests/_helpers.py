@@ -1,7 +1,8 @@
-"""Shared test utilities: the acceptance corpus and seeded random matrix
-generation."""
+"""Shared test utilities: the acceptance corpus, the g = 1 contexts of the
+Hasse interval, and seeded random matrix generation."""
 
 import random
+from math import isqrt
 
 from avcyclic import linalg, weil
 
@@ -20,6 +21,21 @@ def corpus_contexts():
         quartics = weil.enumerate_weil_contexts(p, r, 2, ordinary=True, irreducible=True)
         assert len(quartics) >= QUARTICS_PER_FIELD
         yield from quartics[:QUARTICS_PER_FIELD]
+
+
+def g1_contexts(q_max: int):
+    """Every ordinary irreducible g = 1 context t^2 + a t + q with q <= q_max,
+    by q and then a, straight from the Hasse interval a^2 <= 4q (enumeration
+    proper stops at weil.ENUM_Q_CAP)."""
+    for q in range(2, q_max + 1):
+        split = weil.prime_power_split(q)
+        if split is None:
+            continue
+        top = isqrt(4 * q)
+        for a in range(-top, top + 1):
+            ctx = weil.make_context(*split, 1, [1, a, q])
+            if ctx.is_weil and ctx.is_ordinary and ctx.is_irreducible:
+                yield ctx
 
 
 def random_unimodular(rng: random.Random, n: int, entry_bound: int = 5,

@@ -1,13 +1,15 @@
 """Ideal class monoid enumeration: bounds, dedup, completeness flags,
 local refinement."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from avcyclic import icm, linalg, orders, weil
 from avcyclic.errors import InputError
 from avcyclic.orders import IdealLattice
+
+from _helpers import g1_contexts
 
 
 def pair_order(p, r, g, coeffs):
@@ -177,6 +179,27 @@ def test_g1_class_counts_match_kronecker_class_number():
             assert len(res.classes) == _reduced_form_count(ctx.f[1] ** 2 - 4 * ctx.q), ctx.f
             checked += 1
     assert checked == 76
+
+
+def test_g1_form_key_decides_equivalence():
+    # enumerate_icm keeps one candidate per reduced-form key at g = 1, so the
+    # key must separate exactly what ideal_equivalent separates: never I from
+    # x I, never merging I with its conjugate, whatever the index; and the
+    # reduced form's discriminant is that of the multiplicator ring
+    pairs = 0
+    for ctx in g1_contexts(16):
+        order = orders.frobenius_pair_order(ctx)
+        base = order.lattice.rows_fraction
+        cands = [IdealLattice.from_rows(ctx, linalg.mat_mul(t, base))
+                 for t in icm.integral_ideals(order, icm.minkowski_index_bound(order))]
+        keys = [icm._form_key(c) for c in cands]
+        for cand, (a, b, c) in zip(cands, keys):
+            assert b * b - 4 * a * c == orders.discriminant(orders.multiplicator_ring(cand))
+        for i, j in combinations(range(len(cands)), 2):
+            status = orders.ideal_equivalent(cands[i], cands[j]).status
+            assert (keys[i] == keys[j]) == (status == "equivalent"), (ctx.f, i, j)
+            pairs += status == "equivalent"
+    assert pairs > 0
 
 
 def test_refine_by_sigma_values():

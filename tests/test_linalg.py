@@ -350,3 +350,24 @@ def test_singular_inverse_raises(m, data):
 def test_smith_invariant_factors_match_sympy(m):
     want = sympy_invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
     assert linalg.invariant_factors(m) == tuple(int(x) for x in want)
+
+
+def test_inverse_reads_no_cofactors(monkeypatch):
+    # cyclicity.q_stability_check counts the exact inverse and tau (built on
+    # cofactor_matrix) as independent routes
+    def refuse(a):
+        raise AssertionError("cofactor_matrix called")
+
+    monkeypatch.setattr(linalg, "cofactor_matrix", refuse)
+    for m in ([[2, 1, 0], [1, 3, 1], [0, 1, 4]],
+              [[0, Fraction(1, 2)], [Fraction(-2, 3), 5]]):
+        inv = linalg.mat_inverse_fraction(m)
+        assert linalg.mat_mul(m, inv) == linalg.identity(len(m))
+
+
+@PROPERTY
+@given(INT_MATRICES, st.integers(0, 2**32))
+def test_hnf_unique_under_unimodular_left_multiplication(m, seed):
+    u = random_unimodular(random.Random(seed), len(m))
+    h, _, rank = linalg._hnf_core(m)
+    assert linalg._hnf_core(linalg.mat_mul(u, m))[::2] == (h, rank)

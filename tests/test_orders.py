@@ -3,13 +3,18 @@ discriminants, equivalence with witnesses."""
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcyclic import icm, orders, weil
 from avcyclic.errors import ConsistencyError, DegenerateLatticeError, InputError
 from avcyclic.orders import FieldElement, IdealLattice
+
+from _helpers import corpus_contexts
 
 
 def ctx2():
@@ -417,3 +422,21 @@ def test_ideal_quotient_matches_intersection_of_scaled_copies():
                 assert orders.ideal_quotient(a, b) == _quotient_by_intersection(a, b), (c.f, a, b)
                 pairs += 1
     assert len(contexts) == 52 and pairs == 237
+
+
+@cache
+def _corpus_classes(g: int) -> tuple[IdealLattice, ...]:
+    return tuple(lat for ctx in corpus_contexts() if ctx.g == g
+                 for lat in icm.enumerate_icm(orders.frobenius_pair_order(ctx)).classes)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((1, 2)), st.data())
+def test_equivalence_finds_a_witness_for_any_scaling(g, data):
+    # a corpus class against a copy scaled by a random nonzero x
+    a = data.draw(st.sampled_from(_corpus_classes(g)))
+    coords = st.lists(st.fractions(-4, 4, max_denominator=3), min_size=a.ctx.n, max_size=a.ctx.n)
+    x = FieldElement.make(a.ctx, data.draw(coords.filter(any)))
+    r = orders.ideal_equivalent(a, a.scale(x))
+    assert r.status == "equivalent"
+    assert a.scale(r.witness) == a.scale(x)

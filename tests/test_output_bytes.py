@@ -1,6 +1,8 @@
 """Same JSON bytes: sha256 digests of `classify --no-timing` on every corpus
-context and of `convert --matrix=M` on every class matrix M it lists,
-against the digests stored in fixtures/output_digests.json.
+context and of `convert --matrix=M` on every class matrix M it lists, then
+of `classify --no-timing` on every ordinary irreducible g = 1 context with
+q <= G1_Q_MAX that the corpus does not already list, against the digests
+stored in fixtures/output_digests.json.
 
 A change that alters these bytes on purpose rewrites the fixture with
 
@@ -18,9 +20,10 @@ from pathlib import Path
 
 from avcyclic import cli
 
-from _helpers import corpus_contexts
+from _helpers import corpus_contexts, g1_contexts
 
 FIXTURE = Path(__file__).parent / "fixtures" / "output_digests.json"
+G1_Q_MAX = 32
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -40,19 +43,34 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _key(ctx) -> str:
+    return f"{ctx.p},{ctx.r},{ctx.g}:" + ",".join(map(str, ctx.f))
+
+
+def _classify(ctx) -> str:
+    code, text = _run(["classify", *_context_args(ctx), "--no-timing"])
+    assert code == 0, _key(ctx)
+    return text
+
+
 def output_digests():
     """Yield (label, sha256) in corpus order: the classify document of each
-    context, then the convert document of each class matrix it lists."""
+    context, then the convert document of each class matrix it lists; then
+    the classify document of each further g = 1 context with q <= G1_Q_MAX."""
+    corpus = set()
     for ctx in corpus_contexts():
-        key = f"{ctx.p},{ctx.r},{ctx.g}:" + ",".join(map(str, ctx.f))
-        code, text = _run(["classify", *_context_args(ctx), "--no-timing"])
-        assert code == 0, key
+        key = _key(ctx)
+        corpus.add(key)
+        text = _classify(ctx)
         yield f"classify {key}", _digest(text)
         for i, cls in enumerate(json.loads(text)["classes"]):
             matrix = ";".join(",".join(row) for row in cls["matrix"])
             code, conv = _run(["convert", *_context_args(ctx), "--matrix=" + matrix])
             assert code == 0, (key, i)
             yield f"convert {key} class {i}", _digest(conv)
+    for ctx in g1_contexts(G1_Q_MAX):
+        if _key(ctx) not in corpus:
+            yield f"classify {_key(ctx)}", _digest(_classify(ctx))
 
 
 def test_output_bytes_match_recorded_digests():
