@@ -137,11 +137,7 @@ def _classification_doc(result, seconds: float | None) -> dict:
 
 
 def cmd_validate(args) -> int:
-    try:
-        ctx = _context_from_args(args)
-    except InputError as exc:
-        _emit(_error_doc(exc.code, str(exc)), None)
-        return 2
+    ctx = _context_from_args(args)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "context": _context_echo(ctx),
@@ -157,11 +153,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        ctx = _context_from_args(args)
-    except InputError as exc:
-        _emit(_error_doc(exc.code, str(exc)), None)
-        return 2
+    ctx = _context_from_args(args)
     started = time.monotonic()
     result = cyclicity.classify_isogeny_class(ctx, args.index_bound)
     seconds = None if args.no_timing else time.monotonic() - started
@@ -179,11 +171,7 @@ def _refuse_non_simple(ctx: weil.WeilContext) -> None:
 
 
 def cmd_convert(args) -> int:
-    try:
-        ctx = _context_from_args(args)
-    except InputError as exc:
-        _emit(_error_doc(exc.code, str(exc)), None)
-        return 2
+    ctx = _context_from_args(args)
     if (args.matrix is None) == (args.ideal is None):
         raise InputError("bad_direction", "pass exactly one of --matrix or --ideal")
     if args.matrix is not None:

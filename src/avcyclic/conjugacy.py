@@ -74,7 +74,8 @@ def _cyclic_basis(ctx: WeilContext, m, v0=None) -> tuple[IdealLattice, list[Fiel
         for _ in range(n - 1):
             cols.append([sum(x * y for x, y in zip(row, cols[-1])) for row in m])
         if linalg.determinant(cols) != 0:
-            basis = [FieldElement(ctx, tuple(r)) for r in linalg.mat_inverse_fraction(cols)]
+            e, d = linalg.inverse_pair(cols)
+            basis = [FieldElement.over(ctx, row, d) for row in e]
             return IdealLattice.from_elements(ctx, basis), basis
     raise ConsistencyError("no cyclic vector found; is the polynomial irreducible?")
 

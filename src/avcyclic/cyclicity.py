@@ -225,6 +225,10 @@ def classify_isogeny_class(ctx: WeilContext,
         indeterminate_pairs=pairs,
     )
     reports = tuple(_report_for(ctx, conjugacy.ideal_to_matrix(lat)) for lat in result.classes)
+    # sigma_ell lies in (I : I) exactly when ell | tau(1 - M): one verdict per ring
+    rings = result.multiplicator_rings
+    if len({(ring, r.verdict) for ring, r in zip(rings, reports)}) != len(set(rings)):
+        raise ConsistencyError("classes with one multiplicator ring have different verdicts")
     sigma_checks = []
     for ell in prime_factors(ctx.point_count):
         kept = icm.refine_by_sigma(result, ell)

@@ -231,14 +231,13 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
         index_bound = mink if ctx.g == 1 else min(mink, cap)
     if index_bound < 1:
         raise InputError("bad_bound", "index bound must be a positive integer")
-    base_rows = order.lattice.rows_fraction
     reps: list[IdealLattice] = []
     rings: list[IdealLattice] = []
     indeterminate: list[tuple[int, int, int]] = []
     definitive = True
     keys = set()
     for t in integral_ideals(order, index_bound):
-        cand = IdealLattice.from_rows(ctx, linalg.mat_mul(t, base_rows))
+        cand = IdealLattice.over(ctx, linalg.mat_mul(t, order.lattice.mat), order.lattice.den)
         if ctx.g == 1:
             key = _form_key(cand)
             if key not in keys:

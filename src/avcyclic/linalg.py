@@ -144,16 +144,15 @@ def inverse_unimodular(a: Matrix) -> list[list[int]]:
     return mat_scale(adjugate(a), d)
 
 
-def mat_inverse_fraction(a: Matrix) -> list[list[Fraction]]:
-    """Exact inverse of a rational matrix: d B^-1 for B = d A.
+def inverse_pair(b: Matrix) -> tuple[list[list[int]], int]:
+    """(E, D) with E B = D I for a nonsingular integer matrix B, D = +-det(B).
 
     One fraction-free (Bareiss) Gauss-Jordan elimination takes [B | I] to
-    [D I | E] with E B = D I, where D = +-det(B) and every division by the
-    previous pivot is exact, so B^-1 = E / D in O(n^3) integer operations.
+    [D I | E]; every division by the previous pivot is exact, so this is
+    O(n^3) integer operations.
     """
-    b, d = _cleared(a)
     n = len(b)
-    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
     prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k]), None)
@@ -166,7 +165,15 @@ def mat_inverse_fraction(a: Matrix) -> list[list[Fraction]]:
                 c = row[k]
                 m[i] = [(top[k] * x - c * y) // prev for x, y in zip(row, top)]
         prev = top[k]
-    return [[Fraction(d * x, prev) for x in row[n:]] for row in m]
+    return [row[n:] for row in m], prev
+
+
+def mat_inverse_fraction(a: Matrix) -> list[list[Fraction]]:
+    """Exact inverse of a rational matrix: d B^-1 = d E / D for B = d A and
+    (E, D) = inverse_pair(B)."""
+    b, d = _cleared(a)
+    e, det = inverse_pair(b)
+    return [[Fraction(d * x, det) for x in row] for row in e]
 
 
 def charpoly(a: Matrix) -> tuple:
@@ -356,10 +363,6 @@ def smith_normal_form(a: Matrix) -> SnfResult:
             u[k] = [-x for x in u[k]]
     factors = tuple(m[k][k] for k in range(n))
     return SnfResult(freeze(m), freeze(u), freeze(v), factors)
-
-
-def invariant_factors(a: Matrix) -> tuple[int, ...]:
-    return smith_normal_form(a).invariant_factors
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Arithmetic in K = Q[t]/(f): field elements, full-rank lattices, orders,
 fractional ideals, and ideal equivalence with witnesses.
 
-Elements carry power-basis coordinates as Fractions.  A lattice stores the
-canonical pair (den, mat): mat is the row Hermite normal form of den times
-a generating set, den the least common denominator of the generators.
-Equal lattices always produce identical pairs, so dataclass equality is
-lattice equality.  The lattice kernels that other modules need (integer
-coordinates, multiplication matrices between bases, colon ideals) live
-here and work on that integer pair.
+Elements and lattices are integers over one positive denominator.  An
+element is (num, den), power-basis coordinates with no common factor
+(Cohen, GTM 138, 4.2.2); a lattice is (den, mat), mat the row Hermite normal
+form of den times a generating set and den the least common denominator.
+Equal elements and equal lattices give identical pairs, so dataclass
+equality is equality in K.  The lattice kernels other modules need (integer
+coordinates, multiplication matrices between bases, colon ideals) live here.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from . import linalg
 from .errors import ConsistencyError, DegenerateLatticeError, InputError
@@ -27,49 +27,72 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class FieldElement:
+    """num / den on the power basis, in lowest terms with den > 0."""
+
     ctx: WeilContext
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
 
     @staticmethod
     def make(ctx: WeilContext, seq) -> "FieldElement":
         coeffs = [Fraction(c) for c in seq]
         if len(coeffs) > ctx.n:
             raise InputError("bad_coords", f"expected at most {ctx.n} coordinates")
-        coeffs += [Fraction(0)] * (ctx.n - len(coeffs))
-        return FieldElement(ctx, tuple(coeffs))
+        (num,), den = linalg._cleared([coeffs + [0] * (ctx.n - len(coeffs))])
+        return FieldElement(ctx, tuple(num), den)
+
+    @staticmethod
+    def over(ctx: WeilContext, num, den: int) -> "FieldElement":
+        """The element num / den for integers num and a nonzero den."""
+        g = gcd(den, *num) * (-1 if den < 0 else 1)
+        if g != 1:
+            num, den = [x // g for x in num], den // g
+        return FieldElement(ctx, tuple(num), den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        d = lcm(self.den, other.den)
+        s, t = d // self.den, d // other.den
+        return FieldElement.over(self.ctx, [s * a + t * b for a, b in zip(self.num, other.num)], d)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.ctx, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.ctx, tuple(-a for a in self.coeffs))
+        return FieldElement(self.ctx, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            conv = [Fraction(0)] * (2 * self.ctx.n - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-            return FieldElement(self.ctx, _reduce_coords(self.ctx, conv))
-        return FieldElement(self.ctx, tuple(Fraction(other) * a for a in self.coeffs))
+        if not isinstance(other, FieldElement):  # an int or a Fraction
+            return FieldElement.over(self.ctx, [other.numerator * a for a in self.num],
+                                     other.denominator * self.den)
+        n = self.ctx.n
+        conv = [0] * (2 * n - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num):
+                    conv[i + j] += a * b
+        out = conv[:n]
+        for k in range(n, 2 * n - 1):
+            if conv[k]:
+                row = self.ctx.power_rows[k]
+                for j in range(n):
+                    out[j] += conv[k] * row[j]
+        return FieldElement.over(self.ctx, out, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def mult_matrix(self) -> list[list[Fraction]]:
-        """Row-convention matrix of multiplication by this element: the k-th
-        row is the coordinate vector of alpha^k times the element."""
+    def mult_matrix(self) -> list[list[int]]:
+        """Row-convention integer matrix of multiplication by den times this
+        element: the k-th row holds the numerators of alpha^k times it."""
         n = self.ctx.n
         top = self.ctx.power_rows[n]
-        rows = [list(self.coeffs)]
+        rows = [list(self.num)]
         for _ in range(n - 1):
             prev = rows[-1]
             carry = prev[n - 1]
@@ -78,89 +101,77 @@ class FieldElement:
         return rows
 
     def trace(self) -> Fraction:
-        return sum((c * s for c, s in zip(self.coeffs, self.ctx.trace_sums)), Fraction(0))
+        return Fraction(sum(c * s for c, s in zip(self.num, self.ctx.trace_sums)), self.den)
 
     def norm(self) -> Fraction:
-        return linalg.determinant_fraction(self.mult_matrix())
+        return Fraction(linalg.determinant(self.mult_matrix()), self.den ** self.ctx.n)
 
     def charpoly(self) -> tuple:
         """Characteristic polynomial of the multiplication map, lowest
         degree first.  Monic of degree 2g; equal to the minimal polynomial
         to the appropriate power."""
-        return linalg.charpoly(self.mult_matrix())
+        n, high = self.ctx.n, linalg.charpoly(self.mult_matrix())  # den^(n-k) c_k at t^k
+        return tuple(Fraction(c, self.den ** (n - k)) for k, c in enumerate(high))
 
     def is_integral(self) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self.charpoly())
+        return all(c.denominator == 1 for c in self.charpoly())
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        inv = linalg.mat_inverse_fraction(self.mult_matrix())
-        return FieldElement(self.ctx, tuple(inv[0]))
+        # row 0 of the inverse multiplication matrix is 1 / (den x)
+        e, d = linalg.inverse_pair(self.mult_matrix())
+        return FieldElement.over(self.ctx, [self.den * x for x in e[0]], d)
 
     def conj(self) -> "FieldElement":
         """Image under alpha -> q/alpha (complex conjugation on the CM field)."""
-        rows = _conj_power_rows(self.ctx)
+        d, rows = _conj_power_rows(self.ctx)
         n = self.ctx.n
-        out = [Fraction(0)] * n
-        for k, c in enumerate(self.coeffs):
+        out = [0] * n
+        for c, row in zip(self.num, rows):
             if c:
                 for j in range(n):
-                    out[j] += c * rows[k][j]
-        return FieldElement(self.ctx, tuple(out))
-
-
-def _reduce_coords(ctx: WeilContext, conv: list[Fraction]) -> tuple[Fraction, ...]:
-    n = ctx.n
-    out = list(conv[:n]) + [Fraction(0)] * (n - min(n, len(conv)))
-    for k in range(n, len(conv)):
-        c = conv[k]
-        if c == 0:
-            continue
-        row = ctx.power_rows[k]
-        for j in range(n):
-            out[j] += c * row[j]
-    return tuple(out)
+                    out[j] += c * row[j]
+        return FieldElement.over(self.ctx, out, d * self.den)
 
 
 @lru_cache(maxsize=None)
-def _conj_power_rows(ctx: WeilContext) -> tuple[tuple[Fraction, ...], ...]:
-    """Coordinates of (q/alpha)^k, k = 0 .. n-1; only defined when q/alpha
-    is again a root of f (precisely the functional equation)."""
-    abar = Fraction(ctx.q) * alpha(ctx).inverse()
-    check = _apply_poly(ctx, abar)
-    if not check.is_zero():
+def _conj_power_rows(ctx: WeilContext) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, rows) with rows[k] / d the coordinates of (q/alpha)^k,
+    k = 0 .. n-1; only defined when q/alpha is again a root of f (precisely
+    the functional equation)."""
+    abar = q_over_alpha(ctx)
+    if not _apply_poly(ctx, abar).is_zero():
         raise InputError("not_self_reciprocal", "q/alpha is not a root of f")
-    rows = [one(ctx).coeffs]
-    acc = one(ctx)
+    powers = [one(ctx)]
     for _ in range(ctx.n - 1):
-        acc = acc * abar
-        rows.append(acc.coeffs)
-    return tuple(rows)
+        powers.append(powers[-1] * abar)
+    d = lcm(*(x.den for x in powers))
+    return d, tuple(tuple(c * (d // x.den) for c in x.num) for x in powers)
 
 
 def _apply_poly(ctx: WeilContext, x: FieldElement) -> FieldElement:
     """Evaluate f at a field element (Horner)."""
     acc = zero(ctx)
     for c in reversed(ctx.f_low):
-        acc = acc * x + FieldElement.make(ctx, [c])
+        acc = acc * x + c * one(ctx)
     return acc
 
 
 def zero(ctx: WeilContext) -> FieldElement:
-    return FieldElement.make(ctx, [])
+    return FieldElement(ctx, (0,) * ctx.n)
 
 
 def one(ctx: WeilContext) -> FieldElement:
-    return FieldElement.make(ctx, [1])
+    return FieldElement(ctx, (1,) + (0,) * (ctx.n - 1))
 
 
 def alpha(ctx: WeilContext) -> FieldElement:
-    return FieldElement.make(ctx, [0, 1])
+    return FieldElement(ctx, (0, 1) + (0,) * (ctx.n - 2))
 
 
 def q_over_alpha(ctx: WeilContext) -> FieldElement:
-    return Fraction(ctx.q) * alpha(ctx).inverse()
+    return ctx.q * alpha(ctx).inverse()
 
 
 def sigma_element(ctx: WeilContext, ell: int) -> FieldElement:
@@ -192,18 +203,25 @@ class IdealLattice:
     mat: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_rows(cls, ctx: WeilContext, rows) -> "IdealLattice":
-        rows = [list(r) for r in rows]
+    def over(cls, ctx: WeilContext, rows, den: int) -> "IdealLattice":
+        """The lattice spanned by integer generating rows over a positive den."""
         if not rows or any(len(r) != ctx.n for r in rows):
             raise DegenerateLatticeError("generating set has wrong shape")
-        h, _, den, rank = linalg.hnf_rational(rows)
+        h, _, rank = linalg._hnf_core(rows)
         if rank < ctx.n:
             raise DegenerateLatticeError()
-        return cls(ctx, den, linalg.freeze(h[:rank]))
+        g = gcd(den, *(x for row in h[:rank] for x in row))
+        return cls(ctx, den // g, tuple(tuple(x // g for x in row) for row in h[:rank]))
+
+    @classmethod
+    def from_rows(cls, ctx: WeilContext, rows) -> "IdealLattice":
+        """The lattice spanned by rational generating rows."""
+        return cls.over(ctx, *linalg._cleared(rows))
 
     @classmethod
     def from_elements(cls, ctx: WeilContext, elems) -> "IdealLattice":
-        return cls.from_rows(ctx, [e.coeffs for e in elems])
+        den = lcm(*(e.den for e in elems))
+        return cls.over(ctx, [[x * (den // e.den) for x in e.num] for e in elems], den)
 
     @classmethod
     def standard(cls, ctx: WeilContext) -> "IdealLattice":
@@ -211,26 +229,19 @@ class IdealLattice:
         return cls(ctx, 1, linalg.freeze(linalg.identity(ctx.n)))
 
     @property
-    def rows_fraction(self) -> list[list[Fraction]]:
-        return [[Fraction(x, self.den) for x in row] for row in self.mat]
-
-    @property
     def elements(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.ctx, tuple(row)) for row in self.rows_fraction)
+        return tuple(FieldElement.over(self.ctx, row, self.den) for row in self.mat)
 
     def covolume(self) -> Fraction:
-        det = Fraction(1)
-        for k in range(self.ctx.n):
-            det *= Fraction(self.mat[k][k], self.den)
-        return abs(det)
+        return Fraction(prod(self.mat[k][k] for k in range(self.ctx.n)), self.den ** self.ctx.n)
 
     def coords(self, x: FieldElement) -> list[int] | None:
         """Integer coordinates of x in the basis rows, or None when x is
-        not in the lattice."""
-        target = [c * self.den for c in x.coeffs]
-        if any(c.denominator != 1 for c in target):
+        not in the lattice (x is in lowest terms: den x is integral iff x.den | den)."""
+        scale, rest = divmod(self.den, x.den)
+        if rest:
             return None
-        return integer_coords(self.mat, [int(c) for c in target])
+        return integer_coords(self.mat, [scale * c for c in x.num])
 
     def __contains__(self, x: FieldElement) -> bool:
         return self.coords(x) is not None
@@ -243,26 +254,20 @@ class IdealLattice:
 
 def ideal_sum(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     _same_ctx(a, b)
-    return IdealLattice.from_rows(a.ctx, a.rows_fraction + b.rows_fraction)
+    return IdealLattice.from_elements(a.ctx, a.elements + b.elements)
 
 
 def ideal_product(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     _same_ctx(a, b)
-    rows = [(ea * eb).coeffs for ea in a.elements for eb in b.elements]
-    return IdealLattice.from_rows(a.ctx, rows)
+    return IdealLattice.from_elements(a.ctx, [ea * eb for ea in a.elements for eb in b.elements])
 
 
 def ideal_intersection(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     _same_ctx(a, b)
-    n = a.ctx.n
     d = lcm(a.den, b.den)
     am = [[x * (d // a.den) for x in row] for row in a.mat]
-    bm = [[x * (d // b.den) for x in row] for row in b.mat]
-    stacked = am + [[-x for x in row] for row in bm]
-    kernel = linalg.kernel_int(stacked)
-    rows = [linalg.vec_mat(k[:n], am) for k in kernel]
-    frac_rows = [[Fraction(x, d) for x in row] for row in rows]
-    return IdealLattice.from_rows(a.ctx, frac_rows)
+    kernel = linalg.kernel_int(am + [[-x * (d // b.den) for x in row] for row in b.mat])
+    return IdealLattice.over(a.ctx, [linalg.vec_mat(k[:a.ctx.n], am) for k in kernel], d)
 
 
 def ideal_quotient(a: IdealLattice, b: IdealLattice) -> IdealLattice:
@@ -283,11 +288,11 @@ def ideal_quotient(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     cols = []
     for row in b.mat:
         cols += linalg.transpose(linalg.mat_mul(FieldElement(ctx, row).mult_matrix(), adj))
-    h = linalg.hnf_rational(cols)[0][:ctx.n]
+    h = linalg._hnf_core(cols)[0][:ctx.n]
     # the columns span s L, so (a : b) = L^* has basis rows s (h^-1)^T
-    scale = Fraction(b.den * linalg.determinant(a.mat), a.den * linalg.determinant(h))
-    return IdealLattice.from_rows(ctx, [[scale * x for x in col]
-                                        for col in zip(*linalg.adjugate(h))])
+    s = b.den * linalg.determinant(a.mat)
+    return IdealLattice.over(ctx, [[s * x for x in col] for col in zip(*linalg.adjugate(h))],
+                             a.den * linalg.determinant(h))
 
 
 def integer_coords(mat, w) -> list[int] | None:
@@ -354,27 +359,25 @@ class OrderDesc:
         return self.lattice.ctx
 
 
-def _span_rows(ctx: WeilContext, rows) -> list[list[Fraction]]:
-    """Canonical reduced generating rows of a (possibly not full rank) span."""
-    h, _, den, rank = linalg.hnf_rational(rows)
-    return [[Fraction(x, den) for x in h[i]] for i in range(rank)]
+def _span(ctx: WeilContext, elems) -> list[FieldElement]:
+    """Canonical basis of the (possibly not full rank) span of elements."""
+    den = lcm(*(e.den for e in elems))
+    h, _, rank = linalg._hnf_core([[x * (den // e.den) for x in e.num] for e in elems])
+    return [FieldElement.over(ctx, row, den) for row in h[:rank]]
 
 
 def ring_closure(ctx: WeilContext, generators) -> OrderDesc:
     """Smallest ring lattice containing 1 and all monomials in the
     generators.  Iterates multiply-adjoin-reduce until the span stabilizes;
     integrality of every generator guarantees termination."""
-    gens = tuple(FieldElement.make(ctx, g.coeffs if isinstance(g, FieldElement) else g)
+    gens = tuple(g if isinstance(g, FieldElement) else FieldElement.make(ctx, g)
                  for g in generators)
     for g in gens:
         if not g.is_integral():
             raise InputError("not_integral", "ring generators must be integral elements")
-    current = _span_rows(ctx, [one(ctx).coeffs] + [g.coeffs for g in gens])
+    current = _span(ctx, [one(ctx), *gens])
     for _ in range(200):
-        elems = [FieldElement(ctx, tuple(r)) for r in current]
-        rows = [list(r) for r in current]
-        rows += [(e * g).coeffs for e in elems for g in gens]
-        nxt = _span_rows(ctx, rows)
+        nxt = _span(ctx, current + [e * g for e in current for g in gens])
         if nxt == current:
             break
         current = nxt
@@ -382,7 +385,7 @@ def ring_closure(ctx: WeilContext, generators) -> OrderDesc:
         raise ConsistencyError("ring closure did not stabilize")
     if len(current) < ctx.n:
         raise DegenerateLatticeError("generators do not span the field")
-    return OrderDesc(IdealLattice.from_rows(ctx, current), gens)
+    return OrderDesc(IdealLattice.from_elements(ctx, current), gens)
 
 
 def standard_order(ctx: WeilContext) -> OrderDesc:
@@ -450,8 +453,8 @@ def ideal_equivalent(a: IdealLattice, b: IdealLattice) -> EquivalenceResult:
     basis = quo.elements
     conj_basis = [e.conj() for e in basis]
     products = [[bi * cj for cj in conj_basis] for bi in basis]
-    scale = lcm(*(c.denominator for row in products for p in row for c in p.coeffs))
-    products = [[[int(c * scale) for c in p.coeffs] for p in row] for row in products]
+    scale = lcm(*(p.den for row in products for p in row))
+    products = [[[c * (scale // p.den) for c in p.num] for p in row] for row in products]
     forms, certified = _search_forms(a, target)
     want_det = target * den**n
     red = linalg.identity(n)  # consecutive forms differ little: reduce from the last basis
@@ -470,7 +473,7 @@ def ideal_equivalent(a: IdealLattice, b: IdealLattice) -> EquivalenceResult:
                 continue
             if next(c for c in coords if c) < 0:
                 coords = [-c for c in coords]
-            x = FieldElement(ctx, tuple(Fraction(c, den) for c in coords))
+            x = FieldElement.over(ctx, coords, den)
             if a.scale(x) == b:
                 _assert_equal_rings(a, b)
                 return EquivalenceResult("equivalent", x)
@@ -527,7 +530,8 @@ def _search_forms(a: IdealLattice, target: Fraction) -> tuple[list[tuple[tuple, 
     gamma, gamma_norm = root * root, (big_a * big_a - d) ** 2
     forms, w = [], one(ctx)
     for j in range(2 * span.bit_length() + 1):  # rho^m >= 4^m > span^4
-        traces = tuple(int(FieldElement(ctx, tuple(row)).trace()) for row in w.mult_matrix())
+        traces = tuple(int(FieldElement.over(ctx, row, w.den).trace())
+                       for row in w.mult_matrix())
         forms.append((traces, Fraction(14, 3) * _sqrt_ceil(target * gamma_norm**j)))
         w = w * gamma
     return forms, True

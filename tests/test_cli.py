@@ -61,6 +61,14 @@ def test_validate_usage_errors_exit_2(capsys):
                              "--poly", "1,0,4"])
     assert code == 2
     assert json.loads(out)["error"]["code"] == "p_not_prime"
+    # classify and convert reject a bad context the same way, through main
+    for command in ("classify", "convert"):
+        for p, poly, error in (("2", "1,x,2", "bad_poly"), ("4", "1,0,4", "p_not_prime"),
+                               ("2", "2,1,2", "not_monic"), ("2", "1,1", "bad_degree")):
+            code, out = run(capsys, [command, "--p", p, "--r", "1", "--g", "1",
+                                     "--poly", poly])
+            assert code == 2, (command, poly)
+            assert json.loads(out)["error"]["code"] == error
 
 
 def test_classify_document_shape(capsys):

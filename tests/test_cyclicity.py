@@ -1,11 +1,12 @@
 """Verdict route, oracle route, stability checks, full classification."""
 
+import dataclasses
 import random
 
 import pytest
 
-from avcyclic import cyclicity, weil
-from avcyclic.errors import InputError
+from avcyclic import cli, cyclicity, weil
+from avcyclic.errors import ConsistencyError, InputError
 
 from _helpers import conjugate, random_unimodular
 
@@ -112,6 +113,32 @@ def test_classification_refusals():
         # (t^2 + t + 2)(t^2 - t + 2): ordinary, valid, not simple
         cyclicity.classify_isogeny_class(weil.make_context(2, 1, 2, [1, 0, 3, 0, 4]))
     assert e.value.code == "not_irreducible"
+
+
+def test_verdict_is_a_function_of_the_ring(monkeypatch, capsys):
+    # sigma_ell lies in (I : I) exactly when ell | tau(1 - M), so classes with
+    # one multiplicator ring share a verdict; t^2 + t + 4 over F_4 has two
+    # classes over the maximal order of discriminant -15
+    c = weil.make_context(2, 2, 1, [1, 1, 4])
+    result = cyclicity.classify_isogeny_class(c)
+    rings = result.icm_result.multiplicator_rings
+    assert len(rings) == 2 and rings[0] == rings[1]
+    real, reports = cyclicity._report_for, []
+
+    def flip_second(ctx, mclass):
+        report = real(ctx, mclass)
+        reports.append(report)
+        if len(reports) == 2:
+            other = "cyclic" if report.verdict == "not_cyclic" else "not_cyclic"
+            report = dataclasses.replace(report, verdict=other)
+        return report
+
+    monkeypatch.setattr(cyclicity, "_report_for", flip_second)
+    with pytest.raises(ConsistencyError, match="multiplicator ring"):
+        cyclicity.classify_isogeny_class(c)
+    reports.clear()
+    assert cli.main(["classify", "--p", "2", "--r", "2", "--g", "1", "--poly", "1,1,4"]) == 3
+    assert '"consistency"' in capsys.readouterr().out
 
 
 def test_verdict_is_conjugation_invariant():

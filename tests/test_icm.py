@@ -189,8 +189,8 @@ def test_g1_form_key_decides_equivalence():
     pairs = 0
     for ctx in g1_contexts(16):
         order = orders.frobenius_pair_order(ctx)
-        base = order.lattice.rows_fraction
-        cands = [IdealLattice.from_rows(ctx, linalg.mat_mul(t, base))
+        base = order.lattice
+        cands = [IdealLattice.over(ctx, linalg.mat_mul(t, base.mat), base.den)
                  for t in icm.integral_ideals(order, icm.minkowski_index_bound(order))]
         keys = [icm._form_key(c) for c in cands]
         for cand, (a, b, c) in zip(cands, keys):
@@ -263,6 +263,6 @@ def test_integral_ideals_find_prime_of_residue_degree_two():
     prime = IdealLattice.from_elements(
         o.ctx, [2 * e for e in o.lattice.elements] + [gen * e for e in o.lattice.elements])
     assert orders.lattice_index(prime, o.lattice) == 4
-    base = o.lattice.rows_fraction
-    assert prime in [IdealLattice.from_rows(o.ctx, linalg.mat_mul(t, base))
+    base = o.lattice
+    assert prime in [IdealLattice.over(o.ctx, linalg.mat_mul(t, base.mat), base.den)
                      for t in icm.integral_ideals(o, 4)]

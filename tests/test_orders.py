@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -440,3 +441,90 @@ def test_equivalence_finds_a_witness_for_any_scaling(g, data):
     r = orders.ideal_equivalent(a, a.scale(x))
     assert r.status == "equivalent"
     assert a.scale(r.witness) == a.scale(x)
+
+
+# Reference arithmetic on Fraction coordinates, independent of the integer
+# representation: convolve, then reduce by alpha^n = -(f_0 + ... + f_{n-1} alpha^{n-1}).
+
+
+def _ref_mul(ctx, x, y):
+    n = ctx.n
+    conv = [Fraction(0)] * (2 * n - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            conv[i + j] += a * b
+    for k in range(2 * n - 2, n - 1, -1):
+        for j in range(n):
+            conv[k - n + j] -= conv[k] * ctx.f_low[j]
+    return tuple(conv[:n])
+
+
+def _ref_conj(ctx, x):
+    # q / alpha = -q (f_1 + f_2 alpha + ... + alpha^(n-1)) / f_0
+    n = ctx.n
+    abar = [Fraction(-ctx.q * ctx.f_low[k + 1], ctx.f_low[0]) for k in range(n)]
+    out, power = [Fraction(0)] * n, [Fraction(int(k == 0)) for k in range(n)]
+    for c in x:
+        out = [o + c * p for o, p in zip(out, power)]
+        power = _ref_mul(ctx, power, abar)
+    return tuple(out)
+
+
+def _ref_trace(ctx, x):
+    # the diagonal of multiplication by x on the power basis
+    return sum(_ref_mul(ctx, [int(j == k) for j in range(ctx.n)], x)[k] for k in range(ctx.n))
+
+
+@cache
+def _corpus_contexts_up_to_g2():
+    return tuple(corpus_contexts())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_element_arithmetic_matches_fraction_reference(data):
+    ctx = data.draw(st.sampled_from(_corpus_contexts_up_to_g2()))
+    coords = st.lists(st.fractions(-20, 20, max_denominator=12), min_size=ctx.n, max_size=ctx.n)
+    xs, ys = data.draw(coords), data.draw(coords)
+    x, y = FieldElement.make(ctx, xs), FieldElement.make(ctx, ys)
+    assert x.coeffs == tuple(xs)
+    checks = [(x + y, tuple(a + b for a, b in zip(xs, ys))),
+              (x - y, tuple(a - b for a, b in zip(xs, ys))),
+              (x * y, _ref_mul(ctx, xs, ys)), (x.conj(), _ref_conj(ctx, xs))]
+    if any(xs):
+        inv = x.inverse()
+        assert _ref_mul(ctx, xs, inv.coeffs) == tuple(Fraction(int(k == 0)) for k in range(ctx.n))
+        checks.append((inv, inv.coeffs))
+    for got, want in checks:
+        assert got.coeffs == want
+        # lowest terms: equal elements are equal pairs, so they compare and hash equal
+        assert got.den > 0 and gcd(got.den, *got.num) == 1
+        same = FieldElement.make(ctx, want)
+        assert got == same and hash(got) == hash(same)
+    assert x.trace() == _ref_trace(ctx, xs)
+
+
+def test_element_and_lattice_arithmetic_construct_no_fraction(monkeypatch):
+    # +, -, *, conj, coords and elements work on integer numerators over one
+    # denominator; only the coeffs view and the rational surface build Fractions
+    c = quartic_ctx()
+    x = FieldElement.make(c, [Fraction(1, 2), 3, Fraction(-5, 6), 1])
+    y = FieldElement.make(c, [2, Fraction(1, 3), 0, Fraction(7, 4)])
+    lat = IdealLattice.from_rows(c, [[Fraction(1, 2), 0, 0, 0], [0, 1, 0, 0],
+                                     [0, 0, 1, 0], [0, 0, 0, 3]])
+    half = Fraction(1, 2)
+
+    def refuse(*args):
+        raise AssertionError("Fraction constructed")
+
+    monkeypatch.setattr(orders, "Fraction", refuse)
+    z = (x + y) * (x - y) * x.conj() * half - 2 * y
+    assert lat.coords(z) is None
+    assert [lat.coords(e) for e in lat.elements] == [[int(i == j) for j in range(4)]
+                                                     for i in range(4)]
+    assert lat.scale(z) != lat and not (-z).is_zero()
+    monkeypatch.undo()
+    want = _ref_mul(c, [a + b for a, b in zip(x.coeffs, y.coeffs)],
+                    [a - b for a, b in zip(x.coeffs, y.coeffs)])
+    want = _ref_mul(c, want, _ref_conj(c, x.coeffs))
+    assert z.coeffs == tuple(w / 2 - 2 * b for w, b in zip(want, y.coeffs))

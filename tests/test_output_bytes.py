@@ -1,6 +1,8 @@
 """Same JSON bytes: sha256 digests of `classify --no-timing` on every corpus
-context and of `convert --matrix=M` on every class matrix M it lists, then
-of `classify --no-timing` on every ordinary irreducible g = 1 context with
+context, of `convert --matrix=M` on every class matrix M it lists and of
+`convert --ideal=B` on every class ideal basis B it lists (the one document
+that prints an element's rational coordinates, as the round-trip witness),
+then of `classify --no-timing` on every ordinary irreducible g = 1 context with
 q <= G1_Q_MAX that the corpus does not already list, against the digests
 stored in fixtures/output_digests.json.
 
@@ -55,15 +57,17 @@ def _classify(ctx) -> str:
 
 def output_digests():
     """Yield (label, sha256) in corpus order: the classify document of each
-    context, then the convert document of each class matrix it lists; then
-    the classify document of each further g = 1 context with q <= G1_Q_MAX."""
-    corpus = set()
+    context, then the convert documents of each class matrix it lists; then
+    the classify document of each further g = 1 context with q <= G1_Q_MAX.
+    The convert --ideal documents come last, so the keys recorded before
+    them keep their place in the fixture."""
+    corpus = {}
     for ctx in corpus_contexts():
         key = _key(ctx)
-        corpus.add(key)
         text = _classify(ctx)
+        corpus[key] = ctx, json.loads(text)["classes"]
         yield f"classify {key}", _digest(text)
-        for i, cls in enumerate(json.loads(text)["classes"]):
+        for i, cls in enumerate(corpus[key][1]):
             matrix = ";".join(",".join(row) for row in cls["matrix"])
             code, conv = _run(["convert", *_context_args(ctx), "--matrix=" + matrix])
             assert code == 0, (key, i)
@@ -71,6 +75,14 @@ def output_digests():
     for ctx in g1_contexts(G1_Q_MAX):
         if _key(ctx) not in corpus:
             yield f"classify {_key(ctx)}", _digest(_classify(ctx))
+    for key, (ctx, classes) in corpus.items():
+        for i, cls in enumerate(classes):
+            den = cls["ideal_basis"]["denominator"]
+            ideal = ";".join(",".join(f"{x}/{den}" for x in row)
+                             for row in cls["ideal_basis"]["rows"])
+            code, conv = _run(["convert", *_context_args(ctx), "--ideal=" + ideal])
+            assert code == 0, (key, i)
+            yield f"convert --ideal {key} class {i}", _digest(conv)
 
 
 def test_output_bytes_match_recorded_digests():
