@@ -243,7 +243,7 @@ def _hnf_core(rows: list[list[int]]):
     return h, u, r
 
 
-def hermite_normal_form(a: Matrix) -> tuple[list[list[Fraction]], list[list[int]]]:
+def hermite_normal_form(a: Matrix) -> tuple[list[list[int]], list[list[int]]]:
     """Canonical Hermite form of a full-row-rank rational matrix.
 
     Denominators are cleared by their lcm; the returned H is the HNF of the

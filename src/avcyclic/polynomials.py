@@ -34,12 +34,8 @@ def add(p: Sequence, q: Sequence) -> Poly:
     return trim([(p[k] if k < len(p) else 0) + (q[k] if k < len(q) else 0) for k in range(n)])
 
 
-def neg(p: Sequence) -> Poly:
-    return tuple(-c for c in p)
-
-
 def sub(p: Sequence, q: Sequence) -> Poly:
-    return add(p, neg(q))
+    return add(p, [-c for c in q])
 
 
 def evaluate(p: Sequence, x):
@@ -102,23 +98,19 @@ def from_monic_first(seq: Sequence) -> Poly:
 
 def power_sums(f_low: Sequence, count: int) -> list:
     """Newton power sums s_k = sum of k-th powers of the roots of monic f,
-    for k = 0..count (inclusive).  f given lowest degree first."""
+    for k = 0..count (inclusive).  f given lowest degree first; integer
+    coefficients give integer sums."""
     f = trim(f_low)
     n = len(f) - 1
     if n < 0 or f[-1] != 1:
         raise ValueError("power_sums needs a monic polynomial")
     # a[i] is the coefficient of t^(n-i), so a[0] = 1.
     a = list(reversed(f))
-    s = [Fraction(n)]
+    s = [n]
     for k in range(1, count + 1):
-        if k <= n:
-            acc = Fraction(-k) * a[k]
-            for i in range(1, k):
-                acc -= a[i] * s[k - i]
-        else:
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                acc -= a[i] * s[k - i]
+        acc = -k * a[k] if k <= n else 0
+        for i in range(1, min(k, n + 1)):
+            acc -= a[i] * s[k - i]
         s.append(acc)
     return s
 

@@ -3,22 +3,22 @@ point counts, and desk-scale enumeration.
 
 A context bundles a prime power q = p^r, a dimension g, and a monic integer
 polynomial of degree 2g given highest-degree-first (constant term last).
-Root location on the circle of radius sqrt(q) is decided exactly: the
-functional equation is checked coefficient-wise, the real substitution
-s = t + q/t produces a degree-g polynomial h, and a Sturm count over Q
-(with exact sign evaluation at the irrational endpoints +-2*sqrt(q)) must
-find all g roots of h inside [-2*sqrt(q), 2*sqrt(q)].
+Root location on the circle of radius sqrt(q) is decided exactly over Z:
+the functional equation is checked coefficient-wise, the real substitution
+s = t + q/t produces a degree-g polynomial h, and every principal minor of
+one Hankel matrix of power sums of the roots of h must be non-negative,
+which holds exactly when all g roots of h lie in [-2*sqrt(q), 2*sqrt(q)].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from math import comb, gcd, isqrt
 from typing import Sequence
 
+from . import linalg
 from . import polynomials as poly
 from .errors import CapabilityError, InputError
 
@@ -126,8 +126,7 @@ class WeilContext:
     @cached_property
     def trace_sums(self) -> tuple[int, ...]:
         """Newton power sums of the roots, k = 0 .. 2n-2 (always integers)."""
-        sums = poly.power_sums(self.f_low, 2 * self.n - 2)
-        return tuple(int(s) for s in sums)
+        return tuple(poly.power_sums(self.f_low, 2 * self.n - 2))
 
 
 def make_context(p: int, r: int, g: int, coeffs: Sequence[int]) -> WeilContext:
@@ -178,7 +177,7 @@ def _weil_reason(f_low: tuple, q: int) -> tuple[bool, str | None]:
         if f_low[i] != q ** (g - i) * f_low[n - i]:
             return False, "functional_equation"
     h = _real_substitution(f_low, q, g)
-    if _roots_in_interval_count(h, q) != g:
+    if not _roots_in_interval(h, q):
         return False, "root_location"
     return True, None
 
@@ -200,83 +199,26 @@ def _real_substitution(f_low: tuple, q: int, g: int) -> tuple:
     return poly.trim(h)
 
 
-def _sign_at_sqrt_multiple(p_: Sequence, eps: int, q: int) -> int:
-    """Exact sign of p(eps * 2 * sqrt(q)) for a rational polynomial p."""
-    a = Fraction(0)
-    b = Fraction(0)
-    for k, c in enumerate(p_):
-        if c == 0:
-            continue
-        term = Fraction(c) * (eps * 2) ** k * q ** (k // 2)
-        if k % 2:
-            b += term
-        else:
-            a += term
-    if a == 0 and b == 0:
-        return 0
-    if a >= 0 and b >= 0:
-        return 1
-    if a <= 0 and b <= 0:
-        return -1
-    d = a * a - b * b * q
-    if a > 0:  # b < 0: positive iff a^2 > b^2 q
-        return 1 if d > 0 else (-1 if d < 0 else 0)
-    return 1 if d < 0 else (-1 if d > 0 else 0)
+def _roots_in_interval(h: tuple, q: int) -> bool:
+    """True iff every root of the monic integer polynomial h is real and lies
+    in [-2 sqrt q, 2 sqrt q].
 
-
-def _sturm_chain(p_: Sequence) -> list[tuple]:
-    chain = [poly.trim(p_), poly.derivative(p_)]
-    while chain[-1]:
-        _, rem = poly.divmod_exact(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(poly.neg(rem))
-    return [c for c in chain if c]
-
-
-def _variations(signs: list[int]) -> int:
-    seq = [s for s in signs if s != 0]
-    return sum(1 for x, y in zip(seq, seq[1:]) if x * y < 0)
-
-
-def _sturm_count_open(p_: Sequence, q: int) -> int:
-    """Distinct roots of p in the open interval (-2 sqrt q, 2 sqrt q);
-    p must not vanish at either endpoint."""
-    if poly.degree(p_) < 1:
-        return 0
-    chain = _sturm_chain(p_)
-    lo = _variations([_sign_at_sqrt_multiple(c, -1, q) for c in chain])
-    hi = _variations([_sign_at_sqrt_multiple(c, +1, q) for c in chain])
-    return lo - hi
-
-
-def _roots_in_interval_count(h: tuple, q: int) -> int:
-    """Number of real roots of h in the closed interval [-2 sqrt q, 2 sqrt q],
-    counted WITH multiplicity.  Exact for rational h."""
-    h = poly.monic(h)
-    if not h:
-        raise AssertionError("zero polynomial")
-    count = 0
-    # Strip endpoint roots first so Sturm evaluation never lands on a zero.
-    root_q = isqrt(q)
-    if root_q * root_q == q:
-        for m in (2 * root_q, -2 * root_q):
-            factor = (Fraction(-m), Fraction(1))
-            while poly.degree(h) >= 1 and poly.evaluate(h, m) == 0:
-                h, _ = poly.divmod_exact(h, factor)
-                count += 1
-    else:
-        factor = (Fraction(-4 * q), Fraction(0), Fraction(1))  # s^2 - 4q
-        while poly.degree(h) >= 2 and poly.divides(factor, h):
-            h, _ = poly.divmod_exact(h, factor)
-            count += 2
-    # gcd chain: distinct roots of the k-th derivative-gcd are the roots of h
-    # with multiplicity > k, so summing distinct counts totals multiplicity.
-    d = h
-    while poly.degree(d) >= 1:
-        count += _sturm_count_open(d, q)
-        d = poly.gcd_poly(d, poly.derivative(d))
-    return count
+    With p_k the power sums of the g roots r and v_r = (1, r, ..., r^(g-1)),
+    the Hankel matrix H = (4q p_(i+j) - p_(i+j+2)) is the sum over the roots
+    of (4q - r^2) v_r v_r^T, Hermite's quadratic form for the weight 4q - s^2
+    (Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry, ch. 4).  The
+    v_r of distinct roots are independent, so each distinct real root adds one
+    square of the sign of its weight, each pair of non-real roots (whose weight
+    is never 0) one positive and one negative square, and the endpoints
+    nothing.  H is therefore positive semidefinite, i.e. every principal minor
+    is >= 0 (the leading ones are not enough: h = s^3 - 6qs gives 0, 0, > 0),
+    exactly when no root is non-real or outside the interval; the unweighted
+    form (p_(i+j)), which only tests that the roots are real, adds nothing."""
+    g = len(h) - 1
+    p = poly.power_sums(h, 2 * g)
+    form = [[4 * q * p[i + j] - p[i + j + 2] for j in range(g)] for i in range(g)]
+    return all(linalg.determinant([[form[i][j] for j in rows] for i in rows]) >= 0
+               for k in range(1, g + 1) for rows in combinations(range(g), k))
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +364,10 @@ def enumerate_weil_contexts(
                for a1 in range(-top1, top1 + 1)
                for a2 in range((isqrt(4 * a1 * a1 * q - 1) + 1 if a1 else 0) - 2 * q,
                                a1 * a1 // 4 + 2 * q + 1))
-    # the Weil test comes first, so irreducibility is decided only for Weil input
-    contexts = (make_context(p, r, g, coeffs) for coeffs in box if validate_weil(coeffs, q))
-    return [ctx for ctx in contexts if _match(ctx, ordinary, irreducible)]
+    # both boxes hold Weil polynomials only, so irreducibility is decided for
+    # Weil input only; the is_weil filter states the contract, it drops nothing
+    contexts = (make_context(p, r, g, coeffs) for coeffs in box)
+    return [ctx for ctx in contexts if ctx.is_weil and _match(ctx, ordinary, irreducible)]
 
 
 def _match(ctx: WeilContext, ordinary: bool | None, irreducible: bool | None) -> bool:

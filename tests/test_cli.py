@@ -273,3 +273,20 @@ def test_main_returns_usage_errors(capsys):
     code, out = run(capsys, base + ["--matrix=-1,0;0,1"])
     assert code == 1
     assert json.loads(out)["error"]["code"] == "charpoly_mismatch"
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # one parser serves every call: an option given once must not stick
+    target = tmp_path / "first.json"
+    argv = ["classify", "--p", "5", "--r", "1", "--g", "1", "--poly", "1,-2,5", "--no-timing"]
+    code, out = run(capsys, argv + ["--index-bound", "1", "--out", str(target)])
+    assert (code, out) == (0, "")
+    first = target.read_text(encoding="utf-8")
+    assert json.loads(first)["summary"]["index_bound"] == "1"
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["summary"]["index_bound"] != "1"
+    code, out = run(capsys, ["validate", "--p", "2", "--r", "1", "--g", "1", "--poly", "1,-5,2"])
+    assert code == 1
+    assert json.loads(out)["weil_reason"] == "root_location"
+    assert target.read_text(encoding="utf-8") == first

@@ -1,6 +1,7 @@
 """Context validation: root location, ordinariness, irreducibility,
 enumeration completeness at desk scale."""
 
+import random
 from math import isqrt
 
 import pytest
@@ -106,6 +107,7 @@ def test_power_rows_and_trace_sums():
     assert ctx.power_rows == ((1, 0), (0, 1), (-2, -1))
     # s0 = 2, s1 = -1, s2 = (sum)^2 - 2 prod = 1 - 4 = -3
     assert ctx.trace_sums == (2, -1, -3)
+    assert all(type(s) is int for s in ctx.trace_sums)
 
 
 def test_irreducibility_matches_sympy():
@@ -129,6 +131,60 @@ def test_irreducibility_matches_sympy():
     for coeffs in cases:
         expected = sympy.Poly(coeffs, t).is_irreducible
         assert weil.is_irreducible(coeffs) == bool(expected), coeffs
+
+
+def test_quartic_root_location_matches_rueck():
+    """Exact g = 2 oracle independent of the root-location test: the quartic
+    t^4 + a1 t^3 + a2 t^2 + q a1 t + q^2 is a Weil polynomial iff
+    a1^2 <= 16q, a2 + 2q >= 0, 4 a1^2 q <= (a2 + 2q)^2 and 4 a2 <= a1^2 + 8q
+    (Rueck, Compositio Math. 76 (1990); Maisner & Nart, Experiment. Math. 11
+    (2002)), over a box wider than both ranges."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        top = isqrt(16 * q) + 2
+        for a1 in range(-top, top + 1):
+            for a2 in range(-6 * q, 6 * q + 1):
+                rueck = (a1 * a1 <= 16 * q and a2 + 2 * q >= 0
+                         and 4 * a1 * a1 * q <= (a2 + 2 * q) ** 2
+                         and 4 * a2 <= a1 * a1 + 8 * q)
+                assert weil.validate_weil([1, a1, a2, q * a1, q * q], q) == rueck, (q, a1, a2)
+
+
+def test_root_location_matches_sympy_real_roots():
+    """g = 3 and 4: f(t) = t^g h(t + q/t) is a Weil polynomial iff h has g
+    real roots, counted with multiplicity, each with r^2 <= 4q.  sympy's
+    real_roots is exact (radicals for quadratic factors, CRootOf above)."""
+    s, t = sympy.symbols("s t")
+    rng = random.Random(1011)
+    cases = []
+    for q in (2, 4, 9, 16):  # non-real pairs inside the disc, one repeated
+        cases += [(q, (s**2 + 1) ** 2), (q, (s**2 + 1) * (s - 1))]
+    for q in (2, 3, 5):  # irrational endpoint roots +-2 sqrt(q), and one outside
+        cases += [(q, (s**2 - 4 * q) * (s - 1)), (q, (s**2 - 4 * q) * s * (s + 1)),
+                  (q, (s**2 - 4 * q - 1) * s)]
+    for q in (2, 3, 4, 5):  # roots 0, +-sqrt(6q): leading minors 0, 0, > 0, yet not inside
+        cases.append((q, (s**2 - 6 * q) * s))
+    for _ in range(240):
+        g = rng.choice((3, 4))
+        q = rng.choice((2, 3, 4, 5, 7, 8, 9, 11, 13, 16))
+        top = isqrt(4 * q)
+        roots = [rng.randint(-top, top) for _ in range(g)]
+        roots[1] = roots[0] if rng.random() < 0.3 else roots[1]  # repeated root
+        if top * top == 4 * q and rng.random() < 0.3:
+            roots[2] = rng.choice((top, -top))  # endpoint root for square q
+        coeffs = sympy.Poly(sympy.prod(s - r for r in roots), s).all_coeffs()
+        if rng.random() < 0.5:
+            coeffs[rng.randint(1, g)] += rng.choice((-1, 1))
+        cases.append((q, sympy.Poly(coeffs, s).as_expr()))
+    verdicts = set()
+    for q, h in cases:
+        h = sympy.Poly(h, s)
+        g = h.degree()
+        f = sympy.Poly(sympy.expand(t**g * h.as_expr().subs(s, t + sympy.Rational(q) / t)), t)
+        real = h.real_roots()
+        expected = len(real) == g and all(bool(r**2 <= 4 * q) for r in real)
+        verdicts.add(expected)
+        assert weil.validate_weil([int(c) for c in f.all_coeffs()], q) == expected, (q, h)
+    assert verdicts == {True, False}
 
 
 def test_root_location_matches_sympy():
@@ -176,8 +232,8 @@ def test_enumeration_brute_force_g1():
 
 
 def test_enumeration_matches_make_context_over_the_box():
-    # the enumerator tests the Weil condition before building a context;
-    # the result must equal make_context over the whole quartic box, filtered
+    # the enumerator builds contexts over the exact Weil box only; the result
+    # must equal make_context over the wider quartic box, filtered
     q = 2
     box = [weil.make_context(2, 1, 2, [1, a1, a2, q * a1, q * q])
            for a1 in range(-isqrt(16 * q), isqrt(16 * q) + 1) for a2 in range(-6 * q, 6 * q + 1)]
