@@ -1,9 +1,9 @@
-"""Exact univariate polynomial arithmetic over Z and Q.
+"""Exact univariate polynomial arithmetic over Z.
 
-Polynomials are tuples of coefficients in increasing degree order:
+Polynomials are tuples of integer coefficients in increasing degree order:
 ``coeffs[k]`` is the coefficient of t^k.  The zero polynomial is the empty
-tuple.  Integer and Fraction coefficients mix freely; nothing here touches
-floating point.
+tuple.  Division is only ever by a monic polynomial, so every quotient stays
+integral; nothing here touches floating point.
 
 A second, self-contained section provides arithmetic in F_p[t], used by the
 irreducibility sieve.
@@ -11,7 +11,6 @@ irreducibility sieve.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 Poly = tuple
@@ -39,7 +38,7 @@ def sub(p: Sequence, q: Sequence) -> Poly:
 
 
 def evaluate(p: Sequence, x):
-    """Horner evaluation; exact for int/Fraction arguments."""
+    """Horner evaluation."""
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
@@ -50,45 +49,25 @@ def derivative(p: Sequence) -> Poly:
     return trim([k * p[k] for k in range(1, len(p))])
 
 
-def divmod_exact(p: Sequence, q: Sequence) -> tuple[Poly, Poly]:
-    """Quotient and remainder over Q.  q must be nonzero."""
-    q = trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    dq = len(q) - 1
-    lead = Fraction(q[-1])
-    quo = [Fraction(0)] * max(0, len(rem) - dq)
-    while len(trim(rem)) - 1 >= dq and trim(rem):
-        rem = list(trim(rem))
-        k = len(rem) - 1 - dq
-        c = rem[-1] / lead
-        quo[k] = c
-        for j in range(dq + 1):
-            rem[k + j] -= c * q[j]
-    return trim(quo), trim(rem)
-
-
 def divides(q: Sequence, p: Sequence) -> bool:
-    _, rem = divmod_exact(p, q)
-    return not rem
+    """True iff the monic integer polynomial q divides the integer polynomial
+    p, by exact integer division."""
+    rem = list(p)
+    dq = len(q) - 1
+    for k in range(len(rem) - 1 - dq, -1, -1):
+        c = rem[k + dq]
+        if c:
+            for j in range(dq):
+                rem[k + j] -= c * q[j]
+    return not any(rem[:dq])
 
 
-def monic(p: Sequence) -> Poly:
-    p = trim(p)
-    if not p:
-        return ()
-    lead = p[-1]
-    return tuple(Fraction(c, 1) / lead for c in p)
-
-
-def gcd_poly(p: Sequence, q: Sequence) -> Poly:
-    """Monic gcd over Q (1-tuple for coprime, () only if both zero)."""
-    a, b = trim(p), trim(q)
-    while b:
-        _, r = divmod_exact(a, b)
-        a, b = b, r
-    return monic(a)
+def sylvester(p: Sequence, q: Sequence) -> list[list[int]]:
+    """Sylvester matrix of p and q (trimmed, lowest degree first); its
+    determinant is their resultant up to sign."""
+    m, n = len(p) - 1, len(q) - 1
+    rows = [[0] * k + list(p) + [0] * (n - 1 - k) for k in range(n)]
+    return rows + [[0] * k + list(q) + [0] * (m - 1 - k) for k in range(m)]
 
 
 def from_monic_first(seq: Sequence) -> Poly:

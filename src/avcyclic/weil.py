@@ -8,6 +8,11 @@ the functional equation is checked coefficient-wise, the real substitution
 s = t + q/t produces a degree-g polynomial h, and every principal minor of
 one Hankel matrix of power sums of the roots of h must be non-negative,
 which holds exactly when all g roots of h lie in [-2*sqrt(q), 2*sqrt(q)].
+
+Irreducibility of a Weil polynomial is read off h as well: f = t^g h(t + q/t)
+is irreducible iff h is irreducible and has no root +-2*sqrt(q).  Any other
+monic polynomial goes through one exact factor search over Z whose box is
+bounded by Landau-Mignotte and capped at FACTOR_BOX_CAP points.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 from typing import Sequence
 
 from . import linalg
@@ -25,6 +30,7 @@ from .errors import CapabilityError, InputError
 DEGREE_CAP = 8  # largest polynomial degree the exact kernels accept
 ENUM_Q_CAP = 16
 ENUM_G_CAP = 2
+FACTOR_BOX_CAP = 5 * 10**7  # candidate factors one irreducibility test may try
 
 _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -148,9 +154,18 @@ def make_context(p: int, r: int, g: int, coeffs: Sequence[int]) -> WeilContext:
         raise InputError("not_monic", "leading coefficient must be 1")
     q = p**r
     f = tuple(coeffs)
-    ok, reason = _weil_reason(poly.from_monic_first(f), q)
+    ok, reason, h = _weil_reason(poly.from_monic_first(f), q)
     ordinary = gcd(f[g], p) == 1  # middle coefficient coprime to p
-    irreducible = is_irreducible(f)
+    if ok:
+        # f is irreducible iff h is and h(+-2 sqrt q) != 0: the roots b of h
+        # are real, and t^2 - b t + q splits over Q(b) only if b^2 = 4q.  With
+        # E and O the even and odd parts of h at s^2 = 4q, h(+-2 sqrt q) =
+        # E +- 2 sqrt(q) O, so such a root exists iff E^2 = 4q O^2
+        even = poly.evaluate(h[0::2], 4 * q)
+        odd = poly.evaluate(h[1::2], 4 * q)
+        irreducible = is_irreducible(h[::-1]) and even * even != 4 * q * odd * odd
+    else:
+        irreducible = is_irreducible(f)
     return WeilContext(p, r, q, g, f, ok, reason, ordinary, irreducible)
 
 
@@ -158,28 +173,29 @@ def validate_weil(coeffs: Sequence[int], q: int) -> bool:
     """True iff the monic even-degree polynomial has every root on
     |t| = sqrt(q).  Exact; no floating point."""
     f_low = poly.from_monic_first(coeffs)
-    ok, _ = _weil_reason(f_low, q)
-    return ok
+    return _weil_reason(f_low, q)[0]
 
 
-def _weil_reason(f_low: tuple, q: int) -> tuple[bool, str | None]:
+def _weil_reason(f_low: tuple, q: int) -> tuple[bool, str | None, tuple | None]:
+    """(is Weil, reason if not, h with f = t^g h(t + q/t) once the
+    functional equation holds)."""
     n = len(f_low) - 1
     if n < 2 or n % 2:
-        return False, "bad_degree"
+        return False, "bad_degree", None
     if f_low[-1] != 1:
-        return False, "not_monic"
+        return False, "not_monic", None
     g = n // 2
     if f_low[0] != q**g:
-        return False, "constant_term"
+        return False, "constant_term", None
     # a_i is the coefficient of t^(2g-i); the root pairing t <-> q/t forces
     # a_{2g-i} = q^(g-i) a_i, i.e. f_low[i] = q^(g-i) * f_low[2g-i].
     for i in range(g):
         if f_low[i] != q ** (g - i) * f_low[n - i]:
-            return False, "functional_equation"
+            return False, "functional_equation", None
     h = _real_substitution(f_low, q, g)
     if not _roots_in_interval(h, q):
-        return False, "root_location"
-    return True, None
+        return False, "root_location", h
+    return True, None, h
 
 
 def _real_substitution(f_low: tuple, q: int, g: int) -> tuple:
@@ -228,9 +244,12 @@ def _roots_in_interval(h: tuple, q: int) -> bool:
 def is_irreducible(coeffs: Sequence[int]) -> bool:
     """Irreducibility over Q of a monic integer polynomial of degree <= 8.
 
-    Square-free check, then factor-degree patterns over several small
-    finite fields; any degree the sieve cannot rule out is settled by a
-    bounded exhaustive search for a monic integer factor.
+    No integer root, a nonzero resultant of f and f' (square-free), then
+    factor-degree patterns over several small finite fields; any degree the
+    sieve cannot rule out is settled by an exhaustive search for a monic
+    integer factor inside the Landau-Mignotte box, which raises
+    CapabilityError when that box holds more than FACTOR_BOX_CAP points.
+    `make_context` calls this on h, of degree g, for a Weil polynomial.
     """
     f_low = poly.from_monic_first(coeffs)
     n = poly.degree(f_low)
@@ -246,7 +265,7 @@ def is_irreducible(coeffs: Sequence[int]) -> bool:
         return False
     if n <= 3:
         return True  # no rational root and degree <= 3
-    if poly.degree(poly.gcd_poly(f_low, poly.derivative(f_low))) >= 1:
+    if linalg.determinant(poly.sylvester(f_low, poly.derivative(f_low))) == 0:
         return False
     candidates = set(range(2, n // 2 + 1))
     for pr in _SIEVE_PRIMES:
@@ -288,44 +307,30 @@ def _subset_sums(multiset: list[int]) -> set[int]:
 
 
 def _has_factor_of_degree(f_low: tuple, d: int) -> bool:
-    """Exhaustive search for a monic integer factor of degree d.
+    """Exhaustive search for a monic integer factor g of degree d of f, which
+    has no integer root.
 
-    Any factor's roots are roots of f, so the coefficient of t^k is an
-    elementary symmetric function of d of them: |c_k| <= C(d, k) R^(d-k) for
-    a bound R on their moduli.  When f is a Weil polynomial for q (every
-    root of modulus sqrt(q)) this is exact, with |c_0| = q^(d/2) (so odd d
-    needs q square); otherwise R is the Cauchy root bound and c_0 divides
-    f(0)."""
-    q = _weil_q(f_low)
-    if q is None:
-        rb = 1 + max(abs(c) for c in f_low[:-1])
-        tops = [comb(d, k) * rb ** (d - k) for k in range(1, d)]
-        c0_abs = _divisors(abs(f_low[0]))
-    else:
-        root = isqrt(q**d)
-        if root * root != q**d:
-            return False
-        tops = [isqrt(comb(d, k) ** 2 * q ** (d - k)) for k in range(1, d)]
-        c0_abs = [root]
-    for mids in product(*(range(-top, top + 1) for top in tops)):
-        for c0 in c0_abs:
+    Mignotte's bound |g_k| <= C(d, k) M(g) with M(g) = M(f) / M(f/g),
+    M(f) <= ||f||_2 and M(f/g) >= |f(0) / g(0)| gives
+    |g_k| <= C(d, k) ||f||_2 |g(0) / f(0)| (Cohen, GTM 138, section 3.5).
+    g(0) divides f(0), and at d = n/2 the search may keep to g(0)^2 <= |f(0)|,
+    since g or f/g qualifies; g(1) divides f(1), which is nonzero."""
+    n, f0, f1 = len(f_low) - 1, f_low[0], poly.evaluate(f_low, 1)
+    norm2 = sum(c * c for c in f_low)
+    boxes = [(c0, [isqrt(comb(d, k) ** 2 * norm2 * c0 * c0 // (f0 * f0)) for k in range(1, d)])
+             for c0 in _divisors(abs(f0)) if 2 * d != n or c0 * c0 <= abs(f0)]
+    size = sum(2 * prod(2 * top + 1 for top in tops) for _, tops in boxes)
+    if size > FACTOR_BOX_CAP:
+        raise CapabilityError(f"the degree-{d} factor search needs {size} candidates, "
+                              f"over the cap {FACTOR_BOX_CAP}")
+    for c0, tops in boxes:
+        for mids in product(*(range(-top, top + 1) for top in tops)):
+            at_one = sum(mids) + 1
             for signed in (c0, -c0):
-                cand = poly.trim((signed,) + mids + (1,))
-                if poly.divides(cand, f_low):
+                if (at_one + signed and f1 % (at_one + signed) == 0
+                        and poly.divides((signed, *mids, 1), f_low)):
                     return True
     return False
-
-
-def _weil_q(f_low: tuple) -> int | None:
-    """The q for which f is a Weil polynomial, if any: q^g = f(0)."""
-    n, c0 = len(f_low) - 1, f_low[0]
-    if n % 2 or c0 < 1:
-        return None
-    g, q, hi = n // 2, 1, c0
-    while q < hi:  # bisect for the least q with q^g >= c0
-        mid = (q + hi) // 2
-        q, hi = (mid + 1, hi) if mid**g < c0 else (q, mid)
-    return q if q**g == c0 and _weil_reason(f_low, q)[0] else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: documents, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,29 @@ def test_sweep_capability_exit_2(capsys):
     code, out = run(capsys, ["sweep", "--p", "2", "--r", "1", "--g", "3"])
     assert code == 2
     assert json.loads(out)["error"]["code"] == "capability"
+
+
+def test_validate_factor_search_is_capped(capsys):
+    # (t^4 + 1000)(t^4 + 1001): the degree-4 factor box holds about 8.7e12
+    # points, far over weil.FACTOR_BOX_CAP, so validate refuses it at once
+    start = time.monotonic()
+    code, out = run(capsys, ["validate", "--p", "2", "--r", "1", "--g", "4",
+                             "--poly=1,0,0,0,2001,0,0,0,1001000"])
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "capability"
+
+
+def test_validate_non_weil_octic_returns(capsys):
+    # t^8 + 9t^4 + 16 is irreducible, not Weil over F_2, and every sieve prime
+    # leaves a degree-4 factor possible
+    start = time.monotonic()
+    code, out = run(capsys, ["validate", "--p", "2", "--r", "1", "--g", "4",
+                             "--poly=1,0,0,0,9,0,0,0,16"])
+    assert time.monotonic() - start < 2
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["is_weil"] is False and doc["is_irreducible"] is True
 
 
 def test_convert_reducible_is_a_refusal(capsys):

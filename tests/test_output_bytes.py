@@ -3,8 +3,10 @@ context, of `convert --matrix=M` on every class matrix M it lists and of
 `convert --ideal=B` on every class ideal basis B it lists (the one document
 that prints an element's rational coordinates, as the round-trip witness),
 then of `classify --no-timing` on every ordinary irreducible g = 1 context with
-q <= G1_Q_MAX that the corpus does not already list, against the digests
-stored in fixtures/output_digests.json.
+q <= G1_Q_MAX that the corpus does not already list, and of `validate` on
+every corpus context and every quartic t^4 + a1 t^3 + a2 t^2 + q a1 t + q^2 of
+the boxes |a1| <= 4 sqrt(q), |a2| <= 6q over F_2 and F_3, Weil or not, against
+the digests stored in fixtures/output_digests.json.
 
 A change that alters these bytes on purpose rewrites the fixture with
 
@@ -18,6 +20,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stdout
+from math import isqrt
 from pathlib import Path
 
 from avcyclic import cli
@@ -26,6 +29,7 @@ from _helpers import corpus_contexts, g1_contexts
 
 FIXTURE = Path(__file__).parent / "fixtures" / "output_digests.json"
 G1_Q_MAX = 32
+VALIDATE_BOX_FIELDS = ((2, 1), (3, 1))
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -59,8 +63,8 @@ def output_digests():
     """Yield (label, sha256) in corpus order: the classify document of each
     context, then the convert documents of each class matrix it lists; then
     the classify document of each further g = 1 context with q <= G1_Q_MAX.
-    The convert --ideal documents come last, so the keys recorded before
-    them keep their place in the fixture."""
+    The convert --ideal documents follow, and the validate documents come
+    last, so the keys recorded before them keep their place in the fixture."""
     corpus = {}
     for ctx in corpus_contexts():
         key = _key(ctx)
@@ -83,6 +87,25 @@ def output_digests():
             code, conv = _run(["convert", *_context_args(ctx), "--ideal=" + ideal])
             assert code == 0, (key, i)
             yield f"convert --ideal {key} class {i}", _digest(conv)
+    for key, argv in _validate_inputs(corpus):
+        code, text = _run(["validate", *argv])
+        assert code in (0, 1), key
+        yield f"validate {key}", _digest(text)
+
+
+def _validate_inputs(corpus):
+    """(key, context arguments) of the corpus contexts, then of the quartic
+    boxes, each input once."""
+    inputs = {key: _context_args(ctx) for key, (ctx, _) in corpus.items()}
+    for p, r in VALIDATE_BOX_FIELDS:
+        q = p**r
+        top = isqrt(16 * q)
+        for a1 in range(-top, top + 1):
+            for a2 in range(-6 * q, 6 * q + 1):
+                f = ",".join(map(str, (1, a1, a2, q * a1, q * q)))
+                inputs.setdefault(f"{p},{r},2:{f}",
+                                  ["--p", str(p), "--r", str(r), "--g", "2", "--poly=" + f])
+    return inputs.items()
 
 
 def test_output_bytes_match_recorded_digests():

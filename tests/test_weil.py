@@ -121,16 +121,71 @@ def test_irreducibility_matches_sympy():
         [1, 0, 0, 0, 4],
         [1, 2, 3, 4, 4],
         [1, -2, 2, -6, 9],
-        # (t^2 + t + 2)(t^2 - t + 2): found in the Weil box of degree-2 factors
+        # (t^2 + t + 2)(t^2 - t + 2): a pair of degree-2 factors
         [1, 0, 3, 0, 4],
         # Weil octic over F_2, every sieve prime leaves [2, 2, 2, 2] or [4, 4]:
-        # the degree-4 search has 12650 candidates |c_k| <= C(4, k) 2^((4-k)/2),
-        # where the Cauchy box has about 2e11
+        # the degree-4 search runs over the Landau-Mignotte box, about 1.2e5
+        # points with g(0) in {1, 2, 4}
         [1, 0, 0, 0, 1, 0, 0, 0, 16],
+        # t^8 + 9t^4 + 16, irreducible and not Weil for any q; the sieve again
+        # leaves degree 4 open
+        [1, 0, 0, 0, 9, 0, 0, 0, 16],
+        # a product of two quartics
+        [1, -5, -1, -17, -36, -53, -10, 17, 20],
+        # (t^4 + 1000)^2: the resultant of f and f' vanishes
+        [1, 0, 0, 0, 2000, 0, 0, 0, 1000000],
     ]
     for coeffs in cases:
         expected = sympy.Poly(coeffs, t).is_irreducible
         assert weil.is_irreducible(coeffs) == bool(expected), coeffs
+    # make_context decides a Weil f through h; sympy factors f itself
+    weil_cases = [(p, r, 2, f) for p, r in ((2, 1), (3, 1), (2, 2), (5, 1))
+                  for f in (ctx.f for ctx in weil.enumerate_weil_contexts(p, r, 2))]
+    weil_cases += _seeded_weil_sextics_and_octics()
+    # h = s^2 - 4q is irreducible for non-square q, but h(2 sqrt q) = 0 and
+    # f = t^4 - 2q t^2 + q^2 = (t^2 - q)^2
+    weil_cases += [(p, 1, 2, [1, 0, -2 * p, 0, p * p]) for p in (2, 3, 5, 7)]
+    verdicts = set()
+    for p, r, g, f in weil_cases:
+        ctx = weil.make_context(p, r, g, f)
+        assert ctx.is_weil, f
+        expected = bool(sympy.Poly(f, t).is_irreducible)
+        verdicts.add((g, expected))
+        assert ctx.is_irreducible == expected, (p, r, f)
+    assert verdicts == {(g, v) for g in (2, 3, 4) for v in (True, False)}
+
+
+def _seeded_weil_sextics_and_octics():
+    """(p, r, g, f) for Weil polynomials of degree 6 and 8: products of Weil
+    factors of lower degree over the same field, and t^g h(t + q/t) for h with
+    integer roots in [-2 sqrt q, 2 sqrt q] and one coefficient moved by 1,
+    kept when still Weil."""
+    s, t = sympy.symbols("s t")
+    rng = random.Random(1011)
+    out = []
+    for p, r in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        q = p**r
+        factors = [ctx.f for g in (1, 2) for ctx in weil.enumerate_weil_contexts(p, r, g)]
+        for g in (3, 4):
+            for _ in range(6):
+                f, degree = sympy.Poly(1, t), 0
+                while degree < 2 * g:
+                    part = rng.choice([c for c in factors if len(c) - 1 <= 2 * g - degree])
+                    f, degree = f * sympy.Poly(part, t), degree + len(part) - 1
+                out.append((p, r, g, [int(c) for c in f.all_coeffs()]))
+            top = isqrt(4 * q)
+            kept = 0
+            while kept < 6:
+                roots = [rng.randint(-top, top) for _ in range(g)]
+                coeffs = sympy.Poly(sympy.prod(s - x for x in roots), s).all_coeffs()
+                coeffs[rng.randint(1, g)] += rng.choice((-1, 1))
+                h = sympy.Poly(coeffs, s).as_expr()
+                f = sympy.Poly(sympy.expand(t**g * h.subs(s, t + sympy.Rational(q) / t)), t)
+                f = [int(c) for c in f.all_coeffs()]
+                if weil.validate_weil(f, q):
+                    out.append((p, r, g, f))
+                    kept += 1
+    return out
 
 
 def test_quartic_root_location_matches_rueck():
