@@ -46,7 +46,6 @@ from .orders import (
     discriminant,
     frobenius_pair_order,
     ideal_equivalent,
-    ideal_intersection,
     ideal_product,
     ideal_quotient,
     ideal_sum,
@@ -96,7 +95,6 @@ __all__ = [
     "group_structure_oracle",
     "hermite_normal_form",
     "ideal_equivalent",
-    "ideal_intersection",
     "ideal_product",
     "ideal_quotient",
     "ideal_sum",

@@ -47,8 +47,8 @@ logger = logging.getLogger(__name__)
 # Default index bound caps.  Listing the integral ideals is cheap at any
 # bound; the caps bound the pairwise equivalence tests among them.  On one
 # core of a 2-vCPU container, t^4 - t^2 + 49 over F_7 certifies at its
-# Minkowski bound 119 in about 3 s (111 candidates, 8 classes), but
-# t^4 + 2t^3 - 13t^2 + 32t + 256 over F_16 takes about 400 s at its bound
+# Minkowski bound 119 in about 1.1 s (111 candidates, 8 classes), but
+# t^4 + 2t^3 - 13t^2 + 32t + 256 over F_16 takes about 200 s at its bound
 # 287 (989 candidates, listed in under 1 s); the bounds grow as sqrt(|disc|).
 QUARTIC_INDEX_CAP = 24
 HIGH_GENUS_INDEX_CAP = 12

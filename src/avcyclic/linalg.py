@@ -1,13 +1,16 @@
 """Exact linear algebra over Z and Q.
 
 Matrices are sequences of rows.  Every function returns fresh lists and
-never mutates its input.  Determinants and the rational inverse use
-fraction-free Bareiss elimination; Hermite and Smith normal forms are
-deterministic (fixed pivot rules) so canonical forms are reproducible byte
-for byte.  Rational input reaches these integer kernels through one common
-denominator: the determinant, inverse, characteristic polynomial and
-Hermite form of A are read off those of d A, d the least common
-denominator of the entries.
+never mutates its input.  The kernels work on integers: determinants and
+inverses by fraction-free Bareiss elimination, Hermite and Smith normal
+forms with fixed pivot rules (so canonical forms are reproducible byte for
+byte), and integral LLL, which keeps its Gram-Schmidt data as integer Gram
+determinants.  Rational input reaches them through one common denominator:
+the determinant, inverse, characteristic polynomial, Hermite form and LLL
+transform of A are read off those of d A, d the least common denominator
+of the entries.  Fractions appear only in the rational results
+(determinant_fraction, mat_inverse_fraction, the characteristic polynomial
+of a rational matrix) and in the Fincke-Pohst search of short_vectors.
 """
 
 from __future__ import annotations
@@ -128,20 +131,20 @@ def tau(a: Matrix) -> int:
     return entries_gcd(cofactor_matrix(a))
 
 
-def adjugate(a: Matrix) -> list[list[int]]:
-    return transpose(cofactor_matrix(a))
-
-
 def is_unimodular(a: Matrix) -> bool:
     return len(a) == len(a[0]) and abs(determinant(a)) == 1
 
 
 def inverse_unimodular(a: Matrix) -> list[list[int]]:
-    """Exact integer inverse of a unimodular matrix (adjugate over det)."""
-    d = determinant(a)
+    """Exact integer inverse of a unimodular matrix: D E for (E, D) =
+    inverse_pair(a), D = +-1."""
+    try:
+        e, d = inverse_pair(a)
+    except DegenerateLatticeError:
+        raise ValueError("matrix is not unimodular") from None
     if abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    return mat_scale(adjugate(a), d)
+    return mat_scale(e, d)
 
 
 def inverse_pair(b: Matrix) -> tuple[list[list[int]], int]:
@@ -202,14 +205,15 @@ def charpoly(a: Matrix) -> tuple:
 # Hermite normal form
 
 
-def _hnf_core(rows: list[list[int]]):
-    """Row HNF.  Returns (h, u, rank) with u unimodular, u * rows = h,
-    zero rows of h collected at the bottom.  Deterministic: columns left to
-    right, pivot chained down from the first nonzero row."""
+def _hnf_core(rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Row HNF of integer rows.  Returns (h, rank): h is canonical (upper
+    echelon, positive pivots, entries above each pivot reduced into
+    [0, pivot)) with its zero rows collected at the bottom.  Deterministic:
+    columns left to right, pivot chained down from the first nonzero row.
+    No transform is kept; hnf_rational reads one off [A | I]."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     h = copy_rows(rows)
-    u = identity(m)
     r = 0
     for col in range(n):
         if r == m:
@@ -223,24 +227,19 @@ def _hnf_core(rows: list[list[int]]):
             continue
         if piv != r:
             h[r], h[piv] = h[piv], h[r]
-            u[r], u[piv] = u[piv], u[r]
         for i in range(r + 1, m):
             while h[i][col] != 0:
                 q = h[r][col] // h[i][col]
                 h[r] = [x - q * y for x, y in zip(h[r], h[i])]
-                u[r] = [x - q * y for x, y in zip(u[r], u[i])]
                 h[r], h[i] = h[i], h[r]
-                u[r], u[i] = u[i], u[r]
         if h[r][col] < 0:
             h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = h[i][col] // h[r][col]
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
-    return h, u, r
+    return h, r
 
 
 def hermite_normal_form(a: Matrix) -> tuple[list[list[int]], list[list[int]]]:
@@ -259,18 +258,16 @@ def hermite_normal_form(a: Matrix) -> tuple[list[list[int]], list[list[int]]]:
 
 def hnf_rational(a: Matrix) -> tuple[list[list[int]], list[list[int]], int, int]:
     """Clear denominators and reduce: returns (h, u, den, rank) where
-    u * (den * a) = h, h canonical with zero rows at the bottom."""
+    u * (den * a) = h, h canonical with zero rows at the bottom and u
+    unimodular.  h and u are the left and right blocks of the Hermite form
+    of [den * a | I]; the left block does not depend on the right one."""
     cleared, den = _cleared(a)
     if not cleared:
         raise DegenerateLatticeError("empty generating set")
-    h, u, rank = _hnf_core(cleared)
-    return h, u, den, rank
-
-
-def kernel_int(a: Matrix) -> list[list[int]]:
-    """Basis of the left integer kernel {x : x * a = 0} of an integer matrix."""
-    h, u, rank = _hnf_core(copy_rows(a))
-    return [u[i] for i in range(rank, len(u))]
+    n = len(cleared[0])
+    hu, _ = _hnf_core([row + e for row, e in zip(cleared, identity(len(cleared)))])
+    h = [row[:n] for row in hu]
+    return h, [row[n:] for row in hu], den, sum(1 for row in h if any(row))
 
 
 # ---------------------------------------------------------------------------
@@ -373,27 +370,36 @@ def lll_reduce_gram(gram: Matrix, delta: Fraction = Fraction(99, 100)) -> list[l
     """LLL transformation for a positive definite rational Gram matrix.
 
     Returns unimodular integer rows u such that u * basis is LLL-reduced
-    when gram[i][j] is the inner product of basis vectors i and j.  All
-    arithmetic is exact Fraction work, so the output is deterministic.
-    Raises ValueError when the form is not positive definite (a
-    Gram-Schmidt length comes out zero or negative).
+    when gram[i][j] is the inner product of basis vectors i and j.  Raises
+    ValueError when the form is not positive definite (a Gram-Schmidt
+    length comes out zero or negative).
 
-    The Gram matrix of the current basis is kept up to date, and only the
-    Gram-Schmidt row being worked on is recomputed (Cohen, GTM 138,
-    Alg. 2.6.3).
+    Integral LLL (Cohen, GTM 138, Alg. 2.6.7) on the cleared Gram matrix
+    c * gram, which has the same mu and the same decisions: d[i] is the Gram
+    determinant of the first i vectors and lam[k][j] = d[j+1] mu[k][j], all
+    integers, and every division below is exact.  The Gram matrix of the
+    current basis is kept up to date, and only the Gram-Schmidt row being
+    worked on is recomputed.  mu is rounded half to even, as round() rounds
+    a Fraction, so the output is deterministic.
     """
     n = len(gram)
-    g = [[Fraction(x) for x in row] for row in gram]  # Gram matrix of u * basis
+    g, _ = _cleared(gram)  # Gram matrix of u * basis, times c
+    a, b = delta.as_integer_ratio()
     u = identity(n)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms = [Fraction(0)] * n
+    lam = zeros(n, n)
+    d = [1] * (n + 1)
 
-    def orthogonalize(i):
-        for j in range(i):
-            mu[i][j] = (g[i][j] - sum(mu[j][m] * mu[i][m] * norms[m]
-                                      for m in range(j))) / norms[j]
-        norms[i] = g[i][i] - sum(mu[i][m] ** 2 * norms[m] for m in range(i))
-        if norms[i] <= 0:
+    def orthogonalize(k):
+        row = lam[k]
+        for j in range(k + 1):
+            t = g[k][j]
+            for i in range(j):
+                t = (d[i + 1] * t - row[i] * lam[j][i]) // d[i]
+            if j < k:
+                row[j] = t
+            else:
+                d[k + 1] = t
+        if d[k + 1] <= 0:
             raise ValueError("gram matrix is not positive definite")
 
     # terminates: each swap shrinks the Lovasz potential by a factor of delta
@@ -403,16 +409,18 @@ def lll_reduce_gram(gram: Matrix, delta: Fraction = Fraction(99, 100)) -> list[l
     while k < n:
         orthogonalize(k)
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q, r = divmod(2 * lam[k][j] + d[j + 1], 2 * d[j + 1])  # floor(mu + 1/2)
+            if r == 0 and q & 1:  # mu is a half-integer: round to even
+                q -= 1
             if q:
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
                 g[k] = [x - q * y for x, y in zip(g[k], g[j])]
                 for row in g:
                     row[k] -= q * row[j]
-                mu[k][j] -= q
+                lam[k][j] -= q * d[j + 1]
                 for m in range(j):
-                    mu[k][m] -= q * mu[j][m]
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                    lam[k][m] -= q * lam[j][m]
+        if b * d[k + 1] * d[k - 1] >= a * d[k] ** 2 - b * lam[k][k - 1] ** 2:
             k += 1
         else:
             u[k], u[k - 1] = u[k - 1], u[k]

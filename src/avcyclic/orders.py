@@ -207,7 +207,7 @@ class IdealLattice:
         """The lattice spanned by integer generating rows over a positive den."""
         if not rows or any(len(r) != ctx.n for r in rows):
             raise DegenerateLatticeError("generating set has wrong shape")
-        h, _, rank = linalg._hnf_core(rows)
+        h, rank = linalg._hnf_core(rows)
         if rank < ctx.n:
             raise DegenerateLatticeError()
         g = gcd(den, *(x for row in h[:rank] for x in row))
@@ -262,14 +262,6 @@ def ideal_product(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     return IdealLattice.from_elements(a.ctx, [ea * eb for ea in a.elements for eb in b.elements])
 
 
-def ideal_intersection(a: IdealLattice, b: IdealLattice) -> IdealLattice:
-    _same_ctx(a, b)
-    d = lcm(a.den, b.den)
-    am = [[x * (d // a.den) for x in row] for row in a.mat]
-    kernel = linalg.kernel_int(am + [[-x * (d // b.den) for x in row] for row in b.mat])
-    return IdealLattice.over(a.ctx, [linalg.vec_mat(k[:a.ctx.n], am) for k in kernel], d)
-
-
 def ideal_quotient(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     """(a : b) = {x in K : x * b is contained in a}.
 
@@ -278,21 +270,24 @@ def ideal_quotient(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     the j-th basis element of b, A stacks the basis rows of a).  So (a : b) is
     the dual {x : x . v in Z} of the lattice spanned by the n^2 columns v of
     [T_1 | ... | T_n]: one Hermite form of those columns, cleared of one
-    common denominator, inverted and transposed (Cohen, GTM 138, 2.4).
+    common denominator, inverted and transposed (Cohen, GTM 138, 2.4).  Both
+    inverses are integer (E, D) pairs from linalg.inverse_pair, O(n^3); on
+    these upper triangular matrices with positive diagonal E is the
+    adjugate and D the determinant.
     """
     _same_ctx(a, b)
     ctx = a.ctx
-    # s T_j = M(den_b b_j) adj(mat_a) with s = den_b det(mat_a) / den_a,
-    # since A^-1 = den_a mat_a^-1 and adj(mat_a) = det(mat_a) mat_a^-1
-    adj = linalg.adjugate(a.mat)
+    # s T_j = M(den_b b_j) E_a with s = den_b D_a / den_a,
+    # since A^-1 = den_a mat_a^-1 and E_a = D_a mat_a^-1
+    e_a, d_a = linalg.inverse_pair(a.mat)
     cols = []
     for row in b.mat:
-        cols += linalg.transpose(linalg.mat_mul(FieldElement(ctx, row).mult_matrix(), adj))
+        cols += linalg.transpose(linalg.mat_mul(FieldElement(ctx, row).mult_matrix(), e_a))
     h = linalg._hnf_core(cols)[0][:ctx.n]
     # the columns span s L, so (a : b) = L^* has basis rows s (h^-1)^T
-    s = b.den * linalg.determinant(a.mat)
-    return IdealLattice.over(ctx, [[s * x for x in col] for col in zip(*linalg.adjugate(h))],
-                             a.den * linalg.determinant(h))
+    e_h, d_h = linalg.inverse_pair(h)
+    s = b.den * d_a
+    return IdealLattice.over(ctx, [[s * x for x in col] for col in zip(*e_h)], a.den * d_h)
 
 
 def integer_coords(mat, w) -> list[int] | None:
@@ -362,7 +357,7 @@ class OrderDesc:
 def _span(ctx: WeilContext, elems) -> list[FieldElement]:
     """Canonical basis of the (possibly not full rank) span of elements."""
     den = lcm(*(e.den for e in elems))
-    h, _, rank = linalg._hnf_core([[x * (den // e.den) for x in e.num] for e in elems])
+    h, rank = linalg._hnf_core([[x * (den // e.den) for x in e.num] for e in elems])
     return [FieldElement.over(ctx, row, den) for row in h[:rank]]
 
 

@@ -1,10 +1,11 @@
 """Shared test utilities: the acceptance corpus, the g = 1 contexts of the
-Hasse interval, and seeded random matrix generation."""
+Hasse interval, seeded random matrix generation, and the integer kernel and
+ideal intersection that serve as oracles for the lattice kernels."""
 
 import random
-from math import isqrt
+from math import isqrt, lcm
 
-from avcyclic import linalg, weil
+from avcyclic import linalg, orders, weil
 
 # The acceptance corpus: every ordinary irreducible g = 1 context for these
 # fields plus the first ten ordinary irreducible quartics over F_2 and F_3.
@@ -68,3 +69,19 @@ def random_int_matrix(rng: random.Random, n: int, bound: int = 9) -> list[list[i
 def conjugate(m: list[list[int]], u: list[list[int]]) -> list[list[int]]:
     """u * m * u^-1 over the integers (u unimodular)."""
     return linalg.mat_mul(linalg.mat_mul(u, m), linalg.inverse_unimodular(u))
+
+
+def kernel_int(a) -> list[list[int]]:
+    """Basis of the left integer kernel {x : x * a = 0} of an integer matrix:
+    the rows of the unimodular u with u * a = h that meet the zero rows of h."""
+    _, u, _, rank = linalg.hnf_rational(a)
+    return u[rank:]
+
+
+def ideal_intersection(a, b):
+    """a and b as lattices intersected: the kernel of [A | -B] over the
+    common denominator d, read back through A."""
+    d = lcm(a.den, b.den)
+    am = [[x * (d // a.den) for x in row] for row in a.mat]
+    kernel = kernel_int(am + [[-x * (d // b.den) for x in row] for row in b.mat])
+    return orders.IdealLattice.over(a.ctx, [linalg.vec_mat(k[:a.ctx.n], am) for k in kernel], d)

@@ -19,7 +19,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 from avcyclic import linalg
 from avcyclic.errors import DegenerateLatticeError
 
-from _helpers import conjugate, random_int_matrix, random_unimodular
+from _helpers import conjugate, kernel_int, random_int_matrix, random_unimodular
 
 
 def test_determinant_hand_values():
@@ -69,9 +69,8 @@ def test_cofactor_product_rule():
             assert linalg.cofactor_matrix(ab) == linalg.mat_mul(
                 linalg.cofactor_matrix(a), linalg.cofactor_matrix(b)
             )
-            assert linalg.adjugate(ab) == linalg.mat_mul(
-                linalg.adjugate(b), linalg.adjugate(a)
-            )
+            adj = [linalg.transpose(linalg.cofactor_matrix(m)) for m in (ab, a, b)]
+            assert adj[0] == linalg.mat_mul(adj[2], adj[1])
 
 
 def test_tau_hand_values():
@@ -183,6 +182,29 @@ def test_hermite_degenerate():
         linalg.hermite_normal_form([[1, 2], [2, 4]])
 
 
+def test_hnf_transform_on_rank_deficient_input():
+    # hermite_normal_form refuses these; hnf_rational still returns a
+    # unimodular u with u * (den * a) = h, h the canonical form of _hnf_core
+    rng = random.Random(12)
+    for _ in range(60):
+        m, n, k = rng.randint(2, 6), rng.randint(1, 6), rng.randint(0, 4)
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        a = linalg.mat_mul(left, right) if k else linalg.zeros(m, n)
+        if rng.randrange(2):
+            a = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in a]
+        h, u, den, rank = linalg.hnf_rational(a)
+        cleared = [[x * den for x in row] for row in a]
+        assert rank == sympy.Matrix(a).rank()
+        assert linalg.is_unimodular(u)
+        assert linalg.mat_mul(u, cleared) == h
+        assert linalg._hnf_core([[int(x) for x in row] for row in cleared]) == (h, rank)
+        assert not any(any(row) for row in h[rank:])
+        if rank < m:
+            with pytest.raises(DegenerateLatticeError):
+                linalg.hermite_normal_form(a)
+
+
 def test_unimodular():
     assert linalg.is_unimodular([[1, 0], [0, 1]])
     assert linalg.is_unimodular([[1, 1], [0, 1]])
@@ -196,6 +218,12 @@ def test_inverse_unimodular():
         u = random_unimodular(rng, n)
         inv = linalg.inverse_unimodular(u)
         assert linalg.mat_mul(u, inv) == linalg.identity(n)
+    # singular and determinant-2 input is refused; a row swap (det -1) is its own inverse
+    for m in ([[1, 2], [2, 4]], [[0, 0, 0], [1, 2, 3], [4, 5, 6]], [[2, 1], [0, 1]],
+              [[1, 1, 0], [0, 2, 0], [0, 0, 1]]):
+        with pytest.raises(ValueError, match="matrix is not unimodular"):
+            linalg.inverse_unimodular(m)
+    assert linalg.inverse_unimodular([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
 
 
 def test_charpoly_companion():
@@ -218,7 +246,7 @@ def test_charpoly_matches_determinant_and_trace():
 
 
 def test_kernel_int():
-    ker = linalg.kernel_int([[1, 2], [2, 4]])
+    ker = kernel_int([[1, 2], [2, 4]])
     assert len(ker) == 1
     x = ker[0]
     assert [x[0] * 1 + x[1] * 2, x[0] * 2 + x[1] * 4] == [0, 0]
@@ -257,6 +285,95 @@ def test_lll_reduce_gram_output_is_reduced():
                 assert norms[i] >= (Fraction(99, 100) - mu[i][i - 1] ** 2) * norms[i - 1]
     with pytest.raises(ValueError):
         linalg.lll_reduce_gram([[1, 0], [0, -1]])
+
+
+def _lll_reduce_gram_fraction(gram, delta=Fraction(99, 100)):
+    """The Fraction LLL that integral LLL replaced, kept as its oracle."""
+    n = len(gram)
+    g = [[Fraction(x) for x in row] for row in gram]  # Gram matrix of u * basis
+    u = linalg.identity(n)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = [Fraction(0)] * n
+
+    def orthogonalize(i):
+        for j in range(i):
+            mu[i][j] = (g[i][j] - sum(mu[j][m] * mu[i][m] * norms[m]
+                                      for m in range(j))) / norms[j]
+        norms[i] = g[i][i] - sum(mu[i][m] ** 2 * norms[m] for m in range(i))
+        if norms[i] <= 0:
+            raise ValueError("gram matrix is not positive definite")
+
+    # terminates: each swap shrinks the Lovasz potential by a factor of delta
+    if n:
+        orthogonalize(0)
+    k = 1
+    while k < n:
+        orthogonalize(k)
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                g[k] = [x - q * y for x, y in zip(g[k], g[j])]
+                for row in g:
+                    row[k] -= q * row[j]
+                mu[k][j] -= q
+                for m in range(j):
+                    mu[k][m] -= q * mu[j][m]
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            u[k], u[k - 1] = u[k - 1], u[k]
+            g[k], g[k - 1] = g[k - 1], g[k]
+            for row in g:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            k = max(1, k - 1)
+            if k == 1:
+                orthogonalize(0)
+    return u
+
+
+# mu = +-1/2, +-3/2 or 5/2 at some step: round() takes these to the even neighbour
+TIE_GRAMS = ([[2, 1], [1, 2]], [[2, -1], [-1, 2]], [[4, 6], [6, 20]], [[4, -6], [-6, 20]],
+             [[4, 10], [10, 30]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+
+
+def test_lll_matches_fraction_oracle():
+    rng = random.Random(2674)
+    grams = list(TIE_GRAMS)
+    for n in (1, 2, 3, 4, 6, 8):
+        for _ in range(60 if n <= 4 else 20):
+            b = random_int_matrix(rng, n, bound=rng.choice([3, 9, 40]))
+            if linalg.determinant(b) == 0:
+                continue
+            if rng.randrange(3) == 0:  # a third rational, over mixed denominators
+                b = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in b]
+            grams.append(linalg.mat_mul(b, linalg.transpose(b)))
+    assert len(grams) > 250
+    for gram in grams:
+        assert linalg.lll_reduce_gram(gram) == _lll_reduce_gram_fraction(gram), gram
+    for delta in (Fraction(3, 4), Fraction(1, 2)):
+        for gram in grams[::7]:
+            assert (linalg.lll_reduce_gram(gram, delta)
+                    == _lll_reduce_gram_fraction(gram, delta)), (gram, delta)
+    assert linalg.lll_reduce_gram([]) == []
+    for gram in ([[1, 0], [0, -1]], [[1, 2], [2, 4]], [[0]], [[1, 0, 0], [0, 1, 1], [0, 1, 1]]):
+        with pytest.raises(ValueError, match="not positive definite"):
+            linalg.lll_reduce_gram(gram)
+
+
+def test_lll_on_integer_gram_constructs_no_fraction(monkeypatch):
+    rng = random.Random(77)
+    grams = list(TIE_GRAMS) + [_random_gram(rng, n) for n in (3, 5, 8)]
+    want = [_lll_reduce_gram_fraction(g) for g in grams]
+
+    def refuse(*args):
+        raise AssertionError("Fraction constructed")
+
+    monkeypatch.setattr(linalg, "Fraction", refuse)
+    got = [linalg.lll_reduce_gram(g) for g in grams]
+    monkeypatch.undo()
+    assert got == want
+    assert all(type(x) is int for u in got for row in u for x in row)
 
 
 def test_short_vectors_match_brute_force():
@@ -369,5 +486,5 @@ def test_inverse_reads_no_cofactors(monkeypatch):
 @given(INT_MATRICES, st.integers(0, 2**32))
 def test_hnf_unique_under_unimodular_left_multiplication(m, seed):
     u = random_unimodular(random.Random(seed), len(m))
-    h, _, rank = linalg._hnf_core(m)
-    assert linalg._hnf_core(linalg.mat_mul(u, m))[::2] == (h, rank)
+    h, rank = linalg._hnf_core(m)
+    assert linalg._hnf_core(linalg.mat_mul(u, m)) == (h, rank)

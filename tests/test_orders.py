@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avcyclic import icm, orders, weil
+from avcyclic import icm, linalg, orders, weil
 from avcyclic.errors import ConsistencyError, DegenerateLatticeError, InputError
 from avcyclic.orders import FieldElement, IdealLattice
 
-from _helpers import corpus_contexts
+from _helpers import corpus_contexts, ideal_intersection
 
 
 def ctx2():
@@ -129,7 +129,7 @@ def test_ideal_operations():
     # 2 = alpha * conj(alpha), so (2) + (alpha) = (alpha)
     assert orders.ideal_sum(two, alat) == alat
     assert orders.ideal_product(two, alat).mat == ((4, 0), (0, 2))
-    assert orders.ideal_intersection(two, alat) == two  # (2) inside (alpha)
+    assert ideal_intersection(two, alat) == two  # (2) inside (alpha)
     # spec'd quotient value: scaling both sides by 2 halves the quotient
     four = std.scale(FieldElement.make(c, [4]))
     q = orders.ideal_quotient(two, four)
@@ -145,9 +145,9 @@ def test_ideal_ops_are_commutative_and_monotone():
     y = std.scale(FieldElement.make(c, [2, -1]))
     assert orders.ideal_sum(x, y) == orders.ideal_sum(y, x)
     assert orders.ideal_product(x, y) == orders.ideal_product(y, x)
-    assert orders.ideal_intersection(x, y) == orders.ideal_intersection(y, x)
+    assert ideal_intersection(x, y) == ideal_intersection(y, x)
     s = orders.ideal_sum(x, y)
-    i = orders.ideal_intersection(x, y)
+    i = ideal_intersection(x, y)
     for e in i.elements:
         assert e in x and e in y
     for e in x.elements:
@@ -406,7 +406,7 @@ def _quotient_by_intersection(a, b):
     result = None
     for e in b.elements:
         lat = a.scale(e.inverse())
-        result = lat if result is None else orders.ideal_intersection(result, lat)
+        result = lat if result is None else ideal_intersection(result, lat)
     return result
 
 
@@ -423,6 +423,21 @@ def test_ideal_quotient_matches_intersection_of_scaled_copies():
                 assert orders.ideal_quotient(a, b) == _quotient_by_intersection(a, b), (c.f, a, b)
                 pairs += 1
     assert len(contexts) == 52 and pairs == 237
+
+
+def test_ideal_quotient_reads_no_cofactors(monkeypatch):
+    # both inverses come from linalg.inverse_pair, O(n^3), not from adjugates
+    c = quartic_ctx()
+    lattices = icm.enumerate_icm(orders.frobenius_pair_order(c)).classes
+    lattices += (lattices[-1].scale(FieldElement.make(c, [Fraction(1, 3), 1, 0, Fraction(-1, 2)])),)
+    want = {(a, b): _quotient_by_intersection(a, b) for a in lattices for b in lattices}
+
+    def refuse(a):
+        raise AssertionError("cofactor_matrix called")
+
+    monkeypatch.setattr(linalg, "cofactor_matrix", refuse)
+    for (a, b), q in want.items():
+        assert orders.ideal_quotient(a, b) == q
 
 
 @cache
