@@ -33,7 +33,6 @@ from .linalg import (
     SnfResult,
     cofactor_matrix,
     determinant,
-    hermite_normal_form,
     is_unimodular,
     smith_normal_form,
     tau,
@@ -48,12 +47,9 @@ from .orders import (
     ideal_equivalent,
     ideal_product,
     ideal_quotient,
-    ideal_sum,
     lattice_index,
     multiplicator_ring,
-    ring_closure,
     sigma_element,
-    standard_order,
 )
 from .weil import (
     WeilContext,
@@ -93,11 +89,9 @@ __all__ = [
     "enumerate_weil_contexts",
     "frobenius_pair_order",
     "group_structure_oracle",
-    "hermite_normal_form",
     "ideal_equivalent",
     "ideal_product",
     "ideal_quotient",
-    "ideal_sum",
     "ideal_to_matrix",
     "is_irreducible",
     "is_unimodular",
@@ -111,10 +105,8 @@ __all__ = [
     "multiplicator_ring",
     "q_stability_check",
     "refine_by_sigma",
-    "ring_closure",
     "sigma_element",
     "smith_normal_form",
-    "standard_order",
     "structural_identities",
     "tau",
     "validate_weil",

@@ -104,8 +104,9 @@ def membership(m, ctx: WeilContext, c: int) -> bool:
 
 def q_stability_check(m, ctx: WeilContext) -> bool:
     """Whether q m^-1 is an integer matrix; computed three independent ways
-    (the exact inverse by elimination, tau divisibility from the cofactors,
-    lattice stability under q/alpha) which must agree."""
+    (the exact inverse by Bareiss elimination, tau divisibility from the
+    Faddeev-LeVerrier adjugate, lattice stability under q/alpha) which must
+    agree."""
     conjugacy._check_charpoly(ctx, m)
     m = _as_lists(m)
     inv = linalg.mat_inverse_fraction(m)

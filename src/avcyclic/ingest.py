@@ -57,9 +57,9 @@ def _record_from_obj(obj) -> ExternalClassRecord:
         raise ValueError(f"missing field {exc.args[0]!r}") from None
     if not isinstance(label, str) or not label:
         raise ValueError("label must be a nonempty string")
-    if not isinstance(q, int) or prime_power_split(q) is None:
+    if not isinstance(q, int) or isinstance(q, bool) or prime_power_split(q) is None:
         raise ValueError(f"q = {q!r} is not a prime power")
-    if not isinstance(g, int) or g < 1:
+    if not isinstance(g, int) or isinstance(g, bool) or g < 1:
         raise ValueError(f"g = {g!r} is not a positive integer")
     if (not isinstance(poly, list) or len(poly) != 2 * g + 1
             or any(not isinstance(c, int) or isinstance(c, bool) for c in poly)):

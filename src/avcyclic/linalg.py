@@ -2,11 +2,13 @@
 
 Matrices are sequences of rows.  Every function returns fresh lists and
 never mutates its input.  The kernels work on integers: determinants and
-inverses by fraction-free Bareiss elimination, Hermite and Smith normal
-forms with fixed pivot rules (so canonical forms are reproducible byte for
-byte), and integral LLL, which keeps its Gram-Schmidt data as integer Gram
-determinants.  Rational input reaches them through one common denominator:
-the determinant, inverse, characteristic polynomial, Hermite form and LLL
+inverses by fraction-free Bareiss elimination, the characteristic
+polynomial and the adjugate (so the cofactors and tau) from one integer
+Faddeev-LeVerrier pass, Hermite and Smith normal forms with fixed pivot
+rules (so canonical forms are reproducible byte for byte), and integral
+LLL, which keeps its Gram-Schmidt data as integer Gram determinants.
+Rational input reaches them through one common denominator: the
+determinant, inverse, characteristic polynomial, Hermite form and LLL
 transform of A are read off those of d A, d the least common denominator
 of the entries.  Fractions appear only in the rational results
 (determinant_fraction, mat_inverse_fraction, the characteristic polynomial
@@ -44,14 +46,6 @@ def transpose(a: Matrix) -> list[list]:
 def mat_mul(a: Matrix, b: Matrix) -> list[list]:
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_scale(a: Matrix, c) -> list[list]:
-    return [[c * x for x in row] for row in a]
-
-
-def vec_mat(v: Sequence, a: Matrix) -> list:
-    return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
 
 
 def freeze(a: Matrix) -> tuple[tuple, ...]:
@@ -96,25 +90,11 @@ def determinant_fraction(a: Matrix) -> Fraction:
     return Fraction(determinant(b), d ** len(b))
 
 
-def minor(a: Matrix, i: int, j: int) -> list[list]:
-    return [[a[r][c] for c in range(len(a)) if c != j] for r in range(len(a)) if r != i]
-
-
 def cofactor_matrix(a: Matrix) -> list[list[int]]:
-    """Cofactor matrix: entry (i, j) is (-1)^(i+j) times the (i, j) minor.
-
-    Dimension 1 returns [[1]] so that A * cof(A)^T = det(A) * I keeps
-    holding there.
-    """
-    n = len(a)
-    if n == 1:
-        return [[1]]
-    out = zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            s = 1 if (i + j) % 2 == 0 else -1
-            out[i][j] = s * determinant(minor(a, i, j))
-    return out
+    """Cofactor matrix: entry (i, j) is (-1)^(i+j) times the (i, j) minor,
+    the transpose of the adjugate.  Dimension 1 gives [[1]], so that
+    A * cof(A)^T = det(A) * I holds there too."""
+    return transpose(_leverrier(a)[1])
 
 
 def entries_gcd(a: Matrix) -> int:
@@ -126,9 +106,9 @@ def entries_gcd(a: Matrix) -> int:
 
 
 def tau(a: Matrix) -> int:
-    """gcd of all cofactors; conjugation invariant, and tau(AB) is divisible
-    by tau(A) * tau(B)."""
-    return entries_gcd(cofactor_matrix(a))
+    """gcd of all cofactors, read off the adjugate; conjugation invariant,
+    and tau(AB) is divisible by tau(A) * tau(B)."""
+    return entries_gcd(_leverrier(a)[1])
 
 
 def is_unimodular(a: Matrix) -> bool:
@@ -144,7 +124,7 @@ def inverse_unimodular(a: Matrix) -> list[list[int]]:
         raise ValueError("matrix is not unimodular") from None
     if abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    return mat_scale(e, d)
+    return [[d * x for x in row] for row in e]
 
 
 def inverse_pair(b: Matrix) -> tuple[list[list[int]], int]:
@@ -179,23 +159,35 @@ def mat_inverse_fraction(a: Matrix) -> list[list[Fraction]]:
     return [[Fraction(d * x, det) for x in row] for row in e]
 
 
+def _leverrier(b: Matrix) -> tuple[list[int], list[list[int]]]:
+    """(c, adj(B)) for a square integer matrix B: c = [1, c_1, .., c_n] with
+    det(tI - B) = sum_k c_k t^(n-k), by integer Faddeev-LeVerrier.
+
+    M_k = B (M_(k-1) + c_(k-1) I) from M_0 = 0, and c_k = -tr(M_k) / k is an
+    exact integer.  M_(n-1) + c_(n-1) I = B^(n-1) + c_1 B^(n-2) + .. + c_(n-1) I,
+    which is (-1)^(n+1) adj(B) by Cayley-Hamilton, singular B included.
+    """
+    n = len(b)
+    c = [1]
+    m = adj = zeros(n, n)
+    for k in range(1, n + 1):
+        for i in range(n):
+            m[i][i] += c[-1]
+        adj = m
+        m = mat_mul(b, m)
+        c.append(-sum(m[i][i] for i in range(n)) // k)
+    return c, adj if n % 2 else [[-x for x in row] for row in adj]
+
+
 def charpoly(a: Matrix) -> tuple:
     """Characteristic polynomial det(tI - A), lowest degree first, monic.
 
-    Integer Faddeev-LeVerrier on B = d A, where each c_k = -tr(M_k) / k is
-    an exact integer; the coefficient of t^(n-k) of A is c_k / d^k.  Integer
-    input gives int coefficients, any other input Fraction.
+    Integer Faddeev-LeVerrier (_leverrier) on B = d A; the coefficient of
+    t^(n-k) of A is c_k / d^k.  Integer input gives int coefficients, any
+    other input Fraction.
     """
     b, d = _cleared(a)
-    n = len(b)
-    high = [1]  # c_0 = 1, then c_1 .. c_n
-    m = zeros(n, n)
-    for k in range(1, n + 1):
-        # M_k = B (M_{k-1} + c_{k-1} I)
-        for i in range(n):
-            m[i][i] += high[-1]
-        m = mat_mul(b, m)
-        high.append(-sum(m[i][i] for i in range(n)) // k)
+    high = _leverrier(b)[0]
     if all(isinstance(x, int) for row in a for x in row):
         return tuple(reversed(high))
     return tuple(Fraction(c, d ** k) for k, c in enumerate(high))[::-1]
@@ -242,20 +234,6 @@ def _hnf_core(rows: list[list[int]]) -> tuple[list[list[int]], int]:
     return h, r
 
 
-def hermite_normal_form(a: Matrix) -> tuple[list[list[int]], list[list[int]]]:
-    """Canonical Hermite form of a full-row-rank rational matrix.
-
-    Denominators are cleared by their lcm; the returned H is the HNF of the
-    cleared integer matrix and U is unimodular with U * A_cleared = H.  The
-    (H, denominator) pair is what lattice code uses for equality; this
-    surface returns H and U and raises on rank deficiency.
-    """
-    h_int, u, den, rank = hnf_rational(a)
-    if rank < len(list(a)):
-        raise DegenerateLatticeError()
-    return h_int, u
-
-
 def hnf_rational(a: Matrix) -> tuple[list[list[int]], list[list[int]], int, int]:
     """Clear denominators and reduce: returns (h, u, den, rank) where
     u * (den * a) = h, h canonical with zero rows at the bottom and u
@@ -277,8 +255,6 @@ def hnf_rational(a: Matrix) -> tuple[list[list[int]], list[list[int]], int, int]
 @dataclass(frozen=True)
 class SnfResult:
     s: tuple[tuple[int, ...], ...]
-    u: tuple[tuple[int, ...], ...]
-    v: tuple[tuple[int, ...], ...]
     invariant_factors: tuple[int, ...]
 
 
@@ -297,8 +273,8 @@ def _smallest_pivot(m: list[list[int]], k: int) -> tuple[int, int] | None:
 
 
 def smith_normal_form(a: Matrix) -> SnfResult:
-    """Smith normal form with transforms: U A V = S, diagonal nonnegative,
-    each invariant factor dividing the next.
+    """Smith normal form S of a square integer matrix: diagonal, nonnegative,
+    each invariant factor dividing the next.  No transforms are kept.
 
     Pivots are always the smallest nonzero absolute entry of the working
     submatrix (row-major tie break), which keeps intermediate growth down
@@ -306,8 +282,6 @@ def smith_normal_form(a: Matrix) -> SnfResult:
     """
     n = len(a)
     m = copy_rows(a)
-    u = identity(n)
-    v = identity(n)
     for k in range(n):
         while True:
             pos = _smallest_pivot(m, k)
@@ -316,26 +290,20 @@ def smith_normal_form(a: Matrix) -> SnfResult:
             pi, pj = pos
             if pi != k:
                 m[k], m[pi] = m[pi], m[k]
-                u[k], u[pi] = u[pi], u[k]
             if pj != k:
                 for row in m:
-                    row[k], row[pj] = row[pj], row[k]
-                for row in v:
                     row[k], row[pj] = row[pj], row[k]
             dirty = False
             for i in range(k + 1, n):
                 q = m[i][k] // m[k][k]
                 if q:
                     m[i] = [x - q * y for x, y in zip(m[i], m[k])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[k])]
                 if m[i][k]:
                     dirty = True
             for j in range(k + 1, n):
                 q = m[k][j] // m[k][k]
                 if q:
                     for row in m:
-                        row[j] -= q * row[k]
-                    for row in v:
                         row[j] -= q * row[k]
                 if m[k][j]:
                     dirty = True
@@ -353,13 +321,10 @@ def smith_normal_form(a: Matrix) -> SnfResult:
             if offender is None:
                 break
             m[k] = [x + y for x, y in zip(m[k], m[offender])]
-            u[k] = [x + y for x, y in zip(u[k], u[offender])]
     for k in range(n):
         if m[k][k] < 0:
             m[k] = [-x for x in m[k]]
-            u[k] = [-x for x in u[k]]
-    factors = tuple(m[k][k] for k in range(n))
-    return SnfResult(freeze(m), freeze(u), freeze(v), factors)
+    return SnfResult(freeze(m), tuple(m[k][k] for k in range(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -252,11 +252,6 @@ class IdealLattice:
         return IdealLattice.from_elements(self.ctx, [x * e for e in self.elements])
 
 
-def ideal_sum(a: IdealLattice, b: IdealLattice) -> IdealLattice:
-    _same_ctx(a, b)
-    return IdealLattice.from_elements(a.ctx, a.elements + b.elements)
-
-
 def ideal_product(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     _same_ctx(a, b)
     return IdealLattice.from_elements(a.ctx, [ea * eb for ea in a.elements for eb in b.elements])
@@ -354,42 +349,21 @@ class OrderDesc:
         return self.lattice.ctx
 
 
-def _span(ctx: WeilContext, elems) -> list[FieldElement]:
-    """Canonical basis of the (possibly not full rank) span of elements."""
-    den = lcm(*(e.den for e in elems))
-    h, rank = linalg._hnf_core([[x * (den // e.den) for x in e.num] for e in elems])
-    return [FieldElement.over(ctx, row, den) for row in h[:rank]]
-
-
-def ring_closure(ctx: WeilContext, generators) -> OrderDesc:
-    """Smallest ring lattice containing 1 and all monomials in the
-    generators.  Iterates multiply-adjoin-reduce until the span stabilizes;
-    integrality of every generator guarantees termination."""
-    gens = tuple(g if isinstance(g, FieldElement) else FieldElement.make(ctx, g)
-                 for g in generators)
-    for g in gens:
-        if not g.is_integral():
-            raise InputError("not_integral", "ring generators must be integral elements")
-    current = _span(ctx, [one(ctx), *gens])
-    for _ in range(200):
-        nxt = _span(ctx, current + [e * g for e in current for g in gens])
-        if nxt == current:
-            break
-        current = nxt
-    else:
-        raise ConsistencyError("ring closure did not stabilize")
-    if len(current) < ctx.n:
-        raise DegenerateLatticeError("generators do not span the field")
-    return OrderDesc(IdealLattice.from_elements(ctx, current), gens)
-
-
-def standard_order(ctx: WeilContext) -> OrderDesc:
-    return ring_closure(ctx, [alpha(ctx)])
-
-
 def frobenius_pair_order(ctx: WeilContext) -> OrderDesc:
-    """The order generated by alpha and q/alpha (Frobenius and Verschiebung)."""
-    return ring_closure(ctx, [alpha(ctx), q_over_alpha(ctx)])
+    """Z[alpha, q/alpha], the order generated by Frobenius and Verschiebung.
+
+    beta = alpha + q/alpha is a root of the monic h of degree g with
+    f = t^g h(t + q/t), and alpha^2 = beta alpha - q, so the order is
+    Z[beta] + Z[beta] alpha with basis beta^i, beta^i alpha for 0 <= i < g
+    (Howe, Trans. AMS 347 (1995)).  Weil input only.
+    """
+    if not ctx.is_weil:
+        raise InputError("not_weil", f"not a Weil polynomial: {ctx.weil_reason}")
+    a, abar = alpha(ctx), q_over_alpha(ctx)
+    powers = [one(ctx)]
+    for _ in range(ctx.g - 1):
+        powers.append(powers[-1] * (a + abar))
+    return OrderDesc(IdealLattice.from_elements(ctx, powers + [x * a for x in powers]), (a, abar))
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Shared test utilities: the acceptance corpus, the g = 1 contexts of the
-Hasse interval, seeded random matrix generation, and the integer kernel and
-ideal intersection that serve as oracles for the lattice kernels."""
+Hasse interval, seeded random matrix generation, and the integer kernel,
+row-vector product, ideal sum and ideal intersection that serve as oracles
+for the lattice kernels."""
 
 import random
 from math import isqrt, lcm
@@ -78,10 +79,21 @@ def kernel_int(a) -> list[list[int]]:
     return u[rank:]
 
 
+def vec_mat(v, a) -> list:
+    """The row vector v times the matrix a."""
+    return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
+
+
+def ideal_sum(a, b):
+    """a + b, the lattice spanned by both bases."""
+    orders._same_ctx(a, b)
+    return orders.IdealLattice.from_elements(a.ctx, a.elements + b.elements)
+
+
 def ideal_intersection(a, b):
     """a and b as lattices intersected: the kernel of [A | -B] over the
     common denominator d, read back through A."""
     d = lcm(a.den, b.den)
     am = [[x * (d // a.den) for x in row] for row in a.mat]
     kernel = kernel_int(am + [[-x * (d // b.den) for x in row] for row in b.mat])
-    return orders.IdealLattice.over(a.ctx, [linalg.vec_mat(k[:a.ctx.n], am) for k in kernel], d)
+    return orders.IdealLattice.over(a.ctx, [vec_mat(k[:a.ctx.n], am) for k in kernel], d)

@@ -9,7 +9,7 @@ from avcyclic import icm, linalg, orders, weil
 from avcyclic.errors import InputError
 from avcyclic.orders import IdealLattice
 
-from _helpers import g1_contexts
+from _helpers import g1_contexts, vec_mat
 
 
 def pair_order(p, r, g, coeffs):
@@ -234,7 +234,7 @@ def _hermite_walk(order, bound):
                 t = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
                 for (i, j), v in zip(cells, vals):
                     t[i][j] = v
-                if all(orders.integer_coords(t, linalg.vec_mat(row, a)) is not None
+                if all(orders.integer_coords(t, vec_mat(row, a)) is not None
                        for a in gens for row in t):
                     out.append(t)
     return out

@@ -89,3 +89,21 @@ def test_cross_validate_detects_flipped_claims():
     by_label = {m["label"]: m for m in report["mismatches"]}
     assert by_label["bad-count"]["claimed"] == 3
     assert by_label["bad-count"]["computed"] == 2
+
+
+def test_boolean_q_and_g_rejected_with_line_numbers(tmp_path):
+    # JSON true is a Python int; it must not pass for g = 1 (or q = 1)
+    f = tmp_path / "booleans.jsonl"
+    good = {"label": "a", "q": 2, "g": 1, "poly": [2, -1, 1]}
+    f.write_text(
+        json.dumps(good) + "\n"
+        + json.dumps({"label": "b", "q": 2, "g": True, "poly": [2, -1, 1]}) + "\n"
+        + json.dumps({"label": "c", "q": True, "g": 1, "poly": [1, -1, 1]}) + "\n",
+        encoding="utf-8",
+    )
+    load = ingest.load_fixture(f)
+    assert [r.label for r in load.records] == ["a"]
+    assert [line for line, _ in load.rejected] == [2, 3]
+    reasons = dict(load.rejected)
+    assert "g = True is not a positive integer" in reasons[2]
+    assert "q = True is not a prime power" in reasons[3]

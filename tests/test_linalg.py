@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
-from avcyclic import linalg
+from avcyclic import linalg, weil
 from avcyclic.errors import DegenerateLatticeError
+from avcyclic.orders import IdealLattice
 
 from _helpers import conjugate, kernel_int, random_int_matrix, random_unimodular
 
@@ -105,11 +106,8 @@ def test_smith_transforms_and_divisibility():
         n = rng.choice([2, 3, 4])
         m = random_int_matrix(rng, n)
         res = linalg.smith_normal_form(m)
-        u = [list(r) for r in res.u]
-        v = [list(r) for r in res.v]
         s = [list(r) for r in res.s]
-        assert linalg.is_unimodular(u) and linalg.is_unimodular(v)
-        assert linalg.mat_mul(linalg.mat_mul(u, m), v) == s
+        assert res.invariant_factors == tuple(s[i][i] for i in range(n))
         for i in range(n):
             for j in range(n):
                 if i != j:
@@ -133,15 +131,23 @@ def test_smith_deterministic():
     assert first == again
 
 
+def _hnf(a):
+    """(h, u) for a full-row-rank rational a: the canonical form of the
+    cleared matrix and a unimodular u with u * (den * a) = h."""
+    h, u, _, rank = linalg.hnf_rational(a)
+    assert rank == len(a)
+    return h, u
+
+
 def test_hermite_hand_values():
-    h, u = linalg.hermite_normal_form([[1, 0], [0, 1]])
+    h, u = _hnf([[1, 0], [0, 1]])
     assert h == [[1, 0], [0, 1]] and u == [[1, 0], [0, 1]]
-    h, _ = linalg.hermite_normal_form([[2, 0], [0, 2]])
-    assert h == [[2, 0], [0, 2]]
-    h, u = linalg.hermite_normal_form([[1, 2], [-1, 2]])
+    assert linalg._hnf_core([[2, 0], [0, 2]]) == ([[2, 0], [0, 2]], 2)
+    h, u = _hnf([[1, 2], [-1, 2]])
     assert h == [[1, 2], [0, 4]]
     assert linalg.is_unimodular(u)
     assert linalg.mat_mul(u, [[1, 2], [-1, 2]]) == h
+    assert linalg._hnf_core([[1, 2], [-1, 2]]) == (h, 2)
 
 
 def test_hermite_shape_convention():
@@ -152,7 +158,8 @@ def test_hermite_shape_convention():
         m = random_int_matrix(rng, n)
         if linalg.determinant(m) == 0:
             continue
-        h, _ = linalg.hermite_normal_form(m)
+        h, rank = linalg._hnf_core(m)
+        assert rank == n
         for i in range(n):
             assert h[i][i] > 0
             for j in range(i):
@@ -164,27 +171,32 @@ def test_hermite_shape_convention():
 def test_hermite_canonical_under_rebasing():
     rng = random.Random(7)
     base = [[2, 1, 0], [0, 3, 1], [0, 0, 5]]
-    h0, _ = linalg.hermite_normal_form(base)
+    h0, _ = _hnf(base)
     for _ in range(25):
         u = random_unimodular(rng, 3)
-        h, _ = linalg.hermite_normal_form(linalg.mat_mul(u, base))
+        h, _ = _hnf(linalg.mat_mul(u, base))
         assert h == h0
+        assert linalg._hnf_core(linalg.mat_mul(u, base)) == (h0, 3)
 
 
 def test_hermite_rational_input_clears_denominators():
-    h, _ = linalg.hermite_normal_form([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
-    # cleared by lcm 6: [[3,0],[0,2]] -> canonical [[1,0],[0,6]]? no: HNF of [[3,0],[0,2]]
-    assert h == [[3, 0], [0, 2]]
+    h, u, den, rank = linalg.hnf_rational([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+    # cleared by lcm 6 to [[3, 0], [0, 2]], already in Hermite form
+    assert (h, u, den, rank) == ([[3, 0], [0, 2]], [[1, 0], [0, 1]], 6, 2)
 
 
 def test_hermite_degenerate():
+    h, _, _, rank = linalg.hnf_rational([[1, 2], [2, 4]])
+    assert (h, rank) == ([[1, 2], [0, 0]], 1)
     with pytest.raises(DegenerateLatticeError):
-        linalg.hermite_normal_form([[1, 2], [2, 4]])
+        IdealLattice.over(weil.make_context(2, 1, 1, [1, 1, 2]), [[1, 2], [2, 4]], 1)
 
 
 def test_hnf_transform_on_rank_deficient_input():
-    # hermite_normal_form refuses these; hnf_rational still returns a
-    # unimodular u with u * (den * a) = h, h the canonical form of _hnf_core
+    # hnf_rational returns a unimodular u with u * (den * a) = h, h the
+    # canonical form of _hnf_core, whatever the rank; a lattice needs full rank
+    ctxs = {n: weil.make_context(2, 1, n // 2, [1] + [0] * (n - 1) + [2 ** (n // 2)])
+            for n in (2, 4, 6)}
     rng = random.Random(12)
     for _ in range(60):
         m, n, k = rng.randint(2, 6), rng.randint(1, 6), rng.randint(0, 4)
@@ -200,9 +212,9 @@ def test_hnf_transform_on_rank_deficient_input():
         assert linalg.mat_mul(u, cleared) == h
         assert linalg._hnf_core([[int(x) for x in row] for row in cleared]) == (h, rank)
         assert not any(any(row) for row in h[rank:])
-        if rank < m:
+        if rank < n and n in ctxs:
             with pytest.raises(DegenerateLatticeError):
-                linalg.hermite_normal_form(a)
+                IdealLattice.from_rows(ctxs[n], a)
 
 
 def test_unimodular():
@@ -470,12 +482,13 @@ def test_smith_invariant_factors_match_sympy(m):
 
 
 def test_inverse_reads_no_cofactors(monkeypatch):
-    # cyclicity.q_stability_check counts the exact inverse and tau (built on
-    # cofactor_matrix) as independent routes
+    # cyclicity.q_stability_check counts the exact inverse and tau (read off
+    # the adjugate of _leverrier) as independent routes
     def refuse(a):
-        raise AssertionError("cofactor_matrix called")
+        raise AssertionError("adjugate called")
 
     monkeypatch.setattr(linalg, "cofactor_matrix", refuse)
+    monkeypatch.setattr(linalg, "_leverrier", refuse)
     for m in ([[2, 1, 0], [1, 3, 1], [0, 1, 4]],
               [[0, Fraction(1, 2)], [Fraction(-2, 3), 5]]):
         inv = linalg.mat_inverse_fraction(m)
@@ -488,3 +501,51 @@ def test_hnf_unique_under_unimodular_left_multiplication(m, seed):
     u = random_unimodular(random.Random(seed), len(m))
     h, rank = linalg._hnf_core(m)
     assert linalg._hnf_core(linalg.mat_mul(u, m)) == (h, rank)
+
+
+@st.composite
+def _low_rank_matrices(draw):
+    """Square integer matrices of size n <= 8, a third of them of rank n - 1
+    and a third of rank <= n - 2 (rows replaced by combinations of others)."""
+    m = [list(row) for row in draw(INT_MATRICES)]
+    n = len(m)
+    drop = draw(st.integers(0, min(n, 3)))
+    for i in range(n - drop, n):
+        weights = draw(st.lists(st.integers(-2, 2), min_size=n - drop, max_size=n - drop))
+        m[i] = [sum(w * m[k][j] for k, w in enumerate(weights)) for j in range(n)]
+    return m
+
+
+@PROPERTY
+@given(_low_rank_matrices())
+def test_cofactor_matrix_matches_sympy_adjugate(m):
+    want = sympy.Matrix(m).adjugate().T.tolist() if len(m) > 1 else [[1]]
+    assert linalg.cofactor_matrix(m) == [[int(x) for x in row] for row in want]
+    assert linalg.tau(m) == linalg.entries_gcd(want)
+
+
+def test_low_rank_matrices_reach_every_rank_drop():
+    # the strategy above covers full rank, rank n - 1 and rank <= n - 2
+    drops = set()
+
+    @PROPERTY
+    @given(_low_rank_matrices())
+    def record(m):
+        drops.add(min(len(m) - sympy.Matrix(m).rank(), 2))
+
+    record()
+    assert drops == {0, 1, 2}
+
+
+def test_tau_reads_no_determinant(monkeypatch):
+    rng = random.Random(13)
+    mats = [random_int_matrix(rng, n) for n in (1, 2, 3, 4, 6, 8) for _ in range(3)]
+    mats += [[[1, 2], [2, 4]], [[0, 0, 0], [1, 2, 3], [4, 5, 6]]]
+    want = [linalg.tau(m) for m in mats]
+
+    def refuse(a):
+        raise AssertionError("determinant called")
+
+    monkeypatch.setattr(linalg, "determinant", refuse)
+    assert [linalg.tau(m) for m in mats] == want
+    assert want[-2:] == [1, 3]

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,7 @@ from avcyclic import icm, linalg, orders, weil
 from avcyclic.errors import ConsistencyError, DegenerateLatticeError, InputError
 from avcyclic.orders import FieldElement, IdealLattice
 
-from _helpers import corpus_contexts, ideal_intersection
+from _helpers import corpus_contexts, ideal_intersection, ideal_sum
 
 
 def ctx2():
@@ -127,7 +127,7 @@ def test_ideal_operations():
     two = std.scale(FieldElement.make(c, [2]))
     assert alat.mat == ((2, 0), (0, 1))
     # 2 = alpha * conj(alpha), so (2) + (alpha) = (alpha)
-    assert orders.ideal_sum(two, alat) == alat
+    assert ideal_sum(two, alat) == alat
     assert orders.ideal_product(two, alat).mat == ((4, 0), (0, 2))
     assert ideal_intersection(two, alat) == two  # (2) inside (alpha)
     # spec'd quotient value: scaling both sides by 2 halves the quotient
@@ -143,10 +143,10 @@ def test_ideal_ops_are_commutative_and_monotone():
     std = IdealLattice.standard(c)
     x = std.scale(FieldElement.make(c, [1, 1]))
     y = std.scale(FieldElement.make(c, [2, -1]))
-    assert orders.ideal_sum(x, y) == orders.ideal_sum(y, x)
+    assert ideal_sum(x, y) == ideal_sum(y, x)
     assert orders.ideal_product(x, y) == orders.ideal_product(y, x)
     assert ideal_intersection(x, y) == ideal_intersection(y, x)
-    s = orders.ideal_sum(x, y)
+    s = ideal_sum(x, y)
     i = ideal_intersection(x, y)
     for e in i.elements:
         assert e in x and e in y
@@ -156,7 +156,7 @@ def test_ideal_ops_are_commutative_and_monotone():
 
 def test_context_mismatch_rejected():
     with pytest.raises(InputError) as e:
-        orders.ideal_sum(IdealLattice.standard(ctx2()), IdealLattice.standard(ctx5()))
+        ideal_sum(IdealLattice.standard(ctx2()), IdealLattice.standard(ctx5()))
     assert e.value.code == "context_mismatch"
 
 
@@ -169,17 +169,84 @@ def test_lattice_index():
     assert orders.lattice_index(std, std) == 1
 
 
+def _standard_order(c):
+    """Z[alpha]; OrderDesc verifies that it is a ring."""
+    return orders.OrderDesc(IdealLattice.standard(c), (orders.alpha(c),))
+
+
 def test_ring_closure_and_orders():
     c = ctx2()
-    o = orders.standard_order(c)
+    o = _standard_order(c)
     assert o.lattice == IdealLattice.standard(c)
     # q/alpha lies in Z[alpha] for quadratics, so the pair order is the same
     assert orders.frobenius_pair_order(c).lattice == o.lattice
-    with pytest.raises(InputError) as e:
-        orders.ring_closure(c, [[Fraction(1, 2), 0]])
-    assert e.value.code == "not_integral"
-    with pytest.raises(DegenerateLatticeError):
-        orders.ring_closure(c, [])  # spans only Q
+    assert orders.frobenius_pair_order(c).generators == (orders.alpha(c), orders.q_over_alpha(c))
+    # at g = 3 the pair order is strictly larger than Z[alpha]
+    c3 = weil.make_context(2, 1, 3, [1, -2, 1, 1, 2, -8, 8])
+    o3 = orders.frobenius_pair_order(c3)
+    assert o3.lattice == _pair_span(c3)
+    assert orders.lattice_index(IdealLattice.standard(c3), o3.lattice) == 8
+
+
+def _pair_span(ctx):
+    """Z[alpha, q/alpha] as the span of alpha^i (q/alpha)^j, 0 <= i, j < n:
+    f is monic, so every higher power of either reduces into these."""
+    a, abar = orders.alpha(ctx), orders.q_over_alpha(ctx)
+    apow, bpow = [orders.one(ctx)], [orders.one(ctx)]
+    for _ in range(ctx.n - 1):
+        apow.append(apow[-1] * a)
+        bpow.append(bpow[-1] * abar)
+    return IdealLattice.from_elements(ctx, [x * y for x in apow for y in bpow])
+
+
+def _sextics(seed: int, count: int):
+    """Seeded Weil sextics t^3 h(t + q/t), h a monic cubic with small
+    coefficients (some of them products of linear factors, so reducible)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        q = rng.choice((2, 3, 4, 5, 7))
+        b = isqrt(4 * q)
+        if rng.randrange(2):
+            r1, r2, r3 = (rng.randint(-b, b) for _ in range(3))
+            h = (-r1 * r2 * r3, r1 * r2 + r1 * r3 + r2 * r3, -(r1 + r2 + r3))
+        else:
+            h = (rng.randint(-3 * q, 3 * q), rng.randint(-2 * q, 2 * q), rng.randint(-b, b))
+        h0, h1, h2 = h
+        # t^3 h(t + q/t) = t^6 + h2 t^5 + (3q + h1) t^4 + (2q h2 + h0) t^3 + ...
+        f = [1, h2, 3 * q + h1, 2 * q * h2 + h0, q * (3 * q + h1), q * q * h2, q ** 3]
+        ctx = weil.make_context(*weil.prime_power_split(q), 3, f)
+        if ctx.is_weil:
+            out.append(ctx)
+    return out
+
+
+def test_frobenius_pair_order_matches_power_span():
+    # the basis beta^i, beta^i alpha against the independent span of all
+    # alpha^i (q/alpha)^j, on irreducible and reducible Weil input alike
+    contexts = list(corpus_contexts())
+    for p in (2, 3, 5):
+        contexts += weil.enumerate_weil_contexts(p, 1, 2)
+    contexts += _sextics(31, 60)
+    for ctx in contexts:
+        lat = orders.frobenius_pair_order(ctx).lattice
+        assert lat == _pair_span(ctx), ctx.f
+        # [Z[alpha, q/alpha] : Z[alpha]] = q^(g(g-1)/2)
+        index = orders.lattice_index(IdealLattice.standard(ctx), lat)
+        assert index == ctx.q ** (ctx.g * (ctx.g - 1) // 2), ctx.f
+    assert any(not ctx.is_irreducible for ctx in contexts if ctx.g == 2)
+    assert any(not ctx.is_irreducible for ctx in contexts if ctx.g == 3)
+
+
+def test_frobenius_pair_order_refuses_non_weil():
+    for p, g, f in ((2, 1, [1, 5, 2]),  # root location: real roots -4.56 and -0.44
+                    (2, 1, [1, 1, 3]),  # constant term
+                    (3, 2, [1, 1, 1, 1, 9])):  # functional equation
+        ctx = weil.make_context(p, 1, g, f)
+        assert not ctx.is_weil
+        with pytest.raises(InputError) as e:
+            orders.frobenius_pair_order(ctx)
+        assert e.value.code == "not_weil"
 
 
 def test_order_verification():
@@ -203,9 +270,9 @@ def test_multiplicator_ring():
 
 
 def test_discriminants():
-    assert orders.discriminant(orders.standard_order(ctx2())) == -7
+    assert orders.discriminant(_standard_order(ctx2())) == -7
     c5 = ctx5()
-    assert orders.discriminant(orders.standard_order(c5)) == -16
+    assert orders.discriminant(_standard_order(c5)) == -16
     maximal = orders.multiplicator_ring(IdealLattice.from_rows(c5, [[1, 1], [0, 2]]))
     assert orders.discriminant(maximal) == -4
 
@@ -240,7 +307,7 @@ def test_equivalence_certified_negative():
     c = weil.make_context(2, 2, 1, [1, 1, 4])
     std = IdealLattice.standard(c)
     two = std.scale(FieldElement.make(c, [2]))
-    p2 = orders.ideal_sum(two, std.scale(orders.alpha(c)))
+    p2 = ideal_sum(two, std.scale(orders.alpha(c)))
     assert (p2.den, p2.mat) == (1, ((2, 0), (0, 1)))
     assert orders.multiplicator_ring(p2).lattice == std
     r = orders.ideal_equivalent(std, p2)
@@ -433,9 +500,10 @@ def test_ideal_quotient_reads_no_cofactors(monkeypatch):
     want = {(a, b): _quotient_by_intersection(a, b) for a in lattices for b in lattices}
 
     def refuse(a):
-        raise AssertionError("cofactor_matrix called")
+        raise AssertionError("adjugate called")
 
     monkeypatch.setattr(linalg, "cofactor_matrix", refuse)
+    monkeypatch.setattr(linalg, "_leverrier", refuse)
     for (a, b), q in want.items():
         assert orders.ideal_quotient(a, b) == q
 
