@@ -8,11 +8,15 @@ reduced binary quadratic form names its class, so deduplication is one set
 lookup per candidate; for g >= 2 each candidate is tested against every
 kept representative with the same multiplicator ring.
 
-The integral ideals are built prime by prime (Cohen, GTM 138, 6.2).  For
-each prime p the ideals of p-power index grow breadth first from the
-order R.  Below an ideal M of index m, the ideals N with pM <= N < M are
-the preimages of the subspaces W of M/pM that the ring maps into
-themselves; dually U = W^perp is stable too, of dimension at most
+The integral ideals are built prime by prime (Cohen, GTM 138, 6.2).  At
+g = 1 the order Z[F, V] is Z[alpha], since q/alpha = -a1 - alpha, and its
+ideals of p-power index are listed in closed form: p^j (p^e Z + (alpha - r) Z)
+for the roots r of f mod p^e, each lifted from a root mod p^(e-1) (Cohen,
+GTM 138, 5.2).  For g >= 2 and each prime p the ideals of p-power index
+grow breadth first from the order R.  Below an ideal M of index m, the
+ideals N with pM <= N < M are the preimages of the subspaces W of M/pM
+that the ring maps into themselves; dually U = W^perp is stable too, of
+dimension at most
 c = floor(log_p(bound / m)).  For c = 1, U is a common eigenline, whose
 eigenvalue under alpha is a root of f mod p; for c >= 2, U is the cyclic
 subspace spanned from a point of the projective space.  These cyclic steps
@@ -33,6 +37,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import factorial, gcd, isqrt
 
@@ -78,19 +83,27 @@ def integral_ideals(order: OrderDesc, index_bound: int) -> list[list[list[int]]]
     """Every integral ideal of the order of index at most index_bound, as
     the row Hermite form of its basis in the order's coordinates, sorted by
     index, then diagonal, then the entries above the diagonal column by
-    column."""
+    column.  At g = 1 the order must be Z[alpha] (which Z[F, V] is there)."""
     ctx, lat = order.ctx, order.lattice
-    # multiplication by alpha and by each ring generator, in the order's basis
-    mats = [orders.multiplication_matrix(g, lat.elements, lat)
-            for g in dict.fromkeys((orders.alpha(ctx),) + order.generators)]
-    if None in mats:
-        raise InputError("not_integral", "the order must contain alpha and its generators")
+    if ctx.g == 1:
+        if lat != IdealLattice.standard(ctx):
+            raise InputError("not_z_alpha", "at g = 1 the order must be Z[alpha]")
+        local_ideals = partial(_quadratic_ideals, ctx.f_low)
+    else:
+        # multiplication by alpha and by each ring generator, in the order's basis
+        mats = [orders.multiplication_matrix(g, lat.elements, lat)
+                for g in dict.fromkeys((orders.alpha(ctx),) + order.generators)]
+        if None in mats:
+            raise InputError("not_integral", "the order must contain alpha and its generators")
+        local_ideals = partial(_local_ideals, mats, ctx.f_low)
     ideals = [(1, linalg.identity(ctx.n))]
     for p in range(2, index_bound + 1):
         if is_prime(p):
-            local = _local_ideals(mats, ctx.f_low, p, index_bound)
+            local = local_ideals(p, index_bound)
+            # every local index is at least p
             ideals += [(d * e, _coprime_intersection(a, d, b, e) if d > 1 else b)
-                       for d, a in ideals for e, b in local if d * e <= index_bound]
+                       for d, a in ideals if d * p <= index_bound
+                       for e, b in local if d * e <= index_bound]
     return [t for _, t in sorted(ideals, key=_shape_key)]
 
 
@@ -104,6 +117,31 @@ def _coprime_intersection(a, d: int, b, e: int) -> list[list[int]]:
     """The intersection e I + d J of ideals I and J of coprime indices d and e."""
     rows = [[e * x for x in row] for row in a] + [[d * x for x in row] for row in b]
     return linalg._hnf_core(rows)[0][:len(a)]
+
+
+def _quadratic_ideals(f_low, p: int, bound: int) -> list[tuple[int, list[list[int]]]]:
+    """(index, Hermite form) of every ideal of Z[alpha] of index p^k, 1 <= k,
+    at most bound, for f = t^2 + a1 t + q: the ideals p^j (p^e Z + (alpha - r) Z)
+    with f(r) = 0 mod p^e and 0 <= r < p^e, of index p^(2j + e) (Cohen,
+    GTM 138, 5.2).  The roots mod p^e are the lifts r + s p^(e-1) of the
+    roots mod p^(e-1) that still vanish."""
+    q, a1 = f_low[:2]
+    out = []
+    a, roots = 1, [0]
+    while roots:
+        for r in roots:
+            # k (a, 0), k (-r, 1) in Hermite form: with g = gcd(a, r), the
+            # pivot k g has alpha-coordinate k y for a x - r y = g
+            g = gcd(a, r)
+            y = -pow(r // g, -1, a // g) % (a // g)
+            k = 1 if a > 1 else p
+            while k * k * a <= bound:
+                out.append((k * k * a, [[k * g, k * y], [0, k * a // g]]))
+                k *= p
+        a *= p
+        roots = [x for r in roots for x in range(r, a, a // p)
+                 if (x * x + a1 * x + q) % a == 0] if a <= bound else []
+    return out
 
 
 def _local_ideals(mats, f_low, p: int, bound: int) -> list[tuple[int, list[list[int]]]]:
@@ -213,7 +251,7 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
     """All ideal classes of the order, as canonical integral representatives
     of index at most index_bound, pairwise inequivalent: the first candidate
     of each class in the order of integral_ideals.  At g = 1 a candidate is
-    new when its reduced form (_form_key) is; for g >= 2 when
+    new when its reduced form (orders.form_key) is; for g >= 2 when
     orders.ideal_equivalent separates it from every kept representative
     with the same multiplicator ring.
 
@@ -239,7 +277,7 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
     for t in integral_ideals(order, index_bound):
         cand = IdealLattice.over(ctx, linalg.mat_mul(t, order.lattice.mat), order.lattice.den)
         if ctx.g == 1:
-            key = _form_key(cand)
+            key = orders.form_key(cand)
             if key not in keys:
                 keys.add(key)
                 reps.append(cand)
@@ -277,35 +315,6 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
         completeness="certified" if certified else "heuristic",
         indeterminate_pairs=tuple(indeterminate),
     )
-
-
-def _form_key(lat: IdealLattice) -> tuple[int, int, int]:
-    """The reduced form of a g = 1 lattice: its class under K^* scaling.
-
-    With basis u = (m00 + m01 alpha) / den, v = m11 alpha / den, the form
-    N(x u + y v) den^2 = A x^2 + B xy + C y^2 over content is primitive of
-    the discriminant of the multiplicator ring O (every ideal of a quadratic
-    order is invertible over O); every basis here is oriented alike
-    (m00 m11 > 0), so equal reduced forms mean lambda I = J for some
-    lambda in K^* (Cohen, GTM 138, 5.2.8), never I and its conjugate.
-    """
-    (m00, m01), (_, m11) = lat.mat
-    q, a1 = lat.ctx.f_low[:2]  # N(c0 + c1 alpha) = c0^2 - a1 c0 c1 + q c1^2
-    a = m00 * m00 - a1 * m00 * m01 + q * m01 * m01
-    b = m11 * (2 * q * m01 - a1 * m00)  # Tr(u conj(v)) den^2
-    c = q * m11 * m11
-    g = gcd(a, b, c)
-    a, b, c = a // g, b // g, c // g
-    # reduce to |b| <= a <= c, b >= 0 if |b| = a or a = c (Cohen, 5.4.2)
-    while True:
-        if not -a < b <= a:
-            k, r = divmod(b, 2 * a)
-            if r > a:
-                k, r = k + 1, r - 2 * a
-            b, c = r, c - (b + r) // 2 * k
-        if a <= c:
-            return (a, -b if a == c and b < 0 else b, c)
-        a, b, c = c, -b, a
 
 
 def refine_by_sigma(result: IcmResult, ell: int) -> list[IdealLattice]:

@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputError
+from .errors import CapabilityError, InputError
 from .weil import make_context, prime_power_split
 
 logger = logging.getLogger(__name__)
@@ -76,8 +76,9 @@ def _record_from_obj(obj) -> ExternalClassRecord:
 
 
 def load_fixture(path) -> FixtureLoad:
-    """Parse a JSON-lines fixture.  Malformed lines are reported with their
-    line numbers and skipped; an empty result is an error."""
+    """Parse a JSON-lines fixture.  Malformed lines, and records whose
+    context make_context refuses, are reported with their line numbers and
+    skipped; an empty result is an error."""
     text = Path(path).read_text(encoding="utf-8")
     records = []
     rejected = []
@@ -85,9 +86,12 @@ def load_fixture(path) -> FixtureLoad:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            records.append(_record_from_obj(obj))
-        except (ValueError, TypeError) as exc:
+            rec = _record_from_obj(json.loads(line))
+            # a record outside the supported envelope (the degree cap, the
+            # factor box of a non-Weil input) is a bad line like any other
+            make_context(*rec.p_r, rec.g, list(rec.poly_monic_first))
+            records.append(rec)
+        except (ValueError, TypeError, CapabilityError) as exc:
             rejected.append((line_no, str(exc)))
     if not records:
         raise InputError("no_valid_records", f"no valid records in fixture {path}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DegenerateLatticeError
@@ -45,7 +46,7 @@ def transpose(a: Matrix) -> list[list]:
 
 def mat_mul(a: Matrix, b: Matrix) -> list[list]:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def freeze(a: Matrix) -> tuple[tuple, ...]:

@@ -368,9 +368,59 @@ def frobenius_pair_order(ctx: WeilContext) -> OrderDesc:
 
 @lru_cache(maxsize=None)
 def multiplicator_ring(a: IdealLattice) -> OrderDesc:
-    """(a : a), packaged as an order (the packaging re-verifies ring-ness)."""
-    lat = ideal_quotient(a, a)
+    """(a : a), packaged as an order (the packaging re-verifies ring-ness).
+
+    At g = 1 it is read off the primitive norm form (A, B, C) of a = Zu + Zv:
+    tau = v / u is a root of A t^2 - B t + C, and the ring of u [1, tau] is
+    Z[A tau] = Z + Z A tau (Cox, Primes of the form x^2 + ny^2, Lemma 7.5),
+    for every lattice, stable under alpha or not.  With k the content of
+    den^2 N(x u + y v), A tau = A v conj(u) / N(u) = den^2 v conj(u) / k,
+    and den^2 v conj(u) = m11 alpha (m00 + m01 conj(alpha)) =
+    m11 (q m01 + m00 alpha).  For g >= 2 it is the colon ideal.
+    """
+    if a.ctx.g == 1:
+        (m00, m01), (_, m11) = a.mat
+        k = _norm_form(a)[3]
+        lat = IdealLattice.over(a.ctx, [[k, 0], [a.ctx.q * m11 * m01, m11 * m00]], k)
+    else:
+        lat = ideal_quotient(a, a)
     return OrderDesc(lat, lat.elements)
+
+
+def _norm_form(lat: IdealLattice) -> tuple[int, int, int, int]:
+    """(A, B, C, k) for a g = 1 lattice with basis u = (m00 + m01 alpha) / den,
+    v = m11 alpha / den: N(x u + y v) den^2 = k (A x^2 + B xy + C y^2) with
+    A, B, C coprime, so tau = v / u is a root of A t^2 - B t + C.  A > 0,
+    and B^2 - 4AC is the discriminant of the multiplicator ring (every
+    lattice of a quadratic field is invertible over its ring)."""
+    (m00, m01), (_, m11) = lat.mat
+    q, a1 = lat.ctx.f_low[:2]  # N(c0 + c1 alpha) = c0^2 - a1 c0 c1 + q c1^2
+    a = m00 * m00 - a1 * m00 * m01 + q * m01 * m01
+    b = m11 * (2 * q * m01 - a1 * m00)  # Tr(u conj(v)) den^2
+    c = q * m11 * m11
+    k = gcd(a, b, c)
+    return a // k, b // k, c // k, k
+
+
+def form_key(lat: IdealLattice) -> tuple[int, int, int]:
+    """The reduced form of a g = 1 lattice: its class under K^* scaling.
+
+    The primitive norm form (A, B, C) of _norm_form has the discriminant
+    of the multiplicator ring O; every basis here is oriented alike
+    (m00 m11 > 0), so equal reduced forms mean lambda I = J for some
+    lambda in K^* (Cohen, GTM 138, 5.2.8), never I and its conjugate.
+    """
+    a, b, c, _ = _norm_form(lat)
+    # reduce to |b| <= a <= c, b >= 0 if |b| = a or a = c (Cohen, 5.4.2)
+    while True:
+        if not -a < b <= a:
+            k, r = divmod(b, 2 * a)
+            if r > a:
+                k, r = k + 1, r - 2 * a
+            b, c = r, c - (b + r) // 2 * k
+        if a <= c:
+            return (a, -b if a == c and b < 0 else b, c)
+        a, b, c = c, -b, a
 
 
 def discriminant(order: OrderDesc) -> int:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from avcyclic import cli
+from avcyclic import cli, icm, orders
 
 FIXTURE = Path(__file__).parent / "fixtures" / "external_records.jsonl"
 
@@ -233,6 +233,47 @@ def test_sweep_with_fixtures_and_outputs(tmp_path, capsys):
         encoding="utf-8")
     per_ctx = json.loads((out_dir / "g1_q2_f_1_m1_2.json").read_text(encoding="utf-8"))
     assert per_ctx["context"]["f"] == ["1", "-1", "2"]
+
+
+def test_sweep_fixture_record_outside_the_envelope_is_a_rejected_line(tmp_path, capsys):
+    # a degree-10 record (above DEGREE_CAP) and a non-Weil octic whose factor
+    # box is about 8.7e12 points (above FACTOR_BOX_CAP) are reported as bad
+    # lines; the rest of the document is what the clean fixture gives
+    argv = ["sweep", "--p", "2", "--r", "1", "--g", "1", "--no-timing", "--fixtures"]
+    clean_code, clean = run(capsys, argv + [str(FIXTURE)])
+    lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+    lines[3:3] = [json.dumps({"label": "big", "q": 2, "g": 5, "poly": [32] + [0] * 9 + [1]}),
+                  json.dumps({"label": "box", "q": 2, "g": 4,
+                              "poly": [1001000, 0, 0, 0, 2001, 0, 0, 0, 1]})]
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out = run(capsys, argv + [str(mixed)])
+    assert code == clean_code == 0
+    doc, want = json.loads(out), json.loads(clean)
+    rejected = doc["cross_validation"].pop("rejected_lines")
+    assert [line for line, _ in rejected] == ["4", "5"]
+    assert "exceeds the supported cap" in rejected[0][1]
+    assert "over the cap" in rejected[1][1]
+    assert want["cross_validation"].pop("rejected_lines") == []
+    assert doc == want
+
+
+def test_classify_g1_runs_no_colon_ideal_and_no_subspace_scan(capsys, monkeypatch):
+    # g = 1 lists its ideals in closed form and reads each ring off the norm
+    # form: neither the colon ideal nor the generic local step is reached
+    argvs = [["classify", "--p", p, "--r", "1", "--g", "1", "--poly=" + f, "--no-timing"]
+             for p, f in (("2", "1,1,2"), ("5", "1,-2,5"), ("101", "1,3,101"),
+                          ("127", "1,-10,127"))]
+    want = [run(capsys, argv) for argv in argvs]
+
+    def refuse(*args):
+        raise AssertionError("generic g >= 2 path reached at g = 1")
+
+    orders.multiplicator_ring.cache_clear()
+    monkeypatch.setattr(orders, "ideal_quotient", refuse)
+    monkeypatch.setattr(icm, "_local_ideals", refuse)
+    assert [run(capsys, argv) for argv in argvs] == want
+    assert all(code == 0 for code, _ in want)
 
 
 def test_sweep_determinism(tmp_path, capsys):

@@ -192,7 +192,7 @@ def test_g1_form_key_decides_equivalence():
         base = order.lattice
         cands = [IdealLattice.over(ctx, linalg.mat_mul(t, base.mat), base.den)
                  for t in icm.integral_ideals(order, icm.minkowski_index_bound(order))]
-        keys = [icm._form_key(c) for c in cands]
+        keys = [orders.form_key(c) for c in cands]
         for cand, (a, b, c) in zip(cands, keys):
             assert b * b - 4 * a * c == orders.discriminant(orders.multiplicator_ring(cand))
         for i, j in combinations(range(len(cands)), 2):
@@ -249,8 +249,23 @@ def test_integral_ideals_match_hermite_walk():
     f5 = weil.enumerate_weil_contexts(5, 1, 2, ordinary=True, irreducible=True)
     cases += [(orders.frobenius_pair_order(ctx), 12) for ctx in f5[::13][:5]]
     cases.append((pair_order(2, 1, 3, [1, -2, 1, 1, 2, -8, 8]), 6))
+    # g = 1 lists its ideals in closed form: at and beyond the Minkowski bound
+    for ctx in g1_contexts(16):
+        o = orders.frobenius_pair_order(ctx)
+        mink = icm.minkowski_index_bound(o)
+        cases += [(o, mink), (o, 4 * mink)]
+    cases.append((pair_order(2, 1, 1, [1, 1, 2]), 200))
     for o, bound in cases:
         assert icm.integral_ideals(o, bound) == _hermite_walk(o, bound), (o.ctx.f, bound)
+
+
+def test_g1_integral_ideals_need_z_alpha():
+    # the closed form lists the ideals of Z[alpha] only; an over-order is refused
+    o = pair_order(5, 1, 1, [1, -2, 5])  # Z[alpha] = Z[2i] in Z[i]
+    big = orders.multiplicator_ring(IdealLattice.from_rows(o.ctx, [[1, 1], [0, 2]]))
+    with pytest.raises(InputError) as e:
+        icm.integral_ideals(big, 4)
+    assert e.value.code == "not_z_alpha"
 
 
 def test_integral_ideals_find_prime_of_residue_degree_two():

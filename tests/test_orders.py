@@ -15,7 +15,7 @@ from avcyclic import icm, linalg, orders, weil
 from avcyclic.errors import ConsistencyError, DegenerateLatticeError, InputError
 from avcyclic.orders import FieldElement, IdealLattice
 
-from _helpers import corpus_contexts, ideal_intersection, ideal_sum
+from _helpers import corpus_contexts, g1_contexts, ideal_intersection, ideal_sum
 
 
 def ctx2():
@@ -267,6 +267,37 @@ def test_multiplicator_ring():
     # invariant under scaling the ideal
     scaled = IdealLattice.from_rows(c, [[1, 1], [0, 2]]).scale(FieldElement.make(c, [3, 1]))
     assert orders.multiplicator_ring(scaled).lattice == bigger.lattice
+
+
+@cache
+def _g1_ideals(f) -> tuple[IdealLattice, ...]:
+    ctx = weil.make_context(*weil.prime_power_split(f[2]), 1, f)
+    o = orders.frobenius_pair_order(ctx)
+    return tuple(IdealLattice.over(ctx, t, 1)
+                 for t in icm.integral_ideals(o, 4 * icm.minkowski_index_bound(o)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([c.f for c in g1_contexts(64)]), st.sampled_from(("ideal", "scaled", "any")),
+       st.data())
+def test_g1_multiplicator_ring_matches_colon_ring(f, kind, data):
+    # at g = 1 the ring is Z[A tau] from the primitive norm form; the colon
+    # ideal (L : L), the route for g >= 2, is the reference.  It holds for
+    # every lattice: integral ideals, their rational scalings, and lattices
+    # that alpha does not map into themselves
+    if kind == "any":
+        ctx = weil.make_context(*weil.prime_power_split(f[2]), 1, f)
+        entries = st.integers(-40, 40)
+        rows = data.draw(st.lists(st.lists(entries, min_size=2, max_size=2), min_size=2,
+                                  max_size=3).filter(lambda r: linalg.determinant(r[:2])))
+        lat = IdealLattice.over(ctx, rows, data.draw(st.integers(1, 12)))
+    else:
+        lat = data.draw(st.sampled_from(_g1_ideals(f)))
+        if kind == "scaled":
+            coords = st.lists(st.fractions(-9, 9, max_denominator=7), min_size=2, max_size=2)
+            lat = lat.scale(FieldElement.make(lat.ctx, data.draw(coords.filter(any))))
+    want = orders.ideal_quotient(lat, lat)
+    assert orders.multiplicator_ring.__wrapped__(lat).lattice == want
 
 
 def test_discriminants():

@@ -5,8 +5,10 @@ that prints an element's rational coordinates, as the round-trip witness),
 then of `classify --no-timing` on every ordinary irreducible g = 1 context with
 q <= G1_Q_MAX that the corpus does not already list, and of `validate` on
 every corpus context and every quartic t^4 + a1 t^3 + a2 t^2 + q a1 t + q^2 of
-the boxes |a1| <= 4 sqrt(q), |a2| <= 6q over F_2 and F_3, Weil or not, against
-the digests stored in fixtures/output_digests.json.
+the boxes |a1| <= 4 sqrt(q), |a2| <= 6q over F_2 and F_3, Weil or not, and last
+of `classify --no-timing` on every G1_SAMPLE_STEP-th ordinary irreducible g = 1
+context with G1_Q_MAX < q <= G1_SAMPLE_Q_MAX (206 of 2262), against the
+digests stored in fixtures/output_digests.json.
 
 A change that alters these bytes on purpose rewrites the fixture with
 
@@ -29,6 +31,8 @@ from _helpers import corpus_contexts, g1_contexts
 
 FIXTURE = Path(__file__).parent / "fixtures" / "output_digests.json"
 G1_Q_MAX = 32
+G1_SAMPLE_Q_MAX = 257
+G1_SAMPLE_STEP = 11
 VALIDATE_BOX_FIELDS = ((2, 1), (3, 1))
 
 
@@ -63,8 +67,9 @@ def output_digests():
     """Yield (label, sha256) in corpus order: the classify document of each
     context, then the convert documents of each class matrix it lists; then
     the classify document of each further g = 1 context with q <= G1_Q_MAX.
-    The convert --ideal documents follow, and the validate documents come
-    last, so the keys recorded before them keep their place in the fixture."""
+    The convert --ideal documents, the validate documents and the sampled
+    g = 1 documents with larger q follow, in the order they were added, so
+    the keys recorded before them keep their place in the fixture."""
     corpus = {}
     for ctx in corpus_contexts():
         key = _key(ctx)
@@ -91,6 +96,9 @@ def output_digests():
         code, text = _run(["validate", *argv])
         assert code in (0, 1), key
         yield f"validate {key}", _digest(text)
+    wide = [ctx for ctx in g1_contexts(G1_SAMPLE_Q_MAX) if ctx.q > G1_Q_MAX]
+    for ctx in wide[::G1_SAMPLE_STEP]:
+        yield f"classify {_key(ctx)}", _digest(_classify(ctx))
 
 
 def _validate_inputs(corpus):
