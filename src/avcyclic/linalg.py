@@ -6,13 +6,13 @@ inverses by fraction-free Bareiss elimination, the characteristic
 polynomial and the adjugate (so the cofactors and tau) from one integer
 Faddeev-LeVerrier pass, Hermite and Smith normal forms with fixed pivot
 rules (so canonical forms are reproducible byte for byte), and integral
-LLL, which keeps its Gram-Schmidt data as integer Gram determinants.
-Rational input reaches them through one common denominator: the
-determinant, inverse, characteristic polynomial, Hermite form and LLL
-transform of A are read off those of d A, d the least common denominator
-of the entries.  Fractions appear only in the rational results
-(determinant_fraction, mat_inverse_fraction, the characteristic polynomial
-of a rational matrix) and in the Fincke-Pohst search of short_vectors.
+LLL and the Fincke-Pohst search of short_vectors, both on one integral
+Gram-Schmidt (Gram determinants).  Rational input reaches them through one
+common denominator: the determinant, inverse, characteristic polynomial,
+Hermite form, LLL transform and short vectors of A are read off those of
+d A, d the least common denominator of the entries.  Fractions appear only
+in the rational results (determinant_fraction, mat_inverse_fraction, the
+characteristic polynomial of a rational matrix).
 """
 
 from __future__ import annotations
@@ -332,6 +332,23 @@ def smith_normal_form(a: Matrix) -> SnfResult:
 # Lattice reduction
 
 
+def _orthogonalize(g: list[list[int]], lam: list[list[int]], d: list[int], k: int) -> None:
+    """Row k of the integral Gram-Schmidt of the integer Gram matrix g (Cohen,
+    GTM 138, Alg. 2.6.7): lam[k][j] = d[j+1] mu[k][j] for j < k and the Gram
+    determinant d[k+1], from rows < k.  ValueError unless d[k+1] > 0."""
+    row = lam[k]
+    for j in range(k + 1):
+        t = g[k][j]
+        for i in range(j):
+            t = (d[i + 1] * t - row[i] * lam[j][i]) // d[i]
+        if j < k:
+            row[j] = t
+        else:
+            d[k + 1] = t
+    if d[k + 1] <= 0:
+        raise ValueError("gram matrix is not positive definite")
+
+
 def lll_reduce_gram(gram: Matrix, delta: Fraction = Fraction(99, 100)) -> list[list[int]]:
     """LLL transformation for a positive definite rational Gram matrix.
 
@@ -354,26 +371,12 @@ def lll_reduce_gram(gram: Matrix, delta: Fraction = Fraction(99, 100)) -> list[l
     u = identity(n)
     lam = zeros(n, n)
     d = [1] * (n + 1)
-
-    def orthogonalize(k):
-        row = lam[k]
-        for j in range(k + 1):
-            t = g[k][j]
-            for i in range(j):
-                t = (d[i + 1] * t - row[i] * lam[j][i]) // d[i]
-            if j < k:
-                row[j] = t
-            else:
-                d[k + 1] = t
-        if d[k + 1] <= 0:
-            raise ValueError("gram matrix is not positive definite")
-
     # terminates: each swap shrinks the Lovasz potential by a factor of delta
     if n:
-        orthogonalize(0)
+        _orthogonalize(g, lam, d, 0)
     k = 1
     while k < n:
-        orthogonalize(k)
+        _orthogonalize(g, lam, d, k)
         for j in range(k - 1, -1, -1):
             q, r = divmod(2 * lam[k][j] + d[j + 1], 2 * d[j + 1])  # floor(mu + 1/2)
             if r == 0 and q & 1:  # mu is a half-integer: round to even
@@ -395,7 +398,7 @@ def lll_reduce_gram(gram: Matrix, delta: Fraction = Fraction(99, 100)) -> list[l
                 row[k], row[k - 1] = row[k - 1], row[k]
             k = max(1, k - 1)
             if k == 1:
-                orthogonalize(0)
+                _orthogonalize(g, lam, d, 0)
     return u
 
 
@@ -404,41 +407,37 @@ def short_vectors(gram: Matrix, bound) -> Iterator[tuple[int, ...]]:
     v * gram * v^T <= bound, for a positive definite rational Gram matrix.
 
     Yields one vector of each pair +-v (the one whose last nonzero
-    coordinate is positive), in a fixed order.  Exact Fraction and isqrt
-    arithmetic, so the enumeration is complete.  Raises ValueError when the
-    form is not positive definite.
+    coordinate is positive), the last coordinate outermost, each in
+    increasing order.  Raises ValueError when the form is not positive
+    definite.  Integer arithmetic on the Gram-Schmidt data of g = c * gram
+    against N / D = c * bound (Cohen, GTM 138, Alg. 2.7.5): coordinate i
+    adds (d[i+1] v_i + s_i)^2 / (d[i] d[i+1]), s_i = sum_{j>i} lam[j][i] v_j.
     """
     n = len(gram)
-    # Cohen, GTM 138, Alg. 2.7.6: v G v^T = sum_i q_ii (v_i + sum_{j>i} q_ij v_j)^2
-    q = [[Fraction(x) for x in row] for row in gram]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("gram matrix is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] /= q[i][i]
-        for k in range(i + 1, n):
-            for m in range(k, n):
-                q[k][m] -= q[k][i] * q[i][m]
+    g, c = _cleared(gram)
+    num, den = (c * bound).as_integer_ratio()
+    lam = zeros(n, n)
+    d = [1] * (n + 1)
+    for k in range(n):
+        _orthogonalize(g, lam, d, k)
     v = [0] * n
 
-    def search(i: int, room: Fraction, on_axis: bool):
-        # on_axis: every coordinate above i is zero, so the center is 0 and
-        # the sign of v is fixed by taking v_i >= 0
-        center = -sum((q[i][j] * v[j] for j in range(i + 1, n)), Fraction(0))
-        num, den = center.numerator, center.denominator
-        radius = room / q[i][i] * den * den
-        m = isqrt(radius.numerator // radius.denominator)
-        lo = 0 if on_axis else -((m - num) // den)
-        for x in range(lo, (num + m) // den + 1):
+    def search(i: int, e: int, on_axis: bool):
+        # e: d[i+1] times the part of v g v^T from coordinates > i, an integer
+        # Gram determinant.  on_axis: every coordinate above i is zero, so
+        # s_i = 0 and the sign of v is fixed by taking v_i >= 0
+        s = sum(lam[j][i] * v[j] for j in range(i + 1, n))
+        m = isqrt(d[i] * (d[i + 1] * num - den * e) // den)
+        lo = 0 if on_axis else -((m + s) // d[i + 1])
+        for x in range(lo, (m - s) // d[i + 1] + 1):
             v[i] = x
             if i == 0:
                 if x or not on_axis:
                     yield tuple(v)
             else:
-                yield from search(i - 1, room - q[i][i] * (x - center) ** 2,
-                                  on_axis and x == 0)
+                t = d[i + 1] * x + s
+                yield from search(i - 1, (d[i] * e + t * t) // d[i + 1], on_axis and x == 0)
         v[i] = 0
 
     if n:
-        yield from search(n - 1, Fraction(bound), True)
+        yield from search(n - 1, 0, True)

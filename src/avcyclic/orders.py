@@ -171,7 +171,11 @@ def alpha(ctx: WeilContext) -> FieldElement:
 
 
 def q_over_alpha(ctx: WeilContext) -> FieldElement:
-    return ctx.q * alpha(ctx).inverse()
+    # f(alpha) = 0, so q / alpha = -q (f_1 + f_2 alpha + .. + alpha^(n-1)) / f_0
+    f = ctx.f_low
+    if f[0] == 0:
+        raise DegenerateLatticeError("singular matrix")
+    return FieldElement.over(ctx, [-ctx.q * c for c in f[1:]], f[0])
 
 
 def sigma_element(ctx: WeilContext, ell: int) -> FieldElement:
@@ -494,7 +498,6 @@ def ideal_equivalent(a: IdealLattice, b: IdealLattice) -> EquivalenceResult:
                 coords = [-c for c in coords]
             x = FieldElement.over(ctx, coords, den)
             if a.scale(x) == b:
-                _assert_equal_rings(a, b)
                 return EquivalenceResult("equivalent", x)
     if certified:
         return EquivalenceResult("not_equivalent")
@@ -591,7 +594,3 @@ def _real_unit_trace(a: IdealLattice, d: int, beta: FieldElement) -> int:
         eta = eta * eps
     return abs(int(eta.trace())) // 2
 
-
-def _assert_equal_rings(a: IdealLattice, b: IdealLattice) -> None:
-    if multiplicator_ring(a).lattice != multiplicator_ring(b).lattice:
-        raise ConsistencyError("equivalent ideals with distinct multiplicator rings")

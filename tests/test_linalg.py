@@ -409,6 +409,97 @@ def test_short_vectors_match_brute_force():
         list(linalg.short_vectors([[1, 0], [0, -1]], 5))
 
 
+def _short_vectors_fraction(gram, bound):
+    """The Fraction Fincke-Pohst search that the integer one replaced, kept
+    as its oracle."""
+    n = len(gram)
+    # Cohen, GTM 138, Alg. 2.7.6: v G v^T = sum_i q_ii (v_i + sum_{j>i} q_ij v_j)^2
+    q = [[Fraction(x) for x in row] for row in gram]
+    for i in range(n):
+        if q[i][i] <= 0:
+            raise ValueError("gram matrix is not positive definite")
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] /= q[i][i]
+        for k in range(i + 1, n):
+            for m in range(k, n):
+                q[k][m] -= q[k][i] * q[i][m]
+    v = [0] * n
+
+    def search(i: int, room: Fraction, on_axis: bool):
+        # on_axis: every coordinate above i is zero, so the center is 0 and
+        # the sign of v is fixed by taking v_i >= 0
+        center = -sum((q[i][j] * v[j] for j in range(i + 1, n)), Fraction(0))
+        num, den = center.numerator, center.denominator
+        radius = room / q[i][i] * den * den
+        m = isqrt(radius.numerator // radius.denominator)
+        lo = 0 if on_axis else -((m - num) // den)
+        for x in range(lo, (num + m) // den + 1):
+            v[i] = x
+            if i == 0:
+                if x or not on_axis:
+                    yield tuple(v)
+            else:
+                yield from search(i - 1, room - q[i][i] * (x - center) ** 2,
+                                  on_axis and x == 0)
+        v[i] = 0
+
+    if n:
+        yield from search(n - 1, Fraction(bound), True)
+
+
+def _short_vector_inputs(rng):
+    """(gram, bound): seeded positive definite Grams with n in {1, 2, 3, 4, 6},
+    a third rational, each raw and LLL-reduced, under the bound 0, an int
+    bound and a Fraction bound, both at most three times the largest
+    diagonal entry of the reduced Gram."""
+    for n in (1, 2, 3, 4, 6):
+        for _ in range(40 if n <= 4 else 12):
+            b = random_int_matrix(rng, n, bound=rng.choice([2, 4, 9]))
+            if rng.randrange(3) == 0:
+                b = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in b]
+            if linalg.determinant_fraction(b) == 0:
+                continue
+            gram = linalg.mat_mul(b, linalg.transpose(b))
+            u = linalg.lll_reduce_gram(gram)
+            reduced = linalg.mat_mul(linalg.mat_mul(u, gram), linalg.transpose(u))
+            top = max(reduced[i][i] for i in range(n))
+            for g in (gram, reduced):
+                for bound in (0, int(2 * top), Fraction(rng.randint(1, 6) * top, rng.randint(2, 3))):
+                    yield g, bound
+
+
+def test_short_vectors_match_fraction_oracle():
+    inputs = list(_short_vector_inputs(random.Random(1959)))
+    assert len(inputs) > 800
+    seen = 0
+    for gram, bound in inputs:
+        got = list(linalg.short_vectors(gram, bound))
+        assert got == list(_short_vectors_fraction(gram, bound)), (gram, bound)
+        seen += len(got)
+    assert seen > 10000
+    assert list(linalg.short_vectors([], 5)) == []
+    for gram in ([[1, 0], [0, -1]], [[1, 2], [2, 4]], [[0]], [[1, 0, 0], [0, 1, 1], [0, 1, 1]]):
+        with pytest.raises(ValueError, match="not positive definite"):
+            list(linalg.short_vectors(gram, 5))
+
+
+def test_short_vectors_on_integer_gram_constructs_no_fraction(monkeypatch):
+    rng = random.Random(88)
+    inputs = [(g, b) for g, b in _short_vector_inputs(rng)
+              if all(type(x) is int for row in g for x in row) and type(b) is int][::5]
+    want = [list(_short_vectors_fraction(g, b)) for g, b in inputs]
+
+    def refuse(*args):
+        raise AssertionError("Fraction constructed")
+
+    monkeypatch.setattr(linalg, "Fraction", refuse)
+    got = [list(linalg.short_vectors(g, b)) for g, b in inputs]
+    monkeypatch.undo()
+    assert got == want
+    assert sum(map(len, got)) > 1000
+
+
 # ---------------------------------------------------------------------------
 # Property tests against sympy
 

@@ -60,6 +60,21 @@ def test_inverse_and_conj():
         orders.zero(c).inverse()
 
 
+def test_q_over_alpha_read_off_f():
+    # q / alpha from f(alpha) = 0 is the inverse of alpha times q, Weil or not
+    rng = random.Random(173)
+    contexts = list(corpus_contexts())
+    for _ in range(60):
+        g = rng.choice([1, 2, 3])
+        f_0 = rng.choice([-1, 1]) * rng.randint(1, 9)
+        f = [1] + [rng.randint(-9, 9) for _ in range(2 * g - 1)] + [f_0]
+        contexts.append(weil.make_context(3, 1, g, f))
+    for c in contexts:
+        assert orders.q_over_alpha(c) == c.q * orders.alpha(c).inverse(), c.f
+    with pytest.raises(DegenerateLatticeError):
+        orders.q_over_alpha(weil.make_context(2, 1, 1, [1, 1, 0]))
+
+
 def test_mult_matrix_rows():
     c = ctx2()
     m = orders.alpha(c).mult_matrix()

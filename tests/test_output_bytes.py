@@ -5,10 +5,13 @@ that prints an element's rational coordinates, as the round-trip witness),
 then of `classify --no-timing` on every ordinary irreducible g = 1 context with
 q <= G1_Q_MAX that the corpus does not already list, and of `validate` on
 every corpus context and every quartic t^4 + a1 t^3 + a2 t^2 + q a1 t + q^2 of
-the boxes |a1| <= 4 sqrt(q), |a2| <= 6q over F_2 and F_3, Weil or not, and last
+the boxes |a1| <= 4 sqrt(q), |a2| <= 6q over F_2 and F_3, Weil or not, then
 of `classify --no-timing` on every G1_SAMPLE_STEP-th ordinary irreducible g = 1
-context with G1_Q_MAX < q <= G1_SAMPLE_Q_MAX (206 of 2262), against the
-digests stored in fixtures/output_digests.json.
+context with G1_Q_MAX < q <= G1_SAMPLE_Q_MAX (206 of 2262), and last of
+`convert --matrix=U M U^-1` on every class matrix M, U unimodular with entries
+<= 5 drawn from a fixed seed (M itself mostly takes the identity shortcut,
+the conjugate runs an equivalence search), against the digests stored in
+fixtures/output_digests.json.
 
 A change that alters these bytes on purpose rewrites the fixture with
 
@@ -20,6 +23,7 @@ and says so in CHANGES.md.
 import hashlib
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stdout
 from math import isqrt
@@ -27,13 +31,14 @@ from pathlib import Path
 
 from avcyclic import cli
 
-from _helpers import corpus_contexts, g1_contexts
+from _helpers import conjugate, corpus_contexts, g1_contexts, random_unimodular
 
 FIXTURE = Path(__file__).parent / "fixtures" / "output_digests.json"
 G1_Q_MAX = 32
 G1_SAMPLE_Q_MAX = 257
 G1_SAMPLE_STEP = 11
 VALIDATE_BOX_FIELDS = ((2, 1), (3, 1))
+CONJUGATE_SEED = 20261019
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -67,9 +72,10 @@ def output_digests():
     """Yield (label, sha256) in corpus order: the classify document of each
     context, then the convert documents of each class matrix it lists; then
     the classify document of each further g = 1 context with q <= G1_Q_MAX.
-    The convert --ideal documents, the validate documents and the sampled
-    g = 1 documents with larger q follow, in the order they were added, so
-    the keys recorded before them keep their place in the fixture."""
+    The convert --ideal documents, the validate documents, the sampled
+    g = 1 documents with larger q and the U M U^-1 convert documents
+    follow, in the order they were added, so the keys recorded before them
+    keep their place in the fixture."""
     corpus = {}
     for ctx in corpus_contexts():
         key = _key(ctx)
@@ -99,6 +105,15 @@ def output_digests():
     wide = [ctx for ctx in g1_contexts(G1_SAMPLE_Q_MAX) if ctx.q > G1_Q_MAX]
     for ctx in wide[::G1_SAMPLE_STEP]:
         yield f"classify {_key(ctx)}", _digest(_classify(ctx))
+    rng = random.Random(CONJUGATE_SEED)
+    for key, (ctx, classes) in corpus.items():
+        for i, cls in enumerate(classes):
+            m = [[int(x) for x in row] for row in cls["matrix"]]
+            moved = conjugate(m, random_unimodular(rng, ctx.n))
+            matrix = ";".join(",".join(map(str, row)) for row in moved)
+            code, conv = _run(["convert", *_context_args(ctx), "--matrix=" + matrix])
+            assert code == 0, (key, i)
+            yield f"convert U M U^-1 {key} class {i}", _digest(conv)
 
 
 def _validate_inputs(corpus):
