@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 negative verdict or refusal, 2 usage/parse or
 capability error, 3 internal consistency failure.  All output documents are
-JSON with schema_version "1"; every integer is emitted as a decimal string
-so arbitrary-precision values survive any JSON reader.
+JSON with schema_version "1"; every integer (and every Fraction, as "n/d") is
+emitted as a decimal string so arbitrary-precision values survive any JSON
+reader.  One recursive pass writes each document with the bytes of
+json.dumps(sort_keys=True, indent=2) on that stringified document: sorted
+keys, two-space indent, ASCII escapes.
 """
 
 from __future__ import annotations
@@ -27,24 +30,44 @@ _REFUSAL_CODES = {"not_weil", "not_ordinary", "not_irreducible", "charpoly_misma
                   "not_stable", "bad_point_count"}
 
 
-def _stringify(value):
-    """Recursively convert integers (not booleans) to decimal strings."""
-    if isinstance(value, bool):
-        return value
+_escape = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
+
+
+def _encode(value, indent: str) -> str:
+    """JSON text of value at the given indent, as json.dumps(sort_keys=True,
+    indent=2) writes it once integers (not booleans) and Fractions are
+    decimal strings.  Any other type, float included, and any non-str key
+    raise TypeError."""
+    if isinstance(value, str):
+        return _escape(value)
     if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else (
-            f"{value.numerator}/{value.denominator}")
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        return f'"{value!s}"'
+    inner = indent + "  "
     if isinstance(value, (list, tuple)):
-        return [_stringify(v) for v in value]
+        if not value:
+            return "[]"
+        # plain ints, the bulk of every matrix, are written in place
+        parts = [f'"{v}"' if type(v) is int else _encode(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
     if isinstance(value, dict):
-        return {k: _stringify(v) for k, v in value.items()}
-    return value
+        if not value:
+            return "{}"
+        # _escape raises TypeError for a key that is not a str
+        parts = [_escape(k) + ": " + _encode(value[k], inner) for k in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
+    if value is None:
+        return "null"
+    if isinstance(value, Fraction):
+        return f'"{value!s}"'
+    raise TypeError(f"cannot write {type(value).__name__} to a document")
 
 
 def _dump(doc) -> str:
-    return json.dumps(_stringify(doc), sort_keys=True, indent=2) + "\n"
+    return _encode(doc, "") + "\n"
 
 
 def _emit(doc, out: str | None) -> None:

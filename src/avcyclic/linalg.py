@@ -11,8 +11,8 @@ Gram-Schmidt (Gram determinants).  Rational input reaches them through one
 common denominator: the determinant, inverse, characteristic polynomial,
 Hermite form, LLL transform and short vectors of A are read off those of
 d A, d the least common denominator of the entries.  Fractions appear only
-in the rational results (determinant_fraction, mat_inverse_fraction, the
-characteristic polynomial of a rational matrix).
+in the rational results (mat_inverse_fraction, the characteristic
+polynomial of a rational matrix).
 """
 
 from __future__ import annotations
@@ -83,12 +83,6 @@ def _cleared(a: Matrix) -> tuple[list[list[int]], int]:
     entries of the rational matrix a."""
     d = lcm(*(x.denominator for row in a for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
-
-
-def determinant_fraction(a: Matrix) -> Fraction:
-    """Exact determinant of a rational matrix: det(d A) / d^n."""
-    b, d = _cleared(a)
-    return Fraction(determinant(b), d ** len(b))
 
 
 def cofactor_matrix(a: Matrix) -> list[list[int]]:

@@ -428,13 +428,14 @@ def form_key(lat: IdealLattice) -> tuple[int, int, int]:
 
 
 def discriminant(order: OrderDesc) -> int:
-    """Determinant of the trace pairing Gram matrix on a basis."""
-    elems = order.lattice.elements
-    gram = [[(ei * ej).trace() for ej in elems] for ei in elems]
-    d = linalg.determinant_fraction(gram)
+    """Determinant of the trace pairing Gram matrix on a basis: that of
+    Z[alpha], the Hankel determinant det(Tr(alpha^(i+j))) of the power
+    sums, times the squared covolume of the order."""
+    n, t = order.ctx.n, order.ctx.trace_sums
+    d = linalg.determinant([t[i:i + n] for i in range(n)]) * order.lattice.covolume() ** 2
     if d.denominator != 1:
         raise ConsistencyError("order discriminant must be an integer")
-    return int(d)
+    return d.numerator
 
 
 # ---------------------------------------------------------------------------

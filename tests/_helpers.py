@@ -1,9 +1,13 @@
 """Shared test utilities: the acceptance corpus, the g = 1 contexts of the
 Hasse interval, seeded random matrix generation, and the integer kernel,
 row-vector product, ideal sum and ideal intersection that serve as oracles
-for the lattice kernels."""
+for the lattice kernels, the rational determinant and trace-pairing Gram
+route that serve as oracles for orders.discriminant, and the two-pass
+document writer that serves as the oracle for cli._dump."""
 
+import json
 import random
+from fractions import Fraction
 from math import isqrt, lcm
 
 from avcyclic import linalg, orders, weil
@@ -97,3 +101,41 @@ def ideal_intersection(a, b):
     am = [[x * (d // a.den) for x in row] for row in a.mat]
     kernel = kernel_int(am + [[-x * (d // b.den) for x in row] for row in b.mat])
     return orders.IdealLattice.over(a.ctx, [vec_mat(k[:a.ctx.n], am) for k in kernel], d)
+
+
+def determinant_fraction(a) -> Fraction:
+    """Exact determinant of a rational matrix: det(d A) / d^n."""
+    b, d = linalg._cleared(a)
+    return Fraction(linalg.determinant(b), d ** len(b))
+
+
+def discriminant_gram(order) -> int:
+    """Determinant of the trace pairing Gram matrix Tr(e_i e_j) on the basis
+    elements e_i of the order, entry by entry."""
+    elems = order.lattice.elements
+    gram = [[(ei * ej).trace() for ej in elems] for ei in elems]
+    d = determinant_fraction(gram)
+    assert d.denominator == 1
+    return int(d)
+
+
+def _stringify(value):
+    """Recursively convert integers (not booleans) to decimal strings."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction):
+        return str(value.numerator) if value.denominator == 1 else (
+            f"{value.numerator}/{value.denominator}")
+    if isinstance(value, (list, tuple)):
+        return [_stringify(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _stringify(v) for k, v in value.items()}
+    return value
+
+
+def dump_oracle(doc) -> str:
+    """The document bytes as json.dumps writes them after stringifying
+    every integer: the contract of cli._dump."""
+    return json.dumps(_stringify(doc), sort_keys=True, indent=2) + "\n"

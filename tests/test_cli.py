@@ -2,11 +2,16 @@
 
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avcyclic import cli, icm, orders
+
+from _helpers import dump_oracle
 
 FIXTURE = Path(__file__).parent / "fixtures" / "external_records.jsonl"
 
@@ -355,3 +360,49 @@ def test_main_keeps_no_state_between_calls(tmp_path, capsys):
     assert code == 1
     assert json.loads(out)["weil_reason"] == "root_location"
     assert target.read_text(encoding="utf-8") == first
+
+
+# strings mixing every character class with the ones JSON must escape
+_CHARS = st.one_of(st.characters(), st.sampled_from('"\\/\x00\x08\n\r\t\x1f\x7f\u00e9'
+                                                    '\u2028\ud800\udfff\U0001f600'))
+_TEXT = st.text(_CHARS, max_size=8)
+_LEAVES = st.one_of(_TEXT, st.integers(), st.integers(-2**80, -2**64), st.integers(2**64, 2**80),
+                    st.booleans(), st.none(), st.fractions())
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
+                           st.dictionaries(_TEXT, kids, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_DOCUMENTS)
+@example([])
+@example({})
+@example(())
+@example([[], {}, ()])
+@example({"a": [[], [[]]], "b": {"c": {}}})
+def test_dump_matches_two_pass_oracle(doc):
+    assert cli._dump(doc) == dump_oracle(doc)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.5, [1, 0.0], {"a": [0.0]}, set(), {1}, b"", [b"x"],
+                                 {1: "x"}, {"a": 1, 2: 3}, {("a",): 1}])
+def test_dump_refuses_other_types(bad):
+    with pytest.raises(TypeError):
+        cli._dump(bad)
+
+
+def test_dump_never_runs_the_pure_python_encoder(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder entered")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    doc = {"a": [1, -2, Fraction(3, 4)], "b": {"c": "d\u00e9", "e": None, "f": True}}
+    with pytest.raises(AssertionError):
+        dump_oracle(doc)  # the stub does catch the indent=2 path of json.dumps
+    assert cli._dump(doc).startswith("{")
+    out = tmp_path / "doc.json"
+    assert cli.main(["classify", "--p", "5", "--r", "1", "--g", "1", "--poly", "1,-2,5",
+                     "--no-timing", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["summary"]["total"] == "2"

@@ -15,7 +15,8 @@ from avcyclic import icm, linalg, orders, weil
 from avcyclic.errors import ConsistencyError, DegenerateLatticeError, InputError
 from avcyclic.orders import FieldElement, IdealLattice
 
-from _helpers import corpus_contexts, g1_contexts, ideal_intersection, ideal_sum
+from _helpers import (corpus_contexts, discriminant_gram, g1_contexts, ideal_intersection,
+                      ideal_sum)
 
 
 def ctx2():
@@ -321,6 +322,22 @@ def test_discriminants():
     assert orders.discriminant(_standard_order(c5)) == -16
     maximal = orders.multiplicator_ring(IdealLattice.from_rows(c5, [[1, 1], [0, 2]]))
     assert orders.discriminant(maximal) == -4
+
+
+def test_discriminant_matches_gram_route():
+    # Z[F, V] of the corpus contexts, of every g = 1 context with q <= 128
+    # and of every ordinary irreducible quartic over F_5, then the
+    # multiplicator rings of the corpus classes, whose covolumes are not 1
+    corpus = list(corpus_contexts())
+    contexts = [*corpus, *g1_contexts(128),
+                *weil.enumerate_weil_contexts(5, 1, 2, ordinary=True, irreducible=True)]
+    rings = [orders.frobenius_pair_order(ctx) for ctx in contexts]
+    for ring in rings[:len(corpus)]:
+        rings += [orders.multiplicator_ring(c) for c in icm.enumerate_icm(ring).classes]
+    assert len(contexts) == 1176
+    assert any(ring.lattice.covolume() != 1 for ring in rings if ring.ctx.g == 1)
+    for ring in rings:
+        assert orders.discriminant(ring) == discriminant_gram(ring), ring.ctx.f
 
 
 def test_equivalence_quadratic():

@@ -10,8 +10,10 @@ of `classify --no-timing` on every G1_SAMPLE_STEP-th ordinary irreducible g = 1
 context with G1_Q_MAX < q <= G1_SAMPLE_Q_MAX (206 of 2262), and last of
 `convert --matrix=U M U^-1` on every class matrix M, U unimodular with entries
 <= 5 drawn from a fixed seed (M itself mostly takes the identity shortcut,
-the conjugate runs an equivalence search), against the digests stored in
-fixtures/output_digests.json.
+the conjugate runs an equivalence search), then of `sweep --no-timing` on
+stdout for SWEEPS, of every file that `sweep --out-dir` writes for
+OUT_DIR_SWEEP, and of one error document per error path of `cli.main`
+(ERROR_INPUTS), against the digests stored in fixtures/output_digests.json.
 
 A change that alters these bytes on purpose rewrites the fixture with
 
@@ -25,6 +27,7 @@ import io
 import json
 import random
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from math import isqrt
 from pathlib import Path
@@ -39,6 +42,21 @@ G1_SAMPLE_Q_MAX = 257
 G1_SAMPLE_STEP = 11
 VALIDATE_BOX_FIELDS = ((2, 1), (3, 1))
 CONJUGATE_SEED = 20261019
+EXTERNAL_RECORDS = Path(__file__).parent / "fixtures" / "external_records.jsonl"
+SWEEPS = (("2", "1", "1"), ("2", "1", "2"))
+OUT_DIR_SWEEP = ("2", "1", "1")
+# (label, argv, exit code); the io message echoes the path, so it is fixed
+ERROR_INPUTS = (
+    ("charpoly_mismatch", ["convert", "--p", "5", "--r", "1", "--g", "1", "--poly=1,-2,5",
+                           "--matrix=1,0;0,5"], 1),
+    ("bad_poly", ["validate", "--p", "2", "--r", "1", "--g", "1", "--poly=1,x,2"], 2),
+    ("capability", ["classify", "--p", "2", "--r", "1", "--g", "5",
+                    "--poly=1,0,0,0,0,0,0,0,0,0,32"], 2),
+    ("degenerate_lattice", ["convert", "--p", "5", "--r", "1", "--g", "1", "--poly=1,-2,5",
+                            "--ideal=1,0"], 2),
+    ("io", ["classify", "--p", "2", "--r", "1", "--g", "1", "--poly=1,1,2", "--no-timing",
+            "--out", "/nonexistent-avcyclic/out.json"], 2),
+)
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -114,6 +132,32 @@ def output_digests():
             code, conv = _run(["convert", *_context_args(ctx), "--matrix=" + matrix])
             assert code == 0, (key, i)
             yield f"convert U M U^-1 {key} class {i}", _digest(conv)
+    yield from _sweep_and_error_digests()
+
+
+def _sweep_and_error_digests():
+    """The sweep documents on stdout, the files of one sweep --out-dir and
+    the error documents."""
+    def sweep_args(p, r, g):
+        return ["sweep", "--p", p, "--r", r, "--g", g, "--no-timing"]
+
+    runs = [(",".join(field), sweep_args(*field)) for field in SWEEPS]
+    runs.append(("3,1,1 --fixtures", sweep_args("3", "1", "1")
+                 + ["--fixtures", str(EXTERNAL_RECORDS)]))
+    for label, argv in runs:
+        code, text = _run(argv)
+        assert code == 0, label
+        yield f"sweep {label}", _digest(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, text = _run(sweep_args(*OUT_DIR_SWEEP) + ["--out-dir", tmp])
+        assert code == 0 and text == ""
+        for path in sorted(Path(tmp).iterdir()):
+            yield (f"sweep --out-dir {','.join(OUT_DIR_SWEEP)} {path.name}",
+                   _digest(path.read_text(encoding="utf-8")))
+    for label, argv, expected in ERROR_INPUTS:
+        code, text = _run(argv)
+        assert code == expected and json.loads(text)["error"]["code"] == label, label
+        yield f"error {label}", _digest(text)
 
 
 def _validate_inputs(corpus):
