@@ -371,10 +371,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 _PARSER = build_parser()  # parse_args keeps no state between calls
 
+# options whose values may start with '-' and a digit ("-1,-2;1,0")
+_SIGNED_VALUE_OPTIONS = ("--poly", "--matrix", "--ideal")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """argv with each token that starts with '-' and a digit joined by '='
+    to a bare --poly, --matrix or --ideal before it; argparse would read it
+    as an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and tok[:1] == "-" and "0" <= tok[1:2] <= "9":
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # usage errors (2) and --help (0)
         return exc.code
     try:

@@ -6,7 +6,14 @@ index and deduplicating them under equivalence yields the full monoid.
 At g = 1 each ideal is invertible over its multiplicator ring, and its
 reduced binary quadratic form names its class, so deduplication is one set
 lookup per candidate; for g >= 2 each candidate is tested against every
-kept representative with the same multiplicator ring.
+kept representative with the same multiplicator ring.  That ring is read
+off the index for most candidates: an ideal I of index d of R = Z[F, V]
+has R <= (I : I) <= d^-1 R, so it is R unless some prime p | d has
+p^2 | disc(R) and R is not p-maximal, which one Pohst-Zassenhaus test per
+prime decides (Cohen, GTM 138, 6.1.3); only the other candidates take the
+colon ideal (I : I).  The tests run the search of orders.ideal_equivalent
+with that ring, and a test against R itself builds no colon ideal either,
+since (b : R) = b.
 
 The integral ideals are built prime by prime (Cohen, GTM 138, 6.2).  At
 g = 1 the order Z[F, V] is Z[alpha], since q/alpha = -a1 - alpha, and its
@@ -39,21 +46,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, prod
 
 from . import linalg, orders
 from . import polynomials as poly
 from .errors import ConsistencyError, InputError
 from .orders import IdealLattice, OrderDesc
-from .weil import is_prime
+from .weil import is_prime, prime_factors
 
 logger = logging.getLogger(__name__)
 
 # Default index bound caps.  Listing the integral ideals is cheap at any
 # bound; the caps bound the pairwise equivalence tests among them.  On one
 # core of a 2-vCPU container, t^4 - t^2 + 49 over F_7 certifies at its
-# Minkowski bound 119 in about 1.1 s (111 candidates, 8 classes), but
-# t^4 + 2t^3 - 13t^2 + 32t + 256 over F_16 takes about 200 s at its bound
+# Minkowski bound 119 in about 0.7 s (111 candidates, 8 classes), but
+# t^4 + 2t^3 - 13t^2 + 32t + 256 over F_16 takes about 100 s at its bound
 # 287 (989 candidates, listed in under 1 s); the bounds grow as sqrt(|disc|).
 QUARTIC_INDEX_CAP = 24
 HIGH_GENUS_INDEX_CAP = 12
@@ -247,13 +254,63 @@ def _kernel_mod(rows, p: int) -> list[list[int]]:
     return out
 
 
+def _ring_decider(order: OrderDesc):
+    """ring_of(I, d), the multiplicator ring of an ideal I of index d of the
+    order R.  It is R itself, with no colon ideal, when every prime p | d
+    has p^2 not dividing disc(R) or R p-maximal: dR <= I gives
+    R <= (I : I) <= d^-1 R, and an over-order S with p | [S : R] needs
+    p^2 | disc(R) and R not p-maximal.  Each p-maximality is decided once,
+    on first need."""
+    disc = orders.discriminant(order)
+    maximal: dict[int, bool] = {}
+
+    def ring_of(ideal: IdealLattice, index: int) -> IdealLattice:
+        for p in prime_factors(index):
+            if disc % (p * p) == 0:
+                if p not in maximal:
+                    maximal[p] = _is_p_maximal(order, p)
+                if not maximal[p]:
+                    return orders.multiplicator_ring(ideal).lattice
+        return order.lattice
+
+    return ring_of
+
+
+def _is_p_maximal(order: OrderDesc, p: int) -> bool:
+    """Whether p does not divide [O_K : R] for the order R: exactly when the
+    multiplicator ring of the p-radical of R is R (Pohst-Zassenhaus, Cohen,
+    GTM 138, 6.1.3).  The radical is pR plus the kernel of the F_p-linear
+    map x -> x^(p^k) on R/pR, p^k >= n."""
+    lat = order.lattice
+    n, basis = lat.ctx.n, lat.elements
+    power = p
+    while power < n:
+        power *= p
+    one, frob = [lat.coords(orders.one(lat.ctx))], []
+    for e in basis:
+        # the coordinates of e^power are those of 1 times the power-th power
+        # of the matrix of multiplication by e, all mod p
+        m, y, k = orders.multiplication_matrix(e, basis, lat), one, power
+        while k:
+            if k & 1:
+                y = [[c % p for c in row] for row in linalg.mat_mul(y, m)]
+            m, k = [[c % p for c in row] for row in linalg.mat_mul(m, m)], k >> 1
+        frob += y
+    rows = _kernel_mod(linalg.transpose(frob), p) + [[p * (i == j) for j in range(n)]
+                                                      for i in range(n)]
+    radical = IdealLattice.over(lat.ctx, linalg.mat_mul(rows, lat.mat), lat.den)
+    return orders.multiplicator_ring(radical).lattice == lat
+
+
 def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult:
     """All ideal classes of the order, as canonical integral representatives
     of index at most index_bound, pairwise inequivalent: the first candidate
     of each class in the order of integral_ideals.  At g = 1 a candidate is
-    new when its reduced form (orders.form_key) is; for g >= 2 when
-    orders.ideal_equivalent separates it from every kept representative
-    with the same multiplicator ring.
+    new when its reduced form (orders.form_key) is.  For g >= 2 its
+    multiplicator ring comes from _ring_decider (the order itself, with no
+    colon ideal, wherever its index allows no over-order), and it is new
+    when the equivalence search of orders.ideal_equivalent, given that
+    ring, separates it from every kept representative with the same ring.
 
     completeness is "certified" when the bound covers the Minkowski-type
     bound and every equivalence test was definitive; any indeterminate
@@ -269,6 +326,10 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
         index_bound = mink if ctx.g == 1 else min(mink, cap)
     if index_bound < 1:
         raise InputError("bad_bound", "index bound must be a positive integer")
+    if ctx.g >= 2:
+        if not ctx.is_weil:
+            raise InputError("not_weil", "equivalence search requires a Weil polynomial")
+        ring_of = _ring_decider(order)
     reps: list[IdealLattice] = []
     rings: list[IdealLattice] = []
     indeterminate: list[tuple[int, int, int]] = []
@@ -283,13 +344,13 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
                 reps.append(cand)
                 rings.append(orders.multiplicator_ring(cand).lattice)
             continue
-        ring = orders.multiplicator_ring(cand).lattice
+        ring = ring_of(cand, prod(t[k][k] for k in range(ctx.n)))
         duplicate = False
         unresolved = []
         for i, rep in enumerate(reps):
             if rings[i] != ring:
                 continue
-            eq = orders.ideal_equivalent(rep, cand)
+            eq = orders._witness_search(rep, cand, ring)
             if eq.status == "equivalent":
                 duplicate = True
                 break

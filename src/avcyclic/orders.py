@@ -8,6 +8,11 @@ form of den times a generating set and den the least common denominator.
 Equal elements and equal lattices give identical pairs, so dataclass
 equality is equality in K.  The lattice kernels other modules need (integer
 coordinates, multiplication matrices between bases, colon ideals) live here.
+
+ideal_equivalent checks its inputs and compares multiplicator rings; the
+witness search below it takes the common ring S, which icm already holds
+for its candidates, so no ring is rebuilt there.  When a is S itself,
+b is an S-module and the search runs on (b : S) = b with no colon ideal.
 """
 
 from __future__ import annotations
@@ -452,14 +457,17 @@ class EquivalenceResult:
 def ideal_equivalent(a: IdealLattice, b: IdealLattice) -> EquivalenceResult:
     """Searches for x with x * a = b.
 
-    Every witness lies in (b : a) and has |N(x)| = [a : b].  The search is
-    an exact Fincke-Pohst enumeration of (b : a) under trace forms
-    Tr(w * x * conj(x)), w totally positive in K+, each on an LLL-reduced
-    basis.  An irreducible Weil polynomial makes K a CM field, on which
-    these forms are positive definite.  For g <= 2 (unit rank g - 1 <= 1)
-    the bounds provably cover some witness, and a failed search is a proof
-    of inequivalence.  For g >= 3 the bound is heuristic and an exhausted
-    search reports indeterminate.
+    Ideals with different multiplicator rings are never equivalent; for a
+    common ring S the search is _witness_search, which callers holding S
+    (icm) call directly.  Every witness lies in (b : a), which is b itself
+    when a = S, and has |N(x)| = [a : b].  The search is an exact Fincke-Pohst
+    enumeration of (b : a) under trace forms Tr(w * x * conj(x)), w totally
+    positive in K+, each on an LLL-reduced basis.  An irreducible Weil
+    polynomial makes K a CM field, on which these forms are positive
+    definite.  For g <= 2 (unit rank g - 1 <= 1) the bounds provably cover
+    some witness, and a failed search is a proof of inequivalence.  For
+    g >= 3 the bound is heuristic and an exhausted search reports
+    indeterminate.
     """
     _same_ctx(a, b)
     ctx = a.ctx
@@ -469,17 +477,26 @@ def ideal_equivalent(a: IdealLattice, b: IdealLattice) -> EquivalenceResult:
         raise InputError("not_irreducible", "equivalence search requires an irreducible polynomial")
     if a == b:
         return EquivalenceResult("equivalent", one(ctx))
-    if multiplicator_ring(a).lattice != multiplicator_ring(b).lattice:
+    ring = multiplicator_ring(a).lattice
+    if ring != multiplicator_ring(b).lattice:
         return EquivalenceResult("not_equivalent")
+    return _witness_search(a, b, ring)
+
+
+def _witness_search(a: IdealLattice, b: IdealLattice, ring: IdealLattice) -> EquivalenceResult:
+    """The search of ideal_equivalent for ideals a != b of one Weil context
+    whose common multiplicator ring is ring.  When a is ring itself, b is a
+    module over it and (b : a) = b, so no colon ideal is built."""
+    ctx = a.ctx
     target = lattice_index(b, a)  # the |N(x)| any witness must have
-    quo = ideal_quotient(b, a)
+    quo = b if a == ring else ideal_quotient(b, a)
     n, den = ctx.n, quo.den
     basis = quo.elements
     conj_basis = [e.conj() for e in basis]
     products = [[bi * cj for cj in conj_basis] for bi in basis]
     scale = lcm(*(p.den for row in products for p in row))
     products = [[[c * (scale // p.den) for c in p.num] for p in row] for row in products]
-    forms, certified = _search_forms(a, target)
+    forms, certified = _search_forms(ring, target)
     want_det = target * den**n
     red = linalg.identity(n)  # consecutive forms differ little: reduce from the last basis
     for traces, bound in forms:
@@ -512,10 +529,10 @@ def ideal_equivalent(a: IdealLattice, b: IdealLattice) -> EquivalenceResult:
 UNIT_SCAN_FROM = 16
 
 
-def _search_forms(a: IdealLattice, target: Fraction) -> tuple[list[tuple[tuple, Fraction | int]], bool]:
+def _search_forms(ring: IdealLattice, target: Fraction) -> tuple[list[tuple[tuple, Fraction | int]], bool]:
     """Forms Tr(w * x * conj(x)), each given by (Tr(w alpha^k))_k and a
     bound, such that some witness x meets one of them, and whether that is
-    proven.  A witness can be moved by any unit of S = (a : a).
+    proven.  A witness can be moved by any unit of the multiplicator ring S.
 
     g = 1: w = 1 and Tr(x * conj(x)) = 2 N(x) = 2T exactly.
     g = 2: write P_i = |x_i|^2 at the two places of K+, so P_1 P_2 = T, and
@@ -532,7 +549,7 @@ def _search_forms(a: IdealLattice, target: Fraction) -> tuple[list[tuple[tuple, 
     g >= 3: w = 1 under a fixed multiple of the AM-GM floor n T^(1/g),
     heuristic.
     """
-    ctx = a.ctx
+    ctx = ring.ctx
     plain = ctx.trace_sums[:ctx.n]
     if ctx.g == 1:
         return [(plain, 2 * target)], True
@@ -544,7 +561,7 @@ def _search_forms(a: IdealLattice, target: Fraction) -> tuple[list[tuple[tuple, 
     a1, a2 = ctx.f_low[3], ctx.f_low[2]
     d = a1 * a1 - 4 * (a2 - 2 * ctx.q)  # disc of beta = alpha + q/alpha; not a square
     beta = alpha(ctx) + q_over_alpha(ctx)
-    span = _real_unit_trace(a, d, beta) + 2
+    span = _real_unit_trace(ring, d, beta) + 2
     if span <= UNIT_SCAN_FROM:
         return [(plain, 2 * _sqrt_ceil(target) * span)], True
     # A in (2 sqrt(d), 3 sqrt(d)] puts (A + sqrt(d)) / (A - sqrt(d)) in [2, 3)
@@ -568,11 +585,11 @@ def _sqrt_ceil(x: Fraction) -> Fraction:
     return Fraction(root, x.denominator)
 
 
-def _real_unit_trace(a: IdealLattice, d: int, beta: FieldElement) -> int:
+def _real_unit_trace(ring: IdealLattice, d: int, beta: FieldElement) -> int:
     """|Tr_{K+/Q}(eta)| for eta the least power of the fundamental unit eps
-    of Z[beta], beta = alpha + q/alpha of discriminant d, that lies in
-    S = (a : a) (g = 2 only)."""
-    ctx = a.ctx
+    of Z[beta], beta = alpha + q/alpha of discriminant d, that lies in the
+    order ring (g = 2 only)."""
+    ctx = ring.ctx
     a1 = ctx.f_low[3]
     # eps = (G + B sqrt(d)) / 2 with G = 2h - (d mod 2) k, B = k for the first
     # convergent h/k of ((d mod 2) + sqrt(d)) / 2 with G^2 - d B^2 = +-4
@@ -589,7 +606,6 @@ def _real_unit_trace(a: IdealLattice, d: int, beta: FieldElement) -> int:
         num = c * den - num
         den = (d - num * num) // den
     eps = FieldElement.make(ctx, [Fraction(big_g + k * a1, 2)]) + k * beta  # sqrt(d) = 2 beta + a1
-    ring = multiplicator_ring(a).lattice
     eta = eps
     while eta not in ring:
         eta = eta * eps

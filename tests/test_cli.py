@@ -1,6 +1,7 @@
 """End-to-end command line behavior: documents, exit codes, determinism."""
 
 import json
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -207,6 +208,31 @@ def test_convert_degenerate_ideal_exit_2(capsys):
         assert doc["error"]["code"] == "degenerate_lattice"
 
 
+def test_signed_values_may_follow_their_option(capsys, monkeypatch):
+    # a separate value that starts with '-' and a digit is the value of
+    # --poly, --matrix or --ideal, byte for byte as the joined --opt=value
+    g1 = ["--p", "5", "--r", "1", "--g", "1"]
+    argvs = [["convert", *g1, "--poly", "1,-2,5", "--matrix", "-5,-10;4,7"],
+             ["convert", *g1, "--poly", "1,-2,5", "--ideal", "-1,-1;0,-2"],
+             ["convert", *g1, "--poly", "1,-2,5", "--matrix", "-1,-2;1,0"],
+             ["validate", *g1, "--poly", "-1,2,5"]]
+    for argv, code in zip(argvs, (0, 0, 1, 2)):
+        joined = []
+        for tok in argv:
+            if tok[:1] == "-" and tok[1:2].isdigit():
+                joined[-1] += "=" + tok
+            else:
+                joined.append(tok)
+        want = run(capsys, joined)
+        assert want[0] == code and json.loads(want[1])["schema_version"] == "1", argv
+        assert run(capsys, argv) == want, argv
+        monkeypatch.setattr(sys, "argv", ["avcyclic", *argv])
+        assert run(capsys, None) == want, argv
+    # anything else after an option is still an option to argparse
+    code, out = run(capsys, ["convert", *g1, "--poly", "1,-2,5", "--matrix", "-x"])
+    assert code == 2 and out == ""
+
+
 def test_sweep_small_field(capsys):
     code, out = run(capsys, ["sweep", "--p", "2", "--r", "1", "--g", "1", "--no-timing"])
     assert code == 0
@@ -281,6 +307,23 @@ def test_classify_g1_runs_no_colon_ideal_and_no_subspace_scan(capsys, monkeypatc
     assert all(code == 0 for code, _ in want)
 
 
+def test_classify_quartic_over_its_own_ring_runs_no_colon_ideal(capsys, monkeypatch):
+    # disc(R) = 13^2 * 17 for t^4 - t^3 + t^2 - 2t + 4 over F_2, so below its
+    # bound 9 no index has a prime whose square divides it: every candidate's
+    # ring is R, and every test is against R, where (b : R) = b
+    argv = ["classify", "--p", "2", "--r", "1", "--g", "2", "--poly=1,-1,1,-2,4",
+            "--no-timing"]
+    want = run(capsys, argv)
+
+    def refuse(*args):
+        raise AssertionError("colon ideal built")
+
+    orders.multiplicator_ring.cache_clear()
+    monkeypatch.setattr(orders, "ideal_quotient", refuse)
+    assert run(capsys, argv) == want
+    assert want[0] == 0 and json.loads(want[1])["summary"]["index_bound"] == "9"
+
+
 def test_sweep_determinism(tmp_path, capsys):
     argv = ["sweep", "--p", "3", "--r", "1", "--g", "1", "--no-timing"]
     _, first = run(capsys, argv)
@@ -333,16 +376,18 @@ def test_convert_reducible_is_a_refusal(capsys):
 
 
 def test_main_returns_usage_errors(capsys):
-    # argparse reads "-1,0;0,1" as an option; main returns its status 2
-    # instead of raising SystemExit (the --matrix= form parses)
+    # argparse reads "-x,0;0,1" as an option; main returns its status 2
+    # instead of raising SystemExit (a value that starts with '-' and a digit
+    # parses, joined or not)
     base = ["convert", "--p", "5", "--r", "1", "--g", "1", "--poly", "1,-2,5"]
-    assert cli.main(base + ["--matrix", "-1,0;0,1"]) == 2
+    assert cli.main(base + ["--matrix", "-x,0;0,1"]) == 2
     assert "usage" in capsys.readouterr().err
     assert cli.main(["classify", "--help"]) == 0
     assert "--index-bound" in capsys.readouterr().out
-    code, out = run(capsys, base + ["--matrix=-1,0;0,1"])
-    assert code == 1
-    assert json.loads(out)["error"]["code"] == "charpoly_mismatch"
+    for matrix in (["--matrix=-1,0;0,1"], ["--matrix", "-1,0;0,1"]):
+        code, out = run(capsys, base + matrix)
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "charpoly_mismatch"
 
 
 def test_main_keeps_no_state_between_calls(tmp_path, capsys):

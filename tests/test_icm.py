@@ -1,7 +1,9 @@
 """Ideal class monoid enumeration: bounds, dedup, completeness flags,
 local refinement."""
 
+from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -9,7 +11,7 @@ from avcyclic import icm, linalg, orders, weil
 from avcyclic.errors import InputError
 from avcyclic.orders import IdealLattice
 
-from _helpers import g1_contexts, vec_mat
+from _helpers import corpus_contexts, g1_contexts, vec_mat
 
 
 def pair_order(p, r, g, coeffs):
@@ -281,3 +283,60 @@ def test_integral_ideals_find_prime_of_residue_degree_two():
     base = o.lattice
     assert prime in [IdealLattice.over(o.ctx, linalg.mat_mul(t, base.mat), base.den)
                      for t in icm.integral_ideals(o, 4)]
+
+
+# quartics at explicit bounds above the default cap, where g = 2 equivalence
+# tests are many (t^4 - t^2 + 49 over F_7 lists 111 candidates)
+BOUNDED_QUARTICS = ((7, 1, [1, 0, -1, 0, 49], 119), (5, 1, [1, -3, 7, -15, 25], 34))
+
+
+def test_decided_ring_is_the_multiplicator_ring():
+    # R itself where no prime of the index can carry an over-order, the colon
+    # ideal elsewhere: both routes occur, and both give (I : I)
+    cases = [(ctx, None) for ctx in corpus_contexts() if ctx.g == 2]
+    cases += [(weil.make_context(p, r, 2, f), bound) for p, r, f, bound in BOUNDED_QUARTICS]
+    routes = set()
+    for ctx, bound in cases:
+        o = orders.frobenius_pair_order(ctx)
+        bound = bound or icm.minkowski_index_bound(o)
+        ring_of = icm._ring_decider(o)
+        for t in icm.integral_ideals(o, bound):
+            cand = IdealLattice.over(ctx, linalg.mat_mul(t, o.lattice.mat), o.lattice.den)
+            ring = ring_of(cand, prod(t[k][k] for k in range(ctx.n)))
+            assert ring == orders.multiplicator_ring(cand).lattice, (ctx.f, t)
+            routes.add(ring == o.lattice)
+    assert routes == {True, False}
+
+
+def _p_maximal_by_search(o, p) -> bool:
+    """R is p-maximal iff no y / p with y in R \\ pR is integral."""
+    basis = o.lattice.elements
+    for coeffs in product(range(p), repeat=len(basis)):
+        if any(coeffs):
+            y = sum((c * e for c, e in zip(coeffs, basis)), orders.zero(o.ctx))
+            if (y * Fraction(1, p)).is_integral():
+                return False
+    return True
+
+
+def test_p_maximality_matches_integral_element_search():
+    verdicts = []
+    for p, r in ((2, 1), (3, 1), (2, 2)):
+        for ctx in weil.enumerate_weil_contexts(p, r, 2, ordinary=True, irreducible=True):
+            o = orders.frobenius_pair_order(ctx)
+            disc = orders.discriminant(o)
+            for ell in (2, 3, 5):
+                if disc % (ell * ell) == 0:
+                    got = icm._is_p_maximal(o, ell)
+                    assert got == _p_maximal_by_search(o, ell), (ctx.f, ell)
+                    verdicts.append(got)
+    assert len(verdicts) == 100 and verdicts.count(False) == 22
+
+
+def test_colon_by_the_ring_is_the_ideal():
+    # (b : S) = b for a class b over its multiplicator ring S, which lets the
+    # equivalence search skip the colon ideal when one side is its own ring
+    for ctx in corpus_contexts():
+        result = icm.enumerate_icm(orders.frobenius_pair_order(ctx))
+        for b, ring in zip(result.classes, result.multiplicator_rings):
+            assert orders.ideal_quotient(b, ring) == b, (ctx.f, b)

@@ -13,7 +13,9 @@ context with G1_Q_MAX < q <= G1_SAMPLE_Q_MAX (206 of 2262), and last of
 the conjugate runs an equivalence search), then of `sweep --no-timing` on
 stdout for SWEEPS, of every file that `sweep --out-dir` writes for
 OUT_DIR_SWEEP, and of one error document per error path of `cli.main`
-(ERROR_INPUTS), against the digests stored in fixtures/output_digests.json.
+(ERROR_INPUTS), and last of `classify --index-bound --no-timing` for
+BOUNDED_CLASSIFY and of `sweep --no-timing` for LATE_SWEEP, against the
+digests stored in fixtures/output_digests.json.
 
 A change that alters these bytes on purpose rewrites the fixture with
 
@@ -45,6 +47,11 @@ CONJUGATE_SEED = 20261019
 EXTERNAL_RECORDS = Path(__file__).parent / "fixtures" / "external_records.jsonl"
 SWEEPS = (("2", "1", "1"), ("2", "1", "2"))
 OUT_DIR_SWEEP = ("2", "1", "1")
+# quartics classified at explicit bounds above the default cap, where g = 2
+# equivalence dominates, and one whole g = 2 sweep, recorded last
+BOUNDED_CLASSIFY = (("7", "1", "2", "1,0,-1,0,49", "119"),
+                    ("5", "1", "2", "1,-3,7,-15,25", "34"))
+LATE_SWEEP = ("5", "1", "2")
 # (label, argv, exit code); the io message echoes the path, so it is fixed
 ERROR_INPUTS = (
     ("charpoly_mismatch", ["convert", "--p", "5", "--r", "1", "--g", "1", "--poly=1,-2,5",
@@ -67,7 +74,7 @@ def _run(argv: list[str]) -> tuple[int, str]:
 
 
 def _context_args(ctx) -> list[str]:
-    # joined --opt=value form: a value starting with '-' would read as an option
+    # joined --opt=value form, as the digests were recorded
     return ["--p", str(ctx.p), "--r", str(ctx.r), "--g", str(ctx.g),
             "--poly=" + ",".join(map(str, ctx.f))]
 
@@ -136,8 +143,9 @@ def output_digests():
 
 
 def _sweep_and_error_digests():
-    """The sweep documents on stdout, the files of one sweep --out-dir and
-    the error documents."""
+    """The sweep documents on stdout, the files of one sweep --out-dir, the
+    error documents, then the bounded quartic classifications and the late
+    sweep."""
     def sweep_args(p, r, g):
         return ["sweep", "--p", p, "--r", r, "--g", g, "--no-timing"]
 
@@ -158,6 +166,14 @@ def _sweep_and_error_digests():
         code, text = _run(argv)
         assert code == expected and json.loads(text)["error"]["code"] == label, label
         yield f"error {label}", _digest(text)
+    for p, r, g, f, bound in BOUNDED_CLASSIFY:
+        code, text = _run(["classify", "--p", p, "--r", r, "--g", g, "--poly=" + f,
+                           "--index-bound", bound, "--no-timing"])
+        assert code == 0, f
+        yield f"classify {p},{r},{g}:{f} --index-bound {bound}", _digest(text)
+    code, text = _run(sweep_args(*LATE_SWEEP))
+    assert code == 0, LATE_SWEEP
+    yield f"sweep {','.join(LATE_SWEEP)}", _digest(text)
 
 
 def _validate_inputs(corpus):
