@@ -4,10 +4,11 @@ Matrices are sequences of rows.  Every function returns fresh lists and
 never mutates its input.  The kernels work on integers: determinants and
 inverses by fraction-free Bareiss elimination, the characteristic
 polynomial and the adjugate (so the cofactors and tau) from one integer
-Faddeev-LeVerrier pass, Hermite and Smith normal forms with fixed pivot
-rules (so canonical forms are reproducible byte for byte), and integral
-LLL and the Fincke-Pohst search of short_vectors, both on one integral
-Gram-Schmidt (Gram determinants).  Rational input reaches them through one
+Faddeev-LeVerrier pass, the canonical Hermite normal form (so lattice
+bases are reproducible byte for byte) and the Smith normal form from
+alternating row and column Hermite forms, and integral LLL and the
+Fincke-Pohst search of short_vectors, both on one integral Gram-Schmidt
+(Gram determinants).  Rational input reaches them through one
 common denominator: the determinant, inverse, characteristic polynomial,
 Hermite form, LLL transform and short vectors of A are read off those of
 d A, d the least common denominator of the entries.  Fractions appear only
@@ -253,73 +254,31 @@ class SnfResult:
     invariant_factors: tuple[int, ...]
 
 
-def _smallest_pivot(m: list[list[int]], k: int) -> tuple[int, int] | None:
-    """Position of the smallest nonzero |entry| in the trailing submatrix,
-    row-major tie break: earliest row, then earliest column."""
-    best = None
-    best_abs = None
-    n = len(m)
-    for i in range(k, n):
-        for j in range(k, len(m[0])):
-            x = abs(m[i][j])
-            if x and (best_abs is None or x < best_abs):
-                best, best_abs = (i, j), x
-    return best
-
-
 def smith_normal_form(a: Matrix) -> SnfResult:
     """Smith normal form S of a square integer matrix: diagonal, nonnegative,
-    each invariant factor dividing the next.  No transforms are kept.
+    each invariant factor dividing the next, zeros last.  No transforms are
+    kept.
 
-    Pivots are always the smallest nonzero absolute entry of the working
-    submatrix (row-major tie break), which keeps intermediate growth down
-    and makes the reduction deterministic.
+    Kannan-Bachem (Cohen, GTM 138, 2.4.4): Hermite forms of the rows and of
+    the columns alternate until the matrix is diagonal, and then (d_i, d_j)
+    -> (gcd, lcm) over i < j puts the diagonal in divisibility order.  The
+    loop ends.  Once the rows and columns before k are clear, each Hermite
+    form after the first leaves a positive (k, k) pivot that divides the one
+    before: it is the gcd of a column that holds the old pivot.  A pivot
+    that stays equal divided that whole column, and then its row and column
+    are clear, since the Hermite form of the row lattice is unique and the
+    form with both clear is one.
     """
     n = len(a)
-    m = copy_rows(a)
-    for k in range(n):
-        while True:
-            pos = _smallest_pivot(m, k)
-            if pos is None:
-                break
-            pi, pj = pos
-            if pi != k:
-                m[k], m[pi] = m[pi], m[k]
-            if pj != k:
-                for row in m:
-                    row[k], row[pj] = row[pj], row[k]
-            dirty = False
-            for i in range(k + 1, n):
-                q = m[i][k] // m[k][k]
-                if q:
-                    m[i] = [x - q * y for x, y in zip(m[i], m[k])]
-                if m[i][k]:
-                    dirty = True
-            for j in range(k + 1, n):
-                q = m[k][j] // m[k][k]
-                if q:
-                    for row in m:
-                        row[j] -= q * row[k]
-                if m[k][j]:
-                    dirty = True
-            if dirty:
-                continue
-            # row and column are clear; enforce divisibility of the rest
-            offender = None
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    if m[i][j] % m[k][k]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            m[k] = [x + y for x, y in zip(m[k], m[offender])]
-    for k in range(n):
-        if m[k][k] < 0:
-            m[k] = [-x for x in m[k]]
-    return SnfResult(freeze(m), tuple(m[k][k] for k in range(n)))
+    m = a
+    while any(m[i][j] for i in range(n) for j in range(n) if i != j):
+        m = transpose(_hnf_core(m)[0])
+    d = [abs(m[k][k]) for k in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return SnfResult(freeze([[x if i == j else 0 for j in range(n)]
+                             for i, x in enumerate(d)]), tuple(d))
 
 
 # ---------------------------------------------------------------------------

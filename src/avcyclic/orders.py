@@ -118,9 +118,6 @@ class FieldElement:
         n, high = self.ctx.n, linalg.charpoly(self.mult_matrix())  # den^(n-k) c_k at t^k
         return tuple(Fraction(c, self.den ** (n - k)) for k, c in enumerate(high))
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.charpoly())
-
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")

@@ -2,8 +2,9 @@
 Hasse interval, seeded random matrix generation, and the integer kernel,
 row-vector product, ideal sum and ideal intersection that serve as oracles
 for the lattice kernels, the rational determinant and trace-pairing Gram
-route that serve as oracles for orders.discriminant, and the two-pass
-document writer that serves as the oracle for cli._dump."""
+route that serve as oracles for orders.discriminant, the integrality test
+on field elements that serves as the oracle for p-maximality, and the
+two-pass document writer that serves as the oracle for cli._dump."""
 
 import json
 import random
@@ -117,6 +118,12 @@ def discriminant_gram(order) -> int:
     d = determinant_fraction(gram)
     assert d.denominator == 1
     return int(d)
+
+
+def is_integral(x) -> bool:
+    """Whether the field element x is an algebraic integer: its
+    characteristic polynomial has integer coefficients."""
+    return all(c.denominator == 1 for c in x.charpoly())
 
 
 def _stringify(value):

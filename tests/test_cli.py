@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from avcyclic import cli, icm, orders
+from avcyclic import cli, cyclicity, icm, orders
+from avcyclic.errors import CapabilityError, ConsistencyError, InputError
 
 from _helpers import dump_oracle
 
@@ -233,6 +234,14 @@ def test_signed_values_may_follow_their_option(capsys, monkeypatch):
     assert code == 2 and out == ""
 
 
+def test_convert_unparsable_input_exit_2(capsys):
+    base = ["convert", "--p", "5", "--r", "1", "--g", "1", "--poly", "1,-2,5"]
+    for arg, want in (("--matrix=1,x;0,1", "bad_matrix"), ("--ideal=1/0,0;0,1", "bad_ideal")):
+        code, out = run(capsys, base + [arg])
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == want
+
+
 def test_sweep_small_field(capsys):
     code, out = run(capsys, ["sweep", "--p", "2", "--r", "1", "--g", "1", "--no-timing"])
     assert code == 0
@@ -322,6 +331,38 @@ def test_classify_quartic_over_its_own_ring_runs_no_colon_ideal(capsys, monkeypa
     monkeypatch.setattr(orders, "ideal_quotient", refuse)
     assert run(capsys, argv) == want
     assert want[0] == 0 and json.loads(want[1])["summary"]["index_bound"] == "9"
+
+
+@pytest.mark.parametrize("exc, code, exit_code", [
+    (ConsistencyError("routes disagree"), "consistency", 3),
+    (InputError("not_irreducible", "polynomial is reducible"), "not_irreducible", 1),
+    (CapabilityError("over the cap"), "capability", 1),
+])
+def test_sweep_reports_a_failing_context_and_keeps_the_rest(capsys, monkeypatch, exc, code,
+                                                            exit_code):
+    argv = ["sweep", "--p", "3", "--r", "1", "--g", "1", "--no-timing"]
+    clean_code, clean = run(capsys, argv)
+    want = json.loads(clean)
+    classify = cyclicity.classify_isogeny_class
+
+    def fail_one(ctx, index_bound=None):
+        if ctx.f == (1, 1, 3):
+            raise exc
+        return classify(ctx, index_bound)
+
+    monkeypatch.setattr(cyclicity, "classify_isogeny_class", fail_one)
+    got_code, out = run(capsys, argv)
+    doc = json.loads(out)
+    assert (clean_code, got_code) == (0, exit_code)
+    failed = {"p": "3", "r": "1", "q": "3", "g": "1", "f": ["1", "1", "3"]}
+    assert doc["failures"] == [{"context": failed,
+                                "error": {"code": code, "message": str(exc)}}]
+    assert doc["reports"] == [r for r in want["reports"] if r["context"] != failed]
+    assert len(doc["reports"]) == len(want["reports"]) - 1 == 3
+    assert doc["aggregate_csv"] == "".join(
+        line for line in want["aggregate_csv"].splitlines(keepends=True)
+        if not line.startswith('3,"1,1,3",'))
+    assert doc["sweep"] == want["sweep"]
 
 
 def test_sweep_determinism(tmp_path, capsys):

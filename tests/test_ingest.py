@@ -49,6 +49,33 @@ def test_malformed_lines_reported_with_numbers(tmp_path):
     assert "missing field" in reasons[8]
 
 
+def test_non_object_and_mistyped_claims_rejected_with_line_numbers(tmp_path):
+    f = tmp_path / "claims.jsonl"
+    good = {"label": "a", "q": 2, "g": 1, "poly": [2, -1, 1]}
+    f.write_text(
+        json.dumps(good) + "\n"
+        + json.dumps([2, -1, 1]) + "\n"
+        + json.dumps(dict(good, label="b", is_ordinary_claimed="yes")) + "\n"
+        + json.dumps(dict(good, label="c", is_ordinary_claimed=1)) + "\n"
+        + json.dumps(dict(good, label="d", point_count_claimed="2")) + "\n"
+        + json.dumps(dict(good, label="e", point_count_claimed=2.0)) + "\n"
+        + json.dumps(dict(good, label="f", point_count_claimed=True)) + "\n"
+        + json.dumps(dict(good, label="g", is_ordinary_claimed=True, point_count_claimed=2))
+        + "\n",
+        encoding="utf-8",
+    )
+    load = ingest.load_fixture(f)
+    assert [r.label for r in load.records] == ["a", "g"]
+    assert load.records[1] == ExternalClassRecord("g", 2, 1, (2, -1, 1), True, 2)
+    assert [line for line, _ in load.rejected] == [2, 3, 4, 5, 6, 7]
+    reasons = dict(load.rejected)
+    assert reasons[2] == "record must be a JSON object"
+    for line in (3, 4):
+        assert reasons[line] == "is_ordinary_claimed must be a boolean when present"
+    for line in (5, 6, 7):
+        assert reasons[line] == "point_count_claimed must be an integer when present"
+
+
 def test_zero_valid_records_is_an_error(tmp_path):
     f = tmp_path / "empty.jsonl"
     f.write_text("not json either\n", encoding="utf-8")

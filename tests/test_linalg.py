@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
-from avcyclic import linalg, weil
+from avcyclic import conjugacy, icm, linalg, orders, weil
 from avcyclic.errors import DegenerateLatticeError
 from avcyclic.orders import IdealLattice
 
-from _helpers import (conjugate, determinant_fraction, kernel_int, random_int_matrix,
-                      random_unimodular)
+from _helpers import (conjugate, corpus_contexts, determinant_fraction, kernel_int,
+                      random_int_matrix, random_unimodular)
 
 
 def test_determinant_hand_values():
@@ -585,6 +585,39 @@ def test_inverse_reads_no_cofactors(monkeypatch):
               [[0, Fraction(1, 2)], [Fraction(-2, 3), 5]]):
         inv = linalg.mat_inverse_fraction(m)
         assert linalg.mat_mul(m, inv) == linalg.identity(len(m))
+
+
+def test_smith_reads_no_adjugate(monkeypatch):
+    # cyclicity.group_structure_oracle counts the invariant factors of 1 - M
+    # and tau(1 - M) (read off the adjugate of _leverrier) as independent
+    # routes.  Every corpus class, then seeded matrices of sizes 1..8 with
+    # entries up to 1000 in size and zero rows and columns forced in
+    mats = []
+    for ctx in corpus_contexts():
+        for lat in icm.enumerate_icm(orders.frobenius_pair_order(ctx)).classes:
+            m = conjugacy.ideal_to_matrix(lat).rep
+            mats.append([[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(m)])
+    assert len(mats) == 97
+    rng = random.Random(29)
+    for n in range(1, 9):
+        for k in range(12):
+            m = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(n)]
+            for i in rng.sample(range(n), min(k % 3, n)):
+                m[i] = [0] * n
+            for j in rng.sample(range(n), min(k % 4 // 2, n)):
+                for row in m:
+                    row[j] = 0
+            mats.append(m)
+    want = [tuple(int(x) for x in sympy_invariant_factors(sympy.Matrix(m), domain=sympy.ZZ))
+            for m in mats]
+    assert sum(0 in w for w in want) >= 60
+
+    def refuse(a):
+        raise AssertionError("adjugate called")
+
+    monkeypatch.setattr(linalg, "cofactor_matrix", refuse)
+    monkeypatch.setattr(linalg, "_leverrier", refuse)
+    assert [linalg.smith_normal_form(m).invariant_factors for m in mats] == want
 
 
 @PROPERTY
