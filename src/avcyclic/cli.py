@@ -1,12 +1,15 @@
 """Command line surface.
 
 Exit codes: 0 success, 1 negative verdict or refusal, 2 usage/parse or
-capability error, 3 internal consistency failure.  All output documents are
-JSON with schema_version "1"; every integer (and every Fraction, as "n/d") is
-emitted as a decimal string so arbitrary-precision values survive any JSON
-reader.  One recursive pass writes each document with the bytes of
-json.dumps(sort_keys=True, indent=2) on that stringified document: sorted
-keys, two-space indent, ASCII escapes.
+capability error, 3 internal consistency failure.  _failure maps each error
+to its code and exit code once: main applies it to a failing command, and
+sweep to each failing context, which it lists under "failures" while the
+other contexts go on; sweep exits with the largest exit code.  All output
+documents are JSON with schema_version "1"; every integer (and every
+Fraction, as "n/d") is emitted as a decimal string so arbitrary-precision
+values survive any JSON reader.  One recursive pass writes each document
+with the bytes of json.dumps(sort_keys=True, indent=2) on that stringified
+document: sorted keys, two-space indent, ASCII escapes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import conjugacy, cyclicity, ingest, orders, weil
-from .errors import CapabilityError, ConsistencyError, DegenerateLatticeError, InputError
+from .errors import (AvcyclicError, CapabilityError, ConsistencyError, DegenerateLatticeError,
+                     InputError)
 
 SCHEMA_VERSION = "1"
 
@@ -76,6 +80,22 @@ def _emit(doc, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _failure(exc: Exception) -> tuple[str, int]:
+    """(error code, exit code) of a failure, for a command and for each
+    context of a sweep alike: 1 for a refusal, 3 for a consistency failure,
+    2 for any other error (malformed input, capability, a degenerate
+    lattice such as a rank-deficient --ideal basis, I/O)."""
+    if isinstance(exc, InputError):
+        return exc.code, 1 if exc.code in _REFUSAL_CODES else 2
+    if isinstance(exc, ConsistencyError):
+        return "consistency", 3
+    if isinstance(exc, CapabilityError):
+        return "capability", 2
+    if isinstance(exc, DegenerateLatticeError):
+        return "degenerate_lattice", 2
+    return "io", 2
 
 
 def _error_doc(code: str, message: str) -> dict:
@@ -184,15 +204,6 @@ def cmd_classify(args) -> int:
     return 0 if result.all_oracle_agree else 3
 
 
-def _refuse_non_simple(ctx: weil.WeilContext) -> None:
-    """Both conversions and their round trips need K = Q[t]/(f) to be a CM
-    field, so refuse the rest after the input parses and before converting."""
-    if not ctx.is_weil:
-        raise InputError("not_weil", f"not a Weil polynomial: {ctx.weil_reason}")
-    if not ctx.is_irreducible:
-        raise InputError("not_irreducible", "polynomial is reducible; class is not simple")
-
-
 def cmd_convert(args) -> int:
     ctx = _context_from_args(args)
     if (args.matrix is None) == (args.ideal is None):
@@ -200,7 +211,7 @@ def cmd_convert(args) -> int:
     if args.matrix is not None:
         m = _parse_matrix(args.matrix)
         conjugacy._check_charpoly(ctx, m)
-        _refuse_non_simple(ctx)
+        ctx.refuse_non_simple()
         lat = conjugacy.matrix_to_ideal(ctx, m)
         back = conjugacy.ideal_to_matrix(lat)
         conj = conjugacy.matrices_conjugate(ctx, m, [list(r) for r in back.rep])
@@ -220,7 +231,7 @@ def cmd_convert(args) -> int:
         return 0
     rows = _parse_ideal(args.ideal)
     lat = orders.IdealLattice.from_rows(ctx, rows)
-    _refuse_non_simple(ctx)
+    ctx.refuse_non_simple()
     mclass = conjugacy.ideal_to_matrix(lat)
     lat_back = conjugacy.matrix_to_ideal(ctx, [list(r) for r in mclass.rep])
     eq = orders.ideal_equivalent(lat, lat_back)
@@ -261,16 +272,11 @@ def cmd_sweep(args) -> int:
     for ctx in contexts:
         try:
             result = cyclicity.classify_isogeny_class(ctx, args.index_bound)
-        except ConsistencyError as exc:
-            failures.append({"context": _context_echo(ctx),
-                             "error": {"code": "consistency", "message": str(exc)}})
-            worst = max(worst, 3)
-            continue
-        except (InputError, CapabilityError) as exc:
-            code = getattr(exc, "code", "capability")
+        except AvcyclicError as exc:
+            code, status = _failure(exc)
             failures.append({"context": _context_echo(ctx),
                              "error": {"code": code, "message": str(exc)}})
-            worst = max(worst, 1)
+            worst = max(worst, status)
             continue
         doc = _classification_doc(result, None)
         if not result.all_oracle_agree:
@@ -395,21 +401,10 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except InputError as exc:
-        _emit(_error_doc(exc.code, str(exc)), None)
-        return 1 if exc.code in _REFUSAL_CODES else 2
-    except CapabilityError as exc:
-        _emit(_error_doc("capability", str(exc)), None)
-        return 2
-    except DegenerateLatticeError as exc:  # e.g. a rank-deficient --ideal basis
-        _emit(_error_doc("degenerate_lattice", str(exc)), None)
-        return 2
-    except ConsistencyError as exc:
-        _emit(_error_doc("consistency", str(exc)), None)
-        return 3
-    except OSError as exc:
-        _emit(_error_doc("io", str(exc)), None)
-        return 2
+    except (AvcyclicError, OSError) as exc:
+        code, status = _failure(exc)
+        _emit(_error_doc(code, str(exc)), None)
+        return status
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg, orders
-from .errors import ConsistencyError, InputError
-from .orders import FieldElement, IdealLattice
+from .errors import ConsistencyError, DegenerateLatticeError, InputError
+from .orders import IdealLattice
 from .weil import WeilContext
 
 
@@ -61,31 +61,26 @@ def ideal_to_matrix(lat: IdealLattice) -> MatrixClass:
     return MatrixClass(rep, ctx.f_low, lat)
 
 
-def _cyclic_basis(ctx: WeilContext, m, v0=None) -> tuple[IdealLattice, list[FieldElement]]:
-    """Lattice pulled back from Z^n through c -> (c as polynomial in m) v0,
-    together with the basis that this map sends to the standard basis: the
-    rows of (W^T)^-1 for the column matrix W = [v0 | m v0 | ...]."""
+def _krylov(ctx: WeilContext, m, v0=None) -> tuple[IdealLattice, list[list[int]]]:
+    """(lat, wt) for the Krylov matrix wt with rows v0, m v0, .., m^(n-1) v0
+    and the lattice lat spanned by the rows of wt^-1: the pull-back of Z^n
+    through c -> (c as polynomial in m) v0.  The coordinates of y in the
+    basis wt^-1 are y wt.  Without v0 the first standard basis vector whose
+    Krylov matrix is nonsingular serves."""
     n = ctx.n
     candidates = [v0] if v0 is not None else [
         [1 if i == k else 0 for i in range(n)] for k in range(n)
     ]
     for cand in candidates:
-        cols = [list(cand)]
+        wt = [list(cand)]
         for _ in range(n - 1):
-            cols.append([sum(x * y for x, y in zip(row, cols[-1])) for row in m])
-        if linalg.determinant(cols) != 0:
-            e, d = linalg.inverse_pair(cols)
-            basis = [FieldElement.over(ctx, row, d) for row in e]
-            return IdealLattice.from_elements(ctx, basis), basis
+            wt.append([sum(x * y for x, y in zip(row, wt[-1])) for row in m])
+        try:
+            e, d = linalg.inverse_pair(wt)
+        except DegenerateLatticeError:
+            continue
+        return IdealLattice.over(ctx, e, abs(d)), wt
     raise ConsistencyError("no cyclic vector found; is the polynomial irreducible?")
-
-
-def _to_canonical(lat: IdealLattice, basis) -> list[list[int]]:
-    """Unimodular P with basis = P * (canonical basis of lat)."""
-    p = orders.multiplication_matrix(orders.one(lat.ctx), basis, lat)
-    if p is None or not linalg.is_unimodular(p):
-        raise ConsistencyError("construction basis does not span the lattice")
-    return p
 
 
 def matrix_to_ideal(ctx: WeilContext, m, v0=None) -> IdealLattice:
@@ -99,50 +94,54 @@ def matrix_to_ideal(ctx: WeilContext, m, v0=None) -> IdealLattice:
             raise InputError("bad_shape", f"v0 must have {ctx.n} entries")
         if all(x == 0 for x in v0):
             raise InputError("zero_vector", "v0 must be nonzero")
-    lat, basis = _cyclic_basis(ctx, m, v0)
-    # alpha acts on the rows of basis by m^T and on the canonical rows by
-    # rep^T, so basis = P * canonical gives rep P^T = P^T m
-    pt = linalg.transpose(_to_canonical(lat, basis))
-    if linalg.mat_mul(ideal_to_matrix(lat).rep, pt) != linalg.mat_mul(pt, m):
+    lat, wt = _krylov(ctx, m, v0)
+    # Q = lat.mat wt / lat.den holds the coordinates of the canonical basis
+    # in the basis wt^-1; alpha acts on the former by rep^T and on the
+    # latter by m^T, so Q^T rep = m Q^T
+    q = _divide_exactly(linalg.mat_mul(lat.mat, wt), lat.den,
+                        "construction basis does not span the lattice")
+    qt = linalg.transpose(q)
+    rep = ideal_to_matrix(lat).rep
+    if not linalg.is_unimodular(q) or linalg.mat_mul(qt, rep) != linalg.mat_mul(m, qt):
         raise ConsistencyError("pulled-back lattice does not realize the matrix")
     return lat
 
 
 def matrices_conjugate(ctx: WeilContext, a, b) -> ConjugacyResult:
     """Decides GL_n(Z)-conjugacy of a and b (both with characteristic
-    polynomial f, f irreducible) by testing equivalence of the associated
-    lattices.  On success the witness u satisfies b = u a u^-1, verified by
-    exact multiplication before returning."""
+    polynomial f, f an irreducible Weil polynomial) by testing equivalence
+    of the associated lattices.  On success the witness u satisfies
+    b = u a u^-1, verified by exact multiplication before returning."""
     _check_charpoly(ctx, a)
     _check_charpoly(ctx, b)
-    if not ctx.is_irreducible:
-        raise InputError("not_irreducible", "conjugacy test requires an irreducible polynomial")
-    if not ctx.is_weil:
-        raise InputError("not_weil", "conjugacy test requires a Weil polynomial")
+    ctx.refuse_non_simple()
     if [list(r) for r in a] == [list(r) for r in b]:
         ident = linalg.freeze(linalg.identity(ctx.n))
         return ConjugacyResult("conjugate", ident)
-    lat_a, basis_a = _cyclic_basis(ctx, a)
-    lat_b, basis_b = _cyclic_basis(ctx, b)
+    lat_a, wt_a = _krylov(ctx, a)
+    lat_b, wt_b = _krylov(ctx, b)
     eq = orders.ideal_equivalent(lat_a, lat_b)
     if eq.status == "not_equivalent":
         return ConjugacyResult("not_conjugate")
     if eq.status == "indeterminate":
         return ConjugacyResult("indeterminate", search_bound=eq.search_bound)
-    u = _witness_from_element(eq.witness, basis_a, lat_b, basis_b)
+    # u^T is multiplication by x from the basis wt_a^-1 = E_a / D_a, on
+    # which a acts, to the basis wt_b^-1, on which b acts
+    x = eq.witness
+    e_a, d_a = linalg.inverse_pair(wt_a)
+    ut = _divide_exactly(linalg.mat_mul(linalg.mat_mul(e_a, x.mult_matrix()), wt_b), d_a * x.den,
+                         "witness does not carry the lattice of a into that of b")
+    u = linalg.transpose(ut)
     _verify_witness(a, b, u)
     return ConjugacyResult("conjugate", linalg.freeze(u))
 
 
-def _witness_from_element(x: FieldElement, basis_a, lat_b: IdealLattice,
-                          basis_b) -> list[list[int]]:
-    """u^T is multiplication by x from basis_a to basis_b: the two cyclic
-    bases stand for the standard bases on which a and b act."""
-    xrows = orders.multiplication_matrix(x, basis_a, lat_b)  # x * basis_a in lat_b
-    if xrows is None:
-        raise ConsistencyError("witness does not carry the lattice of a into that of b")
-    back = linalg.inverse_unimodular(_to_canonical(lat_b, basis_b))
-    return linalg.transpose(linalg.mat_mul(xrows, back))
+def _divide_exactly(a, d: int, failure: str) -> list[list[int]]:
+    """a / d as an integer matrix; ConsistencyError(failure) when d does
+    not divide every entry."""
+    if any(x % d for row in a for x in row):
+        raise ConsistencyError(failure)
+    return [[x // d for x in row] for row in a]
 
 
 def _verify_witness(a, b, u) -> None:

@@ -203,12 +203,9 @@ def classify_isogeny_class(ctx: WeilContext,
     convert each to its canonical matrix, and report cyclicity with the
     group-structure oracle cross-check plus the per-prime sigma refinement
     consistency check."""
-    if not ctx.is_weil:
-        raise InputError("not_weil", f"not a Weil polynomial: {ctx.weil_reason}")
-    if not ctx.is_ordinary:
+    if ctx.is_weil and not ctx.is_ordinary:
         raise InputError("not_ordinary", "not ordinary: middle coefficient shares a factor with p")
-    if not ctx.is_irreducible:
-        raise InputError("not_irreducible", "polynomial is reducible; class is not simple")
+    ctx.refuse_non_simple()
     order = orders.frobenius_pair_order(ctx)
     result = icm.enumerate_icm(order, index_bound)
     ranked = sorted(range(len(result.classes)),

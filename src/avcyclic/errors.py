@@ -11,9 +11,11 @@ class InputError(AvcyclicError, ValueError):
     """Invalid input rejected at a module boundary.
 
     ``code`` is a short machine-readable tag; the message stays human
-    oriented.  The CLI maps these to exit code 2 (malformed input) or 1
-    (well-formed input refused on mathematical grounds, e.g. a reducible
-    polynomial handed to the classifier).
+    oriented.  cli._failure, the one exit mapping, gives these exit code 1
+    when the code is in cli._REFUSAL_CODES (well-formed input refused on
+    mathematical grounds, e.g. a reducible polynomial handed to the
+    classifier) and 2 otherwise (malformed input), for a command and for
+    each context of a sweep alike.
     """
 
     def __init__(self, code: str, message: str):

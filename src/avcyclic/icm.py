@@ -36,7 +36,9 @@ bound.
 
 For g <= 2 every equivalence test is decided; g = 1 enumerates to the
 Minkowski bound, while g = 2 and g >= 3 get a capped default bound (and an
-honest "heuristic" completeness flag above it).
+honest "heuristic" completeness flag above it).  Both the form key and the
+equivalence search need K = Q[t]/(f) to be a CM field, so enumerate_icm
+refuses non-Weil and reducible input at every g.
 """
 
 from __future__ import annotations
@@ -311,6 +313,8 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
     colon ideal, wherever its index allows no over-order), and it is new
     when the equivalence search of orders.ideal_equivalent, given that
     ring, separates it from every kept representative with the same ring.
+    Non-Weil input raises not_weil and reducible input not_irreducible, at
+    every g (WeilContext.refuse_non_simple).
 
     completeness is "certified" when the bound covers the Minkowski-type
     bound and every equivalence test was definitive; any indeterminate
@@ -318,8 +322,7 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
     the flag to "heuristic".
     """
     ctx = order.ctx
-    if not ctx.is_irreducible:
-        raise InputError("not_irreducible", "class enumeration requires an irreducible polynomial")
+    ctx.refuse_non_simple()
     mink = minkowski_index_bound(order)
     if index_bound is None:
         cap = QUARTIC_INDEX_CAP if ctx.g == 2 else HIGH_GENUS_INDEX_CAP
@@ -327,13 +330,10 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
     if index_bound < 1:
         raise InputError("bad_bound", "index bound must be a positive integer")
     if ctx.g >= 2:
-        if not ctx.is_weil:
-            raise InputError("not_weil", "equivalence search requires a Weil polynomial")
         ring_of = _ring_decider(order)
     reps: list[IdealLattice] = []
     rings: list[IdealLattice] = []
     indeterminate: list[tuple[int, int, int]] = []
-    definitive = True
     keys = set()
     for t in integral_ideals(order, index_bound):
         cand = IdealLattice.over(ctx, linalg.mat_mul(t, order.lattice.mat), order.lattice.den)
@@ -359,12 +359,10 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
         if not duplicate:
             # an unresolved comparison against a kept candidate may
             # overcount classes; surfaced, never silently resolved
-            if unresolved:
-                indeterminate.extend(unresolved)
-                definitive = False
+            indeterminate.extend(unresolved)
             reps.append(cand)
             rings.append(ring)
-    certified = index_bound >= mink and definitive
+    certified = index_bound >= mink and not indeterminate
     if indeterminate:
         logger.warning("equivalence search exhausted on %d pairs; class count may overshoot",
                        len(indeterminate))

@@ -111,18 +111,6 @@ def is_unimodular(a: Matrix) -> bool:
     return len(a) == len(a[0]) and abs(determinant(a)) == 1
 
 
-def inverse_unimodular(a: Matrix) -> list[list[int]]:
-    """Exact integer inverse of a unimodular matrix: D E for (E, D) =
-    inverse_pair(a), D = +-1."""
-    try:
-        e, d = inverse_pair(a)
-    except DegenerateLatticeError:
-        raise ValueError("matrix is not unimodular") from None
-    if abs(d) != 1:
-        raise ValueError("matrix is not unimodular")
-    return [[d * x for x in row] for row in e]
-
-
 def inverse_pair(b: Matrix) -> tuple[list[list[int]], int]:
     """(E, D) with E B = D I for a nonsingular integer matrix B, D = +-det(B).
 

@@ -382,12 +382,13 @@ def multiplicator_ring(a: IdealLattice) -> OrderDesc:
     for every lattice, stable under alpha or not.  With k the content of
     den^2 N(x u + y v), A tau = A v conj(u) / N(u) = den^2 v conj(u) / k,
     and den^2 v conj(u) = m11 alpha (m00 + m01 conj(alpha)) =
-    m11 (q m01 + m00 alpha).  For g >= 2 it is the colon ideal.
+    m11 (f(0) m01 + m00 alpha), where f(0) = N(alpha) is q for Weil input.
+    For g >= 2 it is the colon ideal.
     """
     if a.ctx.g == 1:
         (m00, m01), (_, m11) = a.mat
         k = _norm_form(a)[3]
-        lat = IdealLattice.over(a.ctx, [[k, 0], [a.ctx.q * m11 * m01, m11 * m00]], k)
+        lat = IdealLattice.over(a.ctx, [[k, 0], [a.ctx.f_low[0] * m11 * m01, m11 * m00]], k)
     else:
         lat = ideal_quotient(a, a)
     return OrderDesc(lat, lat.elements)
@@ -468,10 +469,7 @@ def ideal_equivalent(a: IdealLattice, b: IdealLattice) -> EquivalenceResult:
     """
     _same_ctx(a, b)
     ctx = a.ctx
-    if not ctx.is_weil:
-        raise InputError("not_weil", "equivalence search requires a Weil polynomial")
-    if not ctx.is_irreducible:
-        raise InputError("not_irreducible", "equivalence search requires an irreducible polynomial")
+    ctx.refuse_non_simple()
     if a == b:
         return EquivalenceResult("equivalent", one(ctx))
     ring = multiplicator_ring(a).lattice

@@ -134,6 +134,16 @@ class WeilContext:
         """Newton power sums of the roots, k = 0 .. 2n-2 (always integers)."""
         return tuple(poly.power_sums(self.f_low, 2 * self.n - 2))
 
+    def refuse_non_simple(self) -> None:
+        """The acceptance gate of every layer built on the bijection: ideal
+        classes, the equivalence search and GL_n(Z)-conjugacy all need
+        K = Q[t]/(f) to be a CM field, so non-Weil input is refused first,
+        then reducible input."""
+        if not self.is_weil:
+            raise InputError("not_weil", f"not a Weil polynomial: {self.weil_reason}")
+        if not self.is_irreducible:
+            raise InputError("not_irreducible", "polynomial is reducible; class is not simple")
+
 
 def make_context(p: int, r: int, g: int, coeffs: Sequence[int]) -> WeilContext:
     """Validate raw input and compute the context flags."""

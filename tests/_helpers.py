@@ -1,10 +1,11 @@
 """Shared test utilities: the acceptance corpus, the g = 1 contexts of the
-Hasse interval, seeded random matrix generation, and the integer kernel,
-row-vector product, ideal sum and ideal intersection that serve as oracles
-for the lattice kernels, the rational determinant and trace-pairing Gram
-route that serve as oracles for orders.discriminant, the integrality test
-on field elements that serves as the oracle for p-maximality, and the
-two-pass document writer that serves as the oracle for cli._dump."""
+Hasse interval, seeded random matrix generation and the exact inverse of a
+unimodular matrix, the integer kernel, row-vector product, ideal sum and
+ideal intersection that serve as oracles for the lattice kernels, the
+rational determinant and trace-pairing Gram route that serve as oracles for
+orders.discriminant, the integrality test on field elements that serves as
+the oracle for p-maximality, and the two-pass document writer that serves
+as the oracle for cli._dump."""
 
 import json
 import random
@@ -12,6 +13,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from avcyclic import linalg, orders, weil
+from avcyclic.errors import DegenerateLatticeError
 
 # The acceptance corpus: every ordinary irreducible g = 1 context for these
 # fields plus the first ten ordinary irreducible quartics over F_2 and F_3.
@@ -72,9 +74,21 @@ def random_int_matrix(rng: random.Random, n: int, bound: int = 9) -> list[list[i
     return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
 
 
+def inverse_unimodular(a) -> list[list[int]]:
+    """Exact integer inverse of a unimodular matrix: D E for (E, D) =
+    inverse_pair(a), D = +-1."""
+    try:
+        e, d = linalg.inverse_pair(a)
+    except DegenerateLatticeError:
+        raise ValueError("matrix is not unimodular") from None
+    if abs(d) != 1:
+        raise ValueError("matrix is not unimodular")
+    return [[d * x for x in row] for row in e]
+
+
 def conjugate(m: list[list[int]], u: list[list[int]]) -> list[list[int]]:
     """u * m * u^-1 over the integers (u unimodular)."""
-    return linalg.mat_mul(linalg.mat_mul(u, m), linalg.inverse_unimodular(u))
+    return linalg.mat_mul(linalg.mat_mul(u, m), inverse_unimodular(u))
 
 
 def kernel_int(a) -> list[list[int]]:

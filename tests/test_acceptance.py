@@ -13,7 +13,8 @@ import sympy
 
 from avcyclic import cli, conjugacy, cyclicity, icm, ingest, linalg, orders, weil
 
-from _helpers import G1_FIELDS, QUARTICS_PER_FIELD, corpus_contexts, random_unimodular
+from _helpers import (G1_FIELDS, QUARTICS_PER_FIELD, corpus_contexts, inverse_unimodular,
+                      random_unimodular)
 from conftest import criterion
 
 RUNTIME_BUDGET_SECONDS = 600.0
@@ -156,7 +157,7 @@ def test_criterion_6_conjugacy_invariance_fuzz():
         for i in range(1000):
             ctx, m = pool[i % len(pool)]
             u = random_unimodular(rng, ctx.n)
-            u_inv = linalg.inverse_unimodular(u)
+            u_inv = inverse_unimodular(u)
             moved = linalg.mat_mul(linalg.mat_mul(u, m), u_inv)
             one_minus = lambda mm: [[(1 if a == b else 0) - mm[a][b]
                                      for b in range(ctx.n)] for a in range(ctx.n)]

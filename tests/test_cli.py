@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avcyclic import cli, cyclicity, icm, orders
-from avcyclic.errors import CapabilityError, ConsistencyError, InputError
+from avcyclic.errors import CapabilityError, ConsistencyError, DegenerateLatticeError, InputError
 
 from _helpers import dump_oracle
 
@@ -336,7 +336,8 @@ def test_classify_quartic_over_its_own_ring_runs_no_colon_ideal(capsys, monkeypa
 @pytest.mark.parametrize("exc, code, exit_code", [
     (ConsistencyError("routes disagree"), "consistency", 3),
     (InputError("not_irreducible", "polynomial is reducible"), "not_irreducible", 1),
-    (CapabilityError("over the cap"), "capability", 1),
+    (CapabilityError("over the cap"), "capability", 2),
+    (DegenerateLatticeError("singular matrix"), "degenerate_lattice", 2),
 ])
 def test_sweep_reports_a_failing_context_and_keeps_the_rest(capsys, monkeypatch, exc, code,
                                                             exit_code):
@@ -363,6 +364,21 @@ def test_sweep_reports_a_failing_context_and_keeps_the_rest(capsys, monkeypatch,
         line for line in want["aggregate_csv"].splitlines(keepends=True)
         if not line.startswith('3,"1,1,3",'))
     assert doc["sweep"] == want["sweep"]
+
+
+def test_sweep_bad_bound_exits_as_classify_does(capsys):
+    # every context fails bad_bound, an input error rather than a refusal,
+    # so the sweep exits 2, as classify does on one context
+    code, out = run(capsys, ["sweep", "--p", "2", "--r", "1", "--g", "1", "--index-bound", "0",
+                             "--no-timing"])
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["reports"] == []
+    assert len(doc["failures"]) == int(doc["sweep"]["contexts"]) > 0
+    assert {f["error"]["code"] for f in doc["failures"]} == {"bad_bound"}
+    code, out = run(capsys, ["classify", "--p", "2", "--r", "1", "--g", "1", "--poly=1,1,2",
+                             "--index-bound", "0"])
+    assert (code, json.loads(out)["error"]["code"]) == (2, "bad_bound")
 
 
 def test_sweep_determinism(tmp_path, capsys):

@@ -126,6 +126,14 @@ def test_matrices_conjugate_requires_irreducible():
     assert e.value.code == "not_irreducible"
 
 
+def test_matrices_conjugate_refuses_non_weil_first():
+    # (t + 1)(t + 2) is reducible and not Weil; convert reports not_weil too
+    c = weil.make_context(2, 1, 1, [1, 3, 2])
+    with pytest.raises(InputError) as e:
+        conjugacy.matrices_conjugate(c, [[-1, 0], [0, -2]], [[-2, 0], [0, -1]])
+    assert e.value.code == "not_weil"
+
+
 def test_matrices_conjugate_checks_both_inputs():
     c = ctx5()
     with pytest.raises(InputError) as e:

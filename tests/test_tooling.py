@@ -1,6 +1,6 @@
 """The benchmark's traced run looks functions up by name: every name it
 wraps must stay an attribute of its module.  The runtime imports the
-standard library only."""
+standard library only, and one gate refuses non-Weil and reducible input."""
 
 import ast
 import importlib
@@ -8,10 +8,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from avcyclic import orders
+from avcyclic import cli, orders
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+SOURCES = sorted((ROOT / "src" / "avcyclic").glob("*.py"))
 
 
 def test_traced_names_exist():
@@ -28,10 +29,9 @@ def test_traced_names_exist():
 
 
 def test_runtime_imports_stdlib_only():
-    sources = sorted((ROOT / "src" / "avcyclic").glob("*.py"))
-    assert sources
+    assert SOURCES
     allowed = sys.stdlib_module_names | {"avcyclic"}
-    for path in sources:
+    for path in SOURCES:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -41,3 +41,39 @@ def test_runtime_imports_stdlib_only():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name}: import {name}"
+
+
+def _input_error_sites() -> set[tuple[str, str, str]]:
+    """(code, module, enclosing class and function) of every InputError
+    constructed under src/avcyclic."""
+    sites = set()
+
+    def visit(node, module: str, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "InputError"):
+                code = child.args[0]
+                assert isinstance(code, ast.Constant) and isinstance(code.value, str), (
+                    f"{module}.py:{child.lineno}: InputError code must be a string literal")
+                sites.add((code.value, module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    return sites
+
+
+def test_one_gate_refuses_non_simple_input():
+    # every layer refuses non-Weil and reducible input through
+    # WeilContext.refuse_non_simple; frobenius_pair_order, which also serves
+    # reducible Weil input, keeps its own Weil check
+    sites = _input_error_sites()
+    gate = ("weil", "WeilContext.refuse_non_simple")
+    assert ({s[1:] for s in sites if s[0] == "not_weil"}
+            == {gate, ("orders", "frobenius_pair_order")})
+    assert {s[1:] for s in sites if s[0] == "not_irreducible"} == {gate}
+    # every code the CLI treats as a refusal is one the package raises
+    assert cli._REFUSAL_CODES <= {s[0] for s in sites}
