@@ -131,11 +131,11 @@ def _context_from_args(args) -> weil.WeilContext:
 
 
 def _context_echo(ctx: weil.WeilContext) -> dict:
-    return {"p": ctx.p, "r": ctx.r, "q": ctx.q, "g": ctx.g, "f": list(ctx.f)}
+    return {"p": ctx.p, "r": ctx.r, "q": ctx.q, "g": ctx.g, "f": ctx.f}
 
 
 def _lattice_doc(lat) -> dict:
-    return {"denominator": lat.den, "rows": [list(r) for r in lat.mat]}
+    return {"denominator": lat.den, "rows": lat.mat}
 
 
 def _classification_doc(result, seconds: float | None) -> dict:
@@ -143,15 +143,15 @@ def _classification_doc(result, seconds: float | None) -> dict:
     for rep in result.reports:
         lat = rep.class_ref.provenance
         classes.append({
-            "matrix": [list(r) for r in rep.class_ref.rep],
+            "matrix": rep.class_ref.rep,
             "ideal_basis": _lattice_doc(lat),
             "tau_m": rep.tau_m,
             "tau_one_minus_m": rep.tau_one_minus_m,
             "gcd_with_point_count": rep.gcd_with_point_count,
             "membership_c1": rep.membership_c1,
             "membership_c2": rep.membership_c2,
-            "invariant_factors": list(rep.invariant_factors),
-            "group": list(rep.group_descriptor),
+            "invariant_factors": rep.invariant_factors,
+            "group": rep.group_descriptor,
             "verdict": rep.verdict,
             "oracle_agrees": rep.oracle_agrees,
         })
@@ -166,11 +166,11 @@ def _classification_doc(result, seconds: float | None) -> dict:
             "point_count": result.ctx.point_count,
             "index_bound": result.icm_result.index_bound,
             "completeness": result.completeness,
-            "indeterminate_pairs": [list(p) for p in result.icm_result.indeterminate_pairs],
+            "indeterminate_pairs": result.icm_result.indeterminate_pairs,
         },
         "sigma_checks": [
-            {"ell": c.ell, "sigma_classes": list(c.sigma_class_indices),
-             "tau_classes": list(c.tau_class_indices), "agree": c.agree}
+            {"ell": c.ell, "sigma_classes": c.sigma_class_indices,
+             "tau_classes": c.tau_class_indices, "agree": c.agree}
             for c in result.sigma_checks
         ],
     }
@@ -210,11 +210,9 @@ def cmd_convert(args) -> int:
         raise InputError("bad_direction", "pass exactly one of --matrix or --ideal")
     if args.matrix is not None:
         m = _parse_matrix(args.matrix)
-        conjugacy._check_charpoly(ctx, m)
-        ctx.refuse_non_simple()
         lat = conjugacy.matrix_to_ideal(ctx, m)
         back = conjugacy.ideal_to_matrix(lat)
-        conj = conjugacy.matrices_conjugate(ctx, m, [list(r) for r in back.rep])
+        conj = conjugacy.matrices_conjugate(ctx, m, back.rep)
         doc = {
             "schema_version": SCHEMA_VERSION,
             "context": _context_echo(ctx),
@@ -222,29 +220,28 @@ def cmd_convert(args) -> int:
             "input_matrix": m,
             "ideal": _lattice_doc(lat),
             "round_trip": {
-                "matrix": [list(r) for r in back.rep],
+                "matrix": back.rep,
                 "status": conj.status,
-                "witness": None if conj.witness is None else [list(r) for r in conj.witness],
+                "witness": conj.witness,
             },
         }
         _emit(doc, args.out)
         return 0
     rows = _parse_ideal(args.ideal)
     lat = orders.IdealLattice.from_rows(ctx, rows)
-    ctx.refuse_non_simple()
     mclass = conjugacy.ideal_to_matrix(lat)
-    lat_back = conjugacy.matrix_to_ideal(ctx, [list(r) for r in mclass.rep])
+    lat_back = conjugacy.matrix_to_ideal(ctx, mclass.rep)
     eq = orders.ideal_equivalent(lat, lat_back)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "context": _context_echo(ctx),
         "direction": "ideal_to_matrix",
         "input_ideal": _lattice_doc(lat),
-        "matrix": [list(r) for r in mclass.rep],
+        "matrix": mclass.rep,
         "round_trip": {
             "ideal": _lattice_doc(lat_back),
             "status": eq.status,
-            "witness": None if eq.witness is None else list(eq.witness.coeffs),
+            "witness": None if eq.witness is None else eq.witness.coeffs,
         },
     }
     _emit(doc, args.out)
@@ -302,7 +299,7 @@ def cmd_sweep(args) -> int:
         load = ingest.load_fixture(args.fixtures)
         sweep_doc["cross_validation"] = {
             "report": ingest.cross_validate(load.records),
-            "rejected_lines": [list(r) for r in load.rejected],
+            "rejected_lines": load.rejected,
         }
     if not args.no_timing:
         sweep_doc["timing"] = {"seconds": f"{time.monotonic() - started:.3f}"}

@@ -6,7 +6,9 @@ Conventions.  Matrices act on column vectors.  A lattice with basis rows
 b_0 .. b_{n-1} corresponds to the matrix M whose j-th column holds the
 coefficients of alpha * b_j in that basis, so M = (B^T)^-1 * Malpha^T * B^T
 where B stacks the basis rows and Malpha is the row-convention
-multiplication-by-alpha matrix on the power basis.
+multiplication-by-alpha matrix on the power basis.  Every entry point calls
+the gate WeilContext.refuse_non_simple; behind it K is a field, so for a
+matrix with characteristic polynomial f every nonzero vector is cyclic.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg, orders
-from .errors import ConsistencyError, DegenerateLatticeError, InputError
+from .errors import ConsistencyError, InputError
 from .orders import IdealLattice
 from .weil import WeilContext
 
@@ -36,11 +38,16 @@ class ConjugacyResult:
     search_bound: int | None = None
 
 
+def _check_integers(entries, what: str) -> None:
+    """Entries must be int, and not bool, as ingest requires of its records."""
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in entries):
+        raise InputError("not_integer", f"{what} entries must be integers")
+
+
 def _check_charpoly(ctx: WeilContext, m) -> None:
     if len(m) != ctx.n or any(len(row) != ctx.n for row in m):
         raise InputError("bad_shape", f"matrix must be {ctx.n} x {ctx.n}")
-    if any(not isinstance(x, int) for row in m for x in row):
-        raise InputError("not_integer", "matrix entries must be integers")
+    _check_integers((x for row in m for x in row), "matrix")
     if linalg.charpoly(m) != ctx.f_low:
         raise InputError(
             "charpoly_mismatch",
@@ -52,35 +59,28 @@ def ideal_to_matrix(lat: IdealLattice) -> MatrixClass:
     """Integer matrix of multiplication by alpha on the lattice, in the
     canonical basis.  The lattice must be stable under alpha."""
     ctx = lat.ctx
+    ctx.refuse_non_simple()
     rows = orders.multiplication_matrix(orders.alpha(ctx), lat.elements, lat)
     if rows is None:
         raise InputError("not_stable", "not a Z[alpha]-module: lattice moves under alpha")
     rep = linalg.freeze(linalg.transpose(rows))
-    if linalg.charpoly([list(r) for r in rep]) != ctx.f_low:
+    if linalg.charpoly(rep) != ctx.f_low:
         raise ConsistencyError("multiplication matrix has wrong characteristic polynomial")
     return MatrixClass(rep, ctx.f_low, lat)
 
 
-def _krylov(ctx: WeilContext, m, v0=None) -> tuple[IdealLattice, list[list[int]]]:
-    """(lat, wt) for the Krylov matrix wt with rows v0, m v0, .., m^(n-1) v0
-    and the lattice lat spanned by the rows of wt^-1: the pull-back of Z^n
-    through c -> (c as polynomial in m) v0.  The coordinates of y in the
-    basis wt^-1 are y wt.  Without v0 the first standard basis vector whose
-    Krylov matrix is nonsingular serves."""
-    n = ctx.n
-    candidates = [v0] if v0 is not None else [
-        [1 if i == k else 0 for i in range(n)] for k in range(n)
-    ]
-    for cand in candidates:
-        wt = [list(cand)]
-        for _ in range(n - 1):
-            wt.append([sum(x * y for x, y in zip(row, wt[-1])) for row in m])
-        try:
-            e, d = linalg.inverse_pair(wt)
-        except DegenerateLatticeError:
-            continue
-        return IdealLattice.over(ctx, e, abs(d)), wt
-    raise ConsistencyError("no cyclic vector found; is the polynomial irreducible?")
+def _krylov(ctx: WeilContext, m, v0=None) -> tuple[IdealLattice, list, list, int]:
+    """(lat, wt, E, D) for the Krylov matrix wt with rows v0, m v0, ..,
+    m^(n-1) v0, E wt = D I, and the lattice lat spanned by the rows of
+    wt^-1 = E / D: the pull-back of Z^n through c -> (c as polynomial in m)
+    v0.  The coordinates of y in the basis wt^-1 are y wt.  v0 defaults to
+    the first standard basis vector; behind the gate every nonzero v0 is
+    cyclic, so wt is nonsingular."""
+    wt = [list(v0) if v0 is not None else [1] + [0] * (ctx.n - 1)]
+    for _ in range(ctx.n - 1):
+        wt.append([sum(x * y for x, y in zip(row, wt[-1])) for row in m])
+    e, d = linalg.inverse_pair(wt)
+    return IdealLattice.over(ctx, e, abs(d)), wt, e, d
 
 
 def matrix_to_ideal(ctx: WeilContext, m, v0=None) -> IdealLattice:
@@ -89,12 +89,13 @@ def matrix_to_ideal(ctx: WeilContext, m, v0=None) -> IdealLattice:
     basis matrix of the result is verified integrally conjugate to m."""
     _check_charpoly(ctx, m)
     if v0 is not None:
-        v0 = [int(x) for x in v0]
         if len(v0) != ctx.n:
             raise InputError("bad_shape", f"v0 must have {ctx.n} entries")
-        if all(x == 0 for x in v0):
+        _check_integers(v0, "v0")
+        if not any(v0):
             raise InputError("zero_vector", "v0 must be nonzero")
-    lat, wt = _krylov(ctx, m, v0)
+    ctx.refuse_non_simple()
+    lat, wt, _, _ = _krylov(ctx, m, v0)
     # Q = lat.mat wt / lat.den holds the coordinates of the canonical basis
     # in the basis wt^-1; alpha acts on the former by rep^T and on the
     # latter by m^T, so Q^T rep = m Q^T
@@ -118,8 +119,8 @@ def matrices_conjugate(ctx: WeilContext, a, b) -> ConjugacyResult:
     if [list(r) for r in a] == [list(r) for r in b]:
         ident = linalg.freeze(linalg.identity(ctx.n))
         return ConjugacyResult("conjugate", ident)
-    lat_a, wt_a = _krylov(ctx, a)
-    lat_b, wt_b = _krylov(ctx, b)
+    lat_a, _, e_a, d_a = _krylov(ctx, a)
+    lat_b, wt_b, _, _ = _krylov(ctx, b)
     eq = orders.ideal_equivalent(lat_a, lat_b)
     if eq.status == "not_equivalent":
         return ConjugacyResult("not_conjugate")
@@ -128,7 +129,6 @@ def matrices_conjugate(ctx: WeilContext, a, b) -> ConjugacyResult:
     # u^T is multiplication by x from the basis wt_a^-1 = E_a / D_a, on
     # which a acts, to the basis wt_b^-1, on which b acts
     x = eq.witness
-    e_a, d_a = linalg.inverse_pair(wt_a)
     ut = _divide_exactly(linalg.mat_mul(linalg.mat_mul(e_a, x.mult_matrix()), wt_b), d_a * x.den,
                          "witness does not carry the lattice of a into that of b")
     u = linalg.transpose(ut)
@@ -147,7 +147,5 @@ def _divide_exactly(a, d: int, failure: str) -> list[list[int]]:
 def _verify_witness(a, b, u) -> None:
     if not linalg.is_unimodular(u):
         raise ConsistencyError("conjugacy witness is not unimodular")
-    left = linalg.mat_mul([list(r) for r in b], u)
-    right = linalg.mat_mul(u, [list(r) for r in a])
-    if left != right:
+    if linalg.mat_mul(b, u) != linalg.mat_mul(u, a):
         raise ConsistencyError("conjugacy witness fails b u = u a")

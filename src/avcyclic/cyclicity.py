@@ -75,10 +75,6 @@ class ClassificationResult:
         return all(r.oracle_agrees for r in self.reports)
 
 
-def _as_lists(m) -> list[list[int]]:
-    return [list(row) for row in m]
-
-
 def _one_minus(m) -> list[list[int]]:
     n = len(m)
     return [[(1 if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
@@ -96,7 +92,6 @@ def membership(m, ctx: WeilContext, c: int) -> bool:
     if c not in (1, 2):
         raise InputError("bad_threshold", "threshold c must be 1 or 2")
     conjugacy._check_charpoly(ctx, m)
-    m = _as_lists(m)
     if linalg.tau(m) % ctx.q ** (ctx.g - 1):
         return False
     return _gcd_with_count(ctx, linalg.tau(_one_minus(m))) >= c
@@ -108,7 +103,6 @@ def q_stability_check(m, ctx: WeilContext) -> bool:
     Faddeev-LeVerrier adjugate, lattice stability under q/alpha) which must
     agree."""
     conjugacy._check_charpoly(ctx, m)
-    m = _as_lists(m)
     inv = linalg.mat_inverse_fraction(m)
     direct = all((Fraction(x) * ctx.q).denominator == 1 for row in inv for x in row)
     via_tau = linalg.tau(m) % ctx.q ** (ctx.g - 1) == 0
@@ -126,7 +120,7 @@ def group_structure_oracle(m, ctx: WeilContext) -> tuple[tuple[int, ...], bool]:
     """Invariant factors of coker(1 - m) and whether that group is cyclic.
     Independent of the tau route: works directly on the Smith normal form."""
     conjugacy._check_charpoly(ctx, m)
-    snf = linalg.smith_normal_form(_one_minus(_as_lists(m)))
+    snf = linalg.smith_normal_form(_one_minus(m))
     factors = snf.invariant_factors
     if prod(factors) != ctx.point_count:
         raise ConsistencyError("group order from invariant factors differs from f(1)")
@@ -146,7 +140,6 @@ def _poly_at_matrix(f_low, m) -> list[list[int]]:
 
 def structural_identities(ctx: WeilContext, m) -> dict[str, bool]:
     """The exact identities every class representative must satisfy."""
-    m = _as_lists(m)
     one_minus = _one_minus(m)
     factors = linalg.smith_normal_form(one_minus).invariant_factors
     return _identities(ctx, m, one_minus, linalg.tau(one_minus), factors)
@@ -166,7 +159,7 @@ def _identities(ctx: WeilContext, m, one_minus, tau_im: int,
 
 
 def _report_for(ctx: WeilContext, mclass: MatrixClass) -> CyclicityReport:
-    m = _as_lists(mclass.rep)
+    m = mclass.rep
     one_minus = _one_minus(m)
     tau_m = linalg.tau(m)
     tau_im = linalg.tau(one_minus)

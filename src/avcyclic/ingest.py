@@ -77,8 +77,8 @@ def _record_from_obj(obj) -> ExternalClassRecord:
 
 def load_fixture(path) -> FixtureLoad:
     """Parse a JSON-lines fixture.  Malformed lines, and records whose
-    context make_context refuses, are reported with their line numbers and
-    skipped; an empty result is an error."""
+    context make_context or its irreducibility test refuses, are reported
+    with their line numbers and skipped; an empty result is an error."""
     text = Path(path).read_text(encoding="utf-8")
     records = []
     rejected = []
@@ -89,7 +89,7 @@ def load_fixture(path) -> FixtureLoad:
             rec = _record_from_obj(json.loads(line))
             # a record outside the supported envelope (the degree cap, the
             # factor box of a non-Weil input) is a bad line like any other
-            make_context(*rec.p_r, rec.g, list(rec.poly_monic_first))
+            make_context(*rec.p_r, rec.g, list(rec.poly_monic_first)).is_irreducible
             records.append(rec)
         except (ValueError, TypeError, CapabilityError) as exc:
             rejected.append((line_no, str(exc)))

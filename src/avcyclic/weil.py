@@ -12,7 +12,8 @@ which holds exactly when all g roots of h lie in [-2*sqrt(q), 2*sqrt(q)].
 Irreducibility of a Weil polynomial is read off h as well: f = t^g h(t + q/t)
 is irreducible iff h is irreducible and has no root +-2*sqrt(q).  Any other
 monic polynomial goes through one exact factor search over Z whose box is
-bounded by Landau-Mignotte and capped at FACTOR_BOX_CAP points.
+bounded by Landau-Mignotte and capped at FACTOR_BOX_CAP points.  A context
+decides irreducibility on first use, after the gate has refused non-Weil f.
 """
 
 from __future__ import annotations
@@ -84,9 +85,10 @@ def prime_power_split(q: int) -> tuple[int, int] | None:
 class WeilContext:
     """Validated input bundle for one isogeny class candidate.
 
-    ``f`` is the monic coefficient tuple, highest degree first.  The three
-    flags record what validation found; construction never silently rejects
-    a polynomial that parses, it just flags it.
+    ``f`` is the monic coefficient tuple, highest degree first.  The flags
+    record what validation found; is_irreducible, which may need a factor
+    search, is decided on first use.  Construction never rejects a
+    polynomial that parses, it just flags it.
     """
 
     p: int
@@ -97,7 +99,21 @@ class WeilContext:
     is_weil: bool
     weil_reason: str | None
     is_ordinary: bool
-    is_irreducible: bool
+
+    @cached_property
+    def is_irreducible(self) -> bool:
+        """Irreducibility of f over Q.  A Weil polynomial f = t^g h(t + q/t)
+        is irreducible iff h is and h(+-2 sqrt q) != 0: the roots b of h are
+        real, and t^2 - b t + q splits over Q(b) only if b^2 = 4q.  With E
+        and O the even and odd parts of h at s^2 = 4q, h(+-2 sqrt q) =
+        E +- 2 sqrt(q) O, so such a root exists iff E^2 = 4q O^2.  Any other
+        f goes through is_irreducible(f)."""
+        if not self.is_weil:
+            return is_irreducible(self.f)
+        h = _real_substitution(self.f_low, self.q, self.g)
+        even = poly.evaluate(h[0::2], 4 * self.q)
+        odd = poly.evaluate(h[1::2], 4 * self.q)
+        return is_irreducible(h[::-1]) and even * even != 4 * self.q * odd * odd
 
     @cached_property
     def f_low(self) -> tuple[int, ...]:
@@ -138,7 +154,7 @@ class WeilContext:
         """The acceptance gate of every layer built on the bijection: ideal
         classes, the equivalence search and GL_n(Z)-conjugacy all need
         K = Q[t]/(f) to be a CM field, so non-Weil input is refused first,
-        then reducible input."""
+        before irreducibility is decided, then reducible input."""
         if not self.is_weil:
             raise InputError("not_weil", f"not a Weil polynomial: {self.weil_reason}")
         if not self.is_irreducible:
@@ -146,7 +162,7 @@ class WeilContext:
 
 
 def make_context(p: int, r: int, g: int, coeffs: Sequence[int]) -> WeilContext:
-    """Validate raw input and compute the context flags."""
+    """Validate raw input and compute the flags; is_irreducible waits for use."""
     if not is_prime(p):
         raise InputError("p_not_prime", f"p = {p} is not prime")
     if r < 1:
@@ -164,48 +180,35 @@ def make_context(p: int, r: int, g: int, coeffs: Sequence[int]) -> WeilContext:
         raise InputError("not_monic", "leading coefficient must be 1")
     q = p**r
     f = tuple(coeffs)
-    ok, reason, h = _weil_reason(poly.from_monic_first(f), q)
+    ok, reason = _weil_reason(poly.from_monic_first(f), q)
     ordinary = gcd(f[g], p) == 1  # middle coefficient coprime to p
-    if ok:
-        # f is irreducible iff h is and h(+-2 sqrt q) != 0: the roots b of h
-        # are real, and t^2 - b t + q splits over Q(b) only if b^2 = 4q.  With
-        # E and O the even and odd parts of h at s^2 = 4q, h(+-2 sqrt q) =
-        # E +- 2 sqrt(q) O, so such a root exists iff E^2 = 4q O^2
-        even = poly.evaluate(h[0::2], 4 * q)
-        odd = poly.evaluate(h[1::2], 4 * q)
-        irreducible = is_irreducible(h[::-1]) and even * even != 4 * q * odd * odd
-    else:
-        irreducible = is_irreducible(f)
-    return WeilContext(p, r, q, g, f, ok, reason, ordinary, irreducible)
+    return WeilContext(p, r, q, g, f, ok, reason, ordinary)
 
 
 def validate_weil(coeffs: Sequence[int], q: int) -> bool:
     """True iff the monic even-degree polynomial has every root on
     |t| = sqrt(q).  Exact; no floating point."""
-    f_low = poly.from_monic_first(coeffs)
-    return _weil_reason(f_low, q)[0]
+    return _weil_reason(poly.from_monic_first(coeffs), q)[0]
 
 
-def _weil_reason(f_low: tuple, q: int) -> tuple[bool, str | None, tuple | None]:
-    """(is Weil, reason if not, h with f = t^g h(t + q/t) once the
-    functional equation holds)."""
+def _weil_reason(f_low: tuple, q: int) -> tuple[bool, str | None]:
+    """(is Weil, reason if not)."""
     n = len(f_low) - 1
     if n < 2 or n % 2:
-        return False, "bad_degree", None
+        return False, "bad_degree"
     if f_low[-1] != 1:
-        return False, "not_monic", None
+        return False, "not_monic"
     g = n // 2
     if f_low[0] != q**g:
-        return False, "constant_term", None
+        return False, "constant_term"
     # a_i is the coefficient of t^(2g-i); the root pairing t <-> q/t forces
     # a_{2g-i} = q^(g-i) a_i, i.e. f_low[i] = q^(g-i) * f_low[2g-i].
     for i in range(g):
         if f_low[i] != q ** (g - i) * f_low[n - i]:
-            return False, "functional_equation", None
-    h = _real_substitution(f_low, q, g)
-    if not _roots_in_interval(h, q):
-        return False, "root_location", h
-    return True, None, h
+            return False, "functional_equation"
+    if not _roots_in_interval(_real_substitution(f_low, q, g), q):
+        return False, "root_location"
+    return True, None
 
 
 def _real_substitution(f_low: tuple, q: int, g: int) -> tuple:
@@ -259,7 +262,8 @@ def is_irreducible(coeffs: Sequence[int]) -> bool:
     sieve cannot rule out is settled by an exhaustive search for a monic
     integer factor inside the Landau-Mignotte box, which raises
     CapabilityError when that box holds more than FACTOR_BOX_CAP points.
-    `make_context` calls this on h, of degree g, for a Weil polynomial.
+    `WeilContext.is_irreducible` calls this on h, of degree g, for a Weil
+    polynomial.
     """
     f_low = poly.from_monic_first(coeffs)
     n = poly.degree(f_low)
@@ -379,8 +383,8 @@ def enumerate_weil_contexts(
                for a1 in range(-top1, top1 + 1)
                for a2 in range((isqrt(4 * a1 * a1 * q - 1) + 1 if a1 else 0) - 2 * q,
                                a1 * a1 // 4 + 2 * q + 1))
-    # both boxes hold Weil polynomials only, so irreducibility is decided for
-    # Weil input only; the is_weil filter states the contract, it drops nothing
+    # both boxes hold Weil polynomials only, so the irreducible filter decides
+    # it for Weil input only; the is_weil filter states the contract
     contexts = (make_context(p, r, g, coeffs) for coeffs in box)
     return [ctx for ctx in contexts if ctx.is_weil and _match(ctx, ordinary, irreducible)]
 

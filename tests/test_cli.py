@@ -417,6 +417,31 @@ def test_validate_non_weil_octic_returns(capsys):
     assert doc["is_weil"] is False and doc["is_irreducible"] is True
 
 
+def test_non_weil_is_refused_before_any_factor_search(capsys):
+    # (t^4 + 1000)(t^4 + 1001) is not Weil over F_2: classify and convert
+    # refuse it with not_weil, while validate, which reports irreducibility,
+    # still meets the over-cap factor box
+    context = ["--p", "2", "--r", "1", "--g", "4", "--poly=1,0,0,0,2001,0,0,0,1001000"]
+    companion = ";".join(",".join(str(x) for x in row) for row in (
+        [0, 0, 0, 0, 0, 0, 0, -1001000], [1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, -2001], [0, 0, 0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0]))
+    for argv in (["classify"] + context, ["convert"] + context + ["--matrix=" + companion]):
+        code, out = run(capsys, argv)
+        assert (code, json.loads(out)["error"]["code"]) == (1, "not_weil")
+    code, out = run(capsys, ["validate"] + context)
+    assert code == 2
+    assert out == ('{\n  "error": {\n    "code": "capability",\n    "message": "the degree-4 '
+                   'factor search needs 8671437808048 candidates, over the cap 50000000"\n'
+                   '  },\n  "schema_version": "1"\n}\n')
+    # a non-Weil product of two quartics whose factor box is under the cap
+    start = time.monotonic()
+    code, out = run(capsys, ["classify", "--p", "2", "--r", "1", "--g", "4",
+                             "--poly=1,-5,-1,-17,-36,-53,-10,17,20"])
+    assert time.monotonic() - start < 1
+    assert (code, json.loads(out)["error"]["code"]) == (1, "not_weil")
+
+
 def test_convert_reducible_is_a_refusal(capsys):
     # (t^2 + t + 2)^2 is Weil and ordinary, but K = Q[t]/(f) is no field;
     # this matrix has no cyclic vector, which used to surface as exit 3

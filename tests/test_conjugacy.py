@@ -91,6 +91,36 @@ def test_matrix_to_ideal_input_checks():
     assert e.value.code == "bad_shape"
 
 
+def test_matrix_and_v0_entries_must_be_int():
+    # one rule for both: int only, bool refused; nothing is truncated
+    c = ctx2()
+    m = [[0, -2], [1, -1]]
+    for v0 in ([1.7, 0], ["2", "0"], [0.4, 0], [True, 0]):
+        with pytest.raises(InputError) as e:
+            conjugacy.matrix_to_ideal(c, m, v0=v0)
+        assert e.value.code == "not_integer"
+    bools = [[False, -2], [True, -1]]  # t^2 + t + 2 if read as integers
+    for call in (lambda: conjugacy.matrix_to_ideal(c, bools),
+                 lambda: conjugacy.matrices_conjugate(c, m, bools)):
+        with pytest.raises(InputError) as e:
+            call()
+        assert e.value.code == "not_integer"
+
+
+def test_conversions_refuse_through_the_gate():
+    # (t - 2)^2 is Weil but reducible; (t + 1)(t + 2) is neither, and is
+    # reported as not Weil
+    for c, m, code in ((weil.make_context(2, 2, 1, [1, -4, 4]), [[0, -4], [1, 4]],
+                        "not_irreducible"),
+                       (weil.make_context(2, 1, 1, [1, 3, 2]), [[0, -2], [1, -3]], "not_weil")):
+        with pytest.raises(InputError) as e:
+            conjugacy.matrix_to_ideal(c, m)
+        assert e.value.code == code
+        with pytest.raises(InputError) as e:
+            conjugacy.ideal_to_matrix(IdealLattice.standard(c))
+        assert e.value.code == code
+
+
 def test_matrices_conjugate_identical_inputs():
     c = ctx2()
     m = ((0, -2), (1, -1))

@@ -1,6 +1,7 @@
 """The benchmark's traced run looks functions up by name: every name it
 wraps must stay an attribute of its module.  The runtime imports the
-standard library only, and one gate refuses non-Weil and reducible input."""
+standard library only, and one gate, in front of every conversion, refuses
+non-Weil and reducible input."""
 
 import ast
 import importlib
@@ -77,3 +78,28 @@ def test_one_gate_refuses_non_simple_input():
     assert {s[1:] for s in sites if s[0] == "not_irreducible"} == {gate}
     # every code the CLI treats as a refusal is one the package raises
     assert cli._REFUSAL_CODES <= {s[0] for s in sites}
+
+
+def _called_names(node) -> set[str]:
+    """Names called anywhere under node: f for f(..), attr for x.attr(..)."""
+    return {getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((ROOT / "src" / "avcyclic" / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _functions(module: str) -> dict[str, ast.FunctionDef]:
+    return {node.name: node for node in _tree(module).body if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_gate_sits_in_front_of_every_conversion():
+    # the conversions call the gate themselves, so the CLI repeats neither
+    # it nor the charpoly check, and a context decides irreducibility only
+    # when the gate or a caller asks, never on construction
+    conversions = _functions("conjugacy")
+    for name in ("matrix_to_ideal", "ideal_to_matrix", "matrices_conjugate"):
+        assert "refuse_non_simple" in _called_names(conversions[name]), name
+    assert not _called_names(_tree("cli")) & {"refuse_non_simple", "_check_charpoly"}
+    assert "is_irreducible" not in _called_names(_functions("weil")["make_context"])
