@@ -1,15 +1,17 @@
 """Command line surface.
 
 Exit codes: 0 success, 1 negative verdict or refusal, 2 usage/parse or
-capability error, 3 internal consistency failure.  _failure maps each error
-to its code and exit code once: main applies it to a failing command, and
-sweep to each failing context, which it lists under "failures" while the
-other contexts go on; sweep exits with the largest exit code.  All output
-documents are JSON with schema_version "1"; every integer (and every
-Fraction, as "n/d") is emitted as a decimal string so arbitrary-precision
-values survive any JSON reader.  One recursive pass writes each document
-with the bytes of json.dumps(sort_keys=True, indent=2) on that stringified
-document: sorted keys, two-space indent, ASCII escapes.
+capability error, 3 internal consistency failure.  classify and sweep share
+one per-context path, _classify, which returns a context's document and
+exit code.  _failure maps each error to its code and exit code once: main
+applies it to a failing command, and sweep to each failing context, which
+it lists under "failures" while the other contexts go on; sweep exits with
+the largest exit code.  All output documents are JSON with schema_version
+"1"; every integer (and every Fraction, as "n/d") is emitted as a decimal
+string so arbitrary-precision values survive any JSON reader.  One
+recursive pass writes each document with the bytes of
+json.dumps(sort_keys=True, indent=2) on that stringified document: sorted
+keys, two-space indent, ASCII escapes.
 """
 
 from __future__ import annotations
@@ -110,20 +112,13 @@ def _parse_poly(text: str) -> list[int]:
                          "comma-separated integers, highest degree first") from None
 
 
-def _parse_matrix(text: str) -> list[list[int]]:
+def _parse_rows(text: str, entry, error: InputError) -> list[list]:
+    """Rows of entry(token), tokens joined by ',' and rows by ';', as
+    --matrix and --ideal take them; error when a token does not parse."""
     try:
-        return [[int(tok.strip()) for tok in row.split(",")] for row in text.split(";")]
-    except ValueError:
-        raise InputError("bad_matrix", f"cannot parse matrix {text!r}: expected rows "
-                         "of comma-separated integers joined by ';'") from None
-
-
-def _parse_ideal(text: str) -> list[list[Fraction]]:
-    try:
-        return [[Fraction(tok.strip()) for tok in row.split(",")] for row in text.split(";")]
+        return [[entry(tok.strip()) for tok in row.split(",")] for row in text.split(";")]
     except (ValueError, ZeroDivisionError):
-        raise InputError("bad_ideal", f"cannot parse ideal basis {text!r}: expected rows "
-                         "of comma-separated rationals joined by ';'") from None
+        raise error from None
 
 
 def _context_from_args(args) -> weil.WeilContext:
@@ -138,7 +133,14 @@ def _lattice_doc(lat) -> dict:
     return {"denominator": lat.den, "rows": lat.mat}
 
 
-def _classification_doc(result, seconds: float | None) -> dict:
+def _classify(ctx: weil.WeilContext, index_bound: int | None,
+              timed: bool) -> tuple[dict, int]:
+    """The classification document of one context and its exit code, 0, or
+    3 when an oracle disagrees: the one path of classify and of every sweep
+    context."""
+    started = time.monotonic()
+    result = cyclicity.classify_isogeny_class(ctx, index_bound)
+    seconds = time.monotonic() - started if timed else None
     classes = []
     for rep in result.reports:
         lat = rep.class_ref.provenance
@@ -176,7 +178,7 @@ def _classification_doc(result, seconds: float | None) -> dict:
     }
     if seconds is not None:
         doc["timing"] = {"seconds": f"{seconds:.3f}"}
-    return doc
+    return doc, 0 if result.all_oracle_agree else 3
 
 
 def cmd_validate(args) -> int:
@@ -196,65 +198,51 @@ def cmd_validate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    ctx = _context_from_args(args)
-    started = time.monotonic()
-    result = cyclicity.classify_isogeny_class(ctx, args.index_bound)
-    seconds = None if args.no_timing else time.monotonic() - started
-    _emit(_classification_doc(result, seconds), args.out)
-    return 0 if result.all_oracle_agree else 3
+    doc, status = _classify(_context_from_args(args), args.index_bound, not args.no_timing)
+    _emit(doc, args.out)
+    return status
 
 
 def cmd_convert(args) -> int:
     ctx = _context_from_args(args)
     if (args.matrix is None) == (args.ideal is None):
         raise InputError("bad_direction", "pass exactly one of --matrix or --ideal")
+    doc = {"schema_version": SCHEMA_VERSION, "context": _context_echo(ctx)}
     if args.matrix is not None:
-        m = _parse_matrix(args.matrix)
+        m = _parse_rows(args.matrix, int, InputError(
+            "bad_matrix", f"cannot parse matrix {args.matrix!r}: expected rows "
+            "of comma-separated integers joined by ';'"))
         lat = conjugacy.matrix_to_ideal(ctx, m)
         back = conjugacy.ideal_to_matrix(lat)
         conj = conjugacy.matrices_conjugate(ctx, m, back.rep)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "context": _context_echo(ctx),
-            "direction": "matrix_to_ideal",
-            "input_matrix": m,
-            "ideal": _lattice_doc(lat),
-            "round_trip": {
-                "matrix": back.rep,
-                "status": conj.status,
-                "witness": conj.witness,
-            },
-        }
-        _emit(doc, args.out)
-        return 0
-    rows = _parse_ideal(args.ideal)
-    lat = orders.IdealLattice.from_rows(ctx, rows)
-    mclass = conjugacy.ideal_to_matrix(lat)
-    lat_back = conjugacy.matrix_to_ideal(ctx, mclass.rep)
-    eq = orders.ideal_equivalent(lat, lat_back)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "context": _context_echo(ctx),
-        "direction": "ideal_to_matrix",
-        "input_ideal": _lattice_doc(lat),
-        "matrix": mclass.rep,
-        "round_trip": {
-            "ideal": _lattice_doc(lat_back),
-            "status": eq.status,
-            "witness": None if eq.witness is None else eq.witness.coeffs,
-        },
-    }
+        doc.update(direction="matrix_to_ideal", input_matrix=m, ideal=_lattice_doc(lat),
+                   round_trip={"matrix": back.rep, "status": conj.status,
+                               "witness": conj.witness})
+    else:
+        rows = _parse_rows(args.ideal, Fraction, InputError(
+            "bad_ideal", f"cannot parse ideal basis {args.ideal!r}: expected rows "
+            "of comma-separated rationals joined by ';'"))
+        lat = orders.IdealLattice.from_rows(ctx, rows)
+        mclass = conjugacy.ideal_to_matrix(lat)
+        lat_back = conjugacy.matrix_to_ideal(ctx, mclass.rep)
+        eq = orders.ideal_equivalent(lat, lat_back)
+        doc.update(direction="ideal_to_matrix", input_ideal=_lattice_doc(lat),
+                   matrix=mclass.rep,
+                   round_trip={"ideal": _lattice_doc(lat_back), "status": eq.status,
+                               "witness": None if eq.witness is None else eq.witness.coeffs})
     _emit(doc, args.out)
     return 0
 
 
-def _aggregate_csv(rows: list[dict]) -> str:
+def _aggregate_csv(reports: list[dict]) -> str:
+    """One CSV row per classification document."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["q", "f", "classes", "cyclic", "not_cyclic", "completeness"])
-    for row in rows:
-        writer.writerow([row["q"], row["f"], row["classes"], row["cyclic"],
-                         row["not_cyclic"], row["completeness"]])
+    for doc in reports:
+        ctx, summary = doc["context"], doc["summary"]
+        writer.writerow([ctx["q"], ",".join(map(str, ctx["f"])), summary["total"],
+                         summary["cyclic"], summary["not_cyclic"], summary["completeness"]])
     return buf.getvalue()
 
 
@@ -264,30 +252,17 @@ def cmd_sweep(args) -> int:
     started = time.monotonic()
     reports = []
     failures = []
-    csv_rows = []
     worst = 0
     for ctx in contexts:
         try:
-            result = cyclicity.classify_isogeny_class(ctx, args.index_bound)
+            doc, status = _classify(ctx, args.index_bound, False)
+            reports.append(doc)
         except AvcyclicError as exc:
             code, status = _failure(exc)
             failures.append({"context": _context_echo(ctx),
                              "error": {"code": code, "message": str(exc)}})
-            worst = max(worst, status)
-            continue
-        doc = _classification_doc(result, None)
-        if not result.all_oracle_agree:
-            worst = max(worst, 3)
-        reports.append(doc)
-        csv_rows.append({
-            "q": ctx.q,
-            "f": ",".join(str(c) for c in ctx.f),
-            "classes": result.total,
-            "cyclic": result.cyclic_count,
-            "not_cyclic": result.not_cyclic_count,
-            "completeness": result.completeness,
-        })
-    aggregate = _aggregate_csv(csv_rows)
+        worst = max(worst, status)
+    aggregate = _aggregate_csv(reports)
     sweep_doc = {
         "schema_version": SCHEMA_VERSION,
         "sweep": {"p": args.p, "r": args.r, "g": args.g, "contexts": len(contexts)},

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import linalg, orders
 from .errors import ConsistencyError, InputError
 from .orders import IdealLattice
-from .weil import WeilContext
+from .weil import WeilContext, is_int
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,7 @@ class ConjugacyResult:
 
 
 def _check_integers(entries, what: str) -> None:
-    """Entries must be int, and not bool, as ingest requires of its records."""
-    if any(not isinstance(x, int) or isinstance(x, bool) for x in entries):
+    if not all(map(is_int, entries)):
         raise InputError("not_integer", f"{what} entries must be integers")
 
 

@@ -10,7 +10,7 @@ as coker(1-M) via Smith normal form; the two must agree on every class.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, prod
 
@@ -203,17 +203,13 @@ def classify_isogeny_class(ctx: WeilContext,
     result = icm.enumerate_icm(order, index_bound)
     ranked = sorted(range(len(result.classes)),
                     key=lambda i: (result.classes[i].den, result.classes[i].mat))
-    classes = tuple(result.classes[i] for i in ranked)
-    rings = tuple(result.multiplicator_rings[i] for i in ranked)
     remap = {old: new for new, old in enumerate(ranked)}
-    pairs = tuple((remap[i], remap[j], b) for i, j, b in result.indeterminate_pairs)
-    result = icm.IcmResult(
-        order=result.order,
-        classes=classes,
-        multiplicator_rings=rings,
-        index_bound=result.index_bound,
-        completeness=result.completeness,
-        indeterminate_pairs=pairs,
+    result = replace(
+        result,
+        classes=tuple(result.classes[i] for i in ranked),
+        multiplicator_rings=tuple(result.multiplicator_rings[i] for i in ranked),
+        indeterminate_pairs=tuple((remap[i], remap[j], b)
+                                  for i, j, b in result.indeterminate_pairs),
     )
     reports = tuple(_report_for(ctx, conjugacy.ideal_to_matrix(lat)) for lat in result.classes)
     # sigma_ell lies in (I : I) exactly when ell | tau(1 - M): one verdict per ring

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CapabilityError, InputError
-from .weil import make_context, prime_power_split
+from .weil import is_int, make_context, prime_power_split
 
 logger = logging.getLogger(__name__)
 
@@ -57,12 +57,11 @@ def _record_from_obj(obj) -> ExternalClassRecord:
         raise ValueError(f"missing field {exc.args[0]!r}") from None
     if not isinstance(label, str) or not label:
         raise ValueError("label must be a nonempty string")
-    if not isinstance(q, int) or isinstance(q, bool) or prime_power_split(q) is None:
+    if not is_int(q) or prime_power_split(q) is None:
         raise ValueError(f"q = {q!r} is not a prime power")
-    if not isinstance(g, int) or isinstance(g, bool) or g < 1:
+    if not is_int(g) or g < 1:
         raise ValueError(f"g = {g!r} is not a positive integer")
-    if (not isinstance(poly, list) or len(poly) != 2 * g + 1
-            or any(not isinstance(c, int) or isinstance(c, bool) for c in poly)):
+    if not isinstance(poly, list) or len(poly) != 2 * g + 1 or not all(map(is_int, poly)):
         raise ValueError(f"poly must be a list of {2 * g + 1} integers")
     if poly[-1] != 1:
         raise ValueError("poly must be monic (leading coefficient last and equal to 1)")
@@ -70,7 +69,7 @@ def _record_from_obj(obj) -> ExternalClassRecord:
     if ordinary is not None and not isinstance(ordinary, bool):
         raise ValueError("is_ordinary_claimed must be a boolean when present")
     count = obj.get("point_count_claimed")
-    if count is not None and (not isinstance(count, int) or isinstance(count, bool)):
+    if count is not None and not is_int(count):
         raise ValueError("point_count_claimed must be an integer when present")
     return ExternalClassRecord(label, q, g, tuple(poly), ordinary, count)
 

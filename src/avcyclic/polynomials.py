@@ -115,19 +115,23 @@ def pmod_mul(a: Sequence, b: Sequence, m: int) -> Poly:
     return trim(out)
 
 
+def pmod_divmod(a: Sequence, b: Sequence, m: int) -> tuple[Poly, Poly]:
+    """(quotient, remainder) of a by b over F_m, m prime, by long division
+    (Cohen, GTM 138, section 3.1)."""
+    b = trim(b)
+    inv_lead, db = pow(b[-1], -1, m), len(b) - 1
+    rem = list(pmod(a, m))
+    quo = [0] * max(1, len(rem) - db)
+    for k in range(len(rem) - 1 - db, -1, -1):
+        quo[k] = c = rem[k + db] * inv_lead % m
+        for j in range(db + 1):
+            rem[k + j] = (rem[k + j] - c * b[j]) % m
+    return trim(quo), trim(rem[:db])
+
+
 def pmod_rem(a: Sequence, f: Sequence, m: int) -> Poly:
-    """Remainder of a modulo monic-up-to-unit f, coefficients mod m (prime)."""
-    f = trim(f)
-    inv_lead = pow(f[-1], -1, m)
-    rem = [c % m for c in a]
-    df = len(f) - 1
-    while len(trim(rem)) - 1 >= df:
-        rem = list(trim(rem))
-        k = len(rem) - 1 - df
-        c = (rem[-1] * inv_lead) % m
-        for j in range(df + 1):
-            rem[k + j] = (rem[k + j] - c * f[j]) % m
-    return trim(rem)
+    """Remainder of a modulo f over F_m."""
+    return pmod_divmod(a, f, m)[1]
 
 
 def pmod_powmod(base: Sequence, e: int, f: Sequence, m: int) -> Poly:
@@ -154,21 +158,10 @@ def pmod_gcd(a: Sequence, b: Sequence, m: int) -> Poly:
 
 def pmod_div_exact(a: Sequence, b: Sequence, m: int) -> Poly:
     """Exact quotient a/b over F_m; raises if the division leaves a remainder."""
-    b = trim(b)
-    inv_lead = pow(b[-1], -1, m)
-    rem = [c % m for c in a]
-    db = len(b) - 1
-    quo = [0] * max(1, len(rem) - db)
-    while len(trim(rem)) - 1 >= db:
-        rem = list(trim(rem))
-        k = len(rem) - 1 - db
-        c = (rem[-1] * inv_lead) % m
-        quo[k] = c
-        for j in range(db + 1):
-            rem[k + j] = (rem[k + j] - c * b[j]) % m
-    if trim(rem):
+    quo, rem = pmod_divmod(a, b, m)
+    if rem:
         raise ValueError("inexact division in F_p[t]")
-    return trim(quo)
+    return quo
 
 
 def distinct_degree_pattern(f_low: Sequence, p: int) -> list[int] | None:

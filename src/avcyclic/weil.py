@@ -36,24 +36,18 @@ FACTOR_BOX_CAP = 5 * 10**7  # candidate factors one irreducibility test may try
 _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+def is_int(x) -> bool:
+    """The one rule for integer input: an int, and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors in increasing order (trial division)."""
-    out = []
+    """Distinct prime factors of |n| in increasing order (trial division)."""
+    n, out = abs(n), []
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -163,6 +157,9 @@ class WeilContext:
 
 def make_context(p: int, r: int, g: int, coeffs: Sequence[int]) -> WeilContext:
     """Validate raw input and compute the flags; is_irreducible waits for use."""
+    coeffs = list(coeffs)
+    if not all(map(is_int, (p, r, g, *coeffs))):
+        raise InputError("not_integer", "p, r, g and the coefficients must be integers")
     if not is_prime(p):
         raise InputError("p_not_prime", f"p = {p} is not prime")
     if r < 1:
@@ -171,11 +168,8 @@ def make_context(p: int, r: int, g: int, coeffs: Sequence[int]) -> WeilContext:
         raise InputError("bad_dimension", "g must be a positive integer")
     if 2 * g > DEGREE_CAP:
         raise CapabilityError(f"degree 2g = {2 * g} exceeds the supported cap {DEGREE_CAP}")
-    coeffs = list(coeffs)
     if len(coeffs) != 2 * g + 1:
         raise InputError("bad_degree", f"expected {2 * g + 1} coefficients, got {len(coeffs)}")
-    if any(not isinstance(c, int) for c in coeffs):
-        raise InputError("not_integer", "coefficients must be integers")
     if coeffs[0] != 1:
         raise InputError("not_monic", "leading coefficient must be 1")
     q = p**r

@@ -63,6 +63,12 @@ ERROR_INPUTS = (
                             "--ideal=1,0"], 2),
     ("io", ["classify", "--p", "2", "--r", "1", "--g", "1", "--poly=1,1,2", "--no-timing",
             "--out", "/nonexistent-avcyclic/out.json"], 2),
+    ("bad_matrix", ["convert", "--p", "5", "--r", "1", "--g", "1", "--poly=1,-2,5",
+                    "--matrix=1,x;0,1"], 2),
+    ("bad_ideal", ["convert", "--p", "5", "--r", "1", "--g", "1", "--poly=1,-2,5",
+                   "--ideal=1/0,0;0,1"], 2),
+    ("bad_direction", ["convert", "--p", "5", "--r", "1", "--g", "1", "--poly=1,-2,5",
+                       "--matrix=1,0;0,1", "--ideal=1,0;0,1"], 2),
 )
 
 

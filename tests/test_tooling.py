@@ -1,7 +1,8 @@
 """The benchmark's traced run looks functions up by name: every name it
 wraps must stay an attribute of its module.  The runtime imports the
-standard library only, and one gate, in front of every conversion, refuses
-non-Weil and reducible input."""
+standard library only, one gate, in front of every conversion, refuses
+non-Weil and reducible input, and the per-context classify path and the
+int-not-bool input rule are each written once."""
 
 import ast
 import importlib
@@ -44,26 +45,35 @@ def test_runtime_imports_stdlib_only():
                 assert name.split(".")[0] in allowed, f"{path.name}: import {name}"
 
 
-def _input_error_sites() -> set[tuple[str, str, str]]:
-    """(code, module, enclosing class and function) of every InputError
-    constructed under src/avcyclic."""
-    sites = set()
+def _call_sites(func: str) -> list[tuple[str, str, ast.Call]]:
+    """(module, enclosing class and function, call) of every call of func,
+    as f(..) or x.f(..), under src/avcyclic."""
+    sites = []
 
     def visit(node, module: str, scope: tuple[str, ...]) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, module, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == "InputError"):
-                code = child.args[0]
-                assert isinstance(code, ast.Constant) and isinstance(code.value, str), (
-                    f"{module}.py:{child.lineno}: InputError code must be a string literal")
-                sites.add((code.value, module, ".".join(scope)))
+            if isinstance(child, ast.Call) and func in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                sites.append((module, ".".join(scope), child))
             visit(child, module, scope)
 
     for path in SOURCES:
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    return sites
+
+
+def _input_error_sites() -> set[tuple[str, str, str]]:
+    """(code, module, enclosing class and function) of every InputError
+    constructed under src/avcyclic."""
+    sites = set()
+    for module, scope, call in _call_sites("InputError"):
+        code = call.args[0]
+        assert isinstance(code, ast.Constant) and isinstance(code.value, str), (
+            f"{module}.py:{call.lineno}: InputError code must be a string literal")
+        sites.add((code.value, module, scope))
     return sites
 
 
@@ -103,3 +113,23 @@ def test_the_gate_sits_in_front_of_every_conversion():
         assert "refuse_non_simple" in _called_names(conversions[name]), name
     assert not _called_names(_tree("cli")) & {"refuse_non_simple", "_check_charpoly"}
     assert "is_irreducible" not in _called_names(_functions("weil")["make_context"])
+
+
+def test_classify_and_sweep_share_one_per_context_path():
+    # both commands reach the pipeline through cli._classify, which builds
+    # the document and the exit code of one context
+    assert [(m, scope) for m, scope, _ in _call_sites("classify_isogeny_class")
+            if m == "cli"] == [("cli", "_classify")]
+    commands = _functions("cli")
+    for name in ("cmd_classify", "cmd_sweep"):
+        assert "_classify" in _called_names(commands[name]), name
+
+
+def test_the_int_not_bool_rule_is_written_once():
+    # every isinstance(x, bool) under src/avcyclic sits in weil.is_int; the
+    # check that ingest's is_ordinary_claimed is a bool is a different rule
+    positive = ("ingest", "_record_from_obj", "ordinary")
+    sites = [(m, scope) for m, scope, call in _call_sites("isinstance")
+             if "bool" in {n.id for n in ast.walk(call.args[1]) if isinstance(n, ast.Name)}
+             and (m, scope, ast.unparse(call.args[0])) != positive]
+    assert sites == [("weil", "is_int")]

@@ -55,6 +55,16 @@ def test_make_context_rejects_bad_input():
     assert e.value.code == "not_monic"
 
 
+def test_make_context_refuses_bool_input():
+    # bool is an int: the input rule that ingest and the conversions apply
+    # holds for p, r, g and the coefficients, so no document prints true
+    for args in ((2, 1, 1, [True, 1, 2]), (2, 1, 1, [1, False, 2]), (True, 1, 1, [1, 1, 2]),
+                 (2, True, 1, [1, 1, 2]), (2, 1, True, [1, 1, 2])):
+        with pytest.raises(InputError) as e:
+            weil.make_context(*args)
+        assert e.value.code == "not_integer", args
+
+
 def test_degree_cap_is_a_capability_error():
     with pytest.raises(CapabilityError):
         weil.make_context(2, 1, 5, [1] + [0] * 9 + [32])
