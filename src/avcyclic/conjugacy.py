@@ -59,7 +59,7 @@ def ideal_to_matrix(lat: IdealLattice) -> MatrixClass:
     canonical basis.  The lattice must be stable under alpha."""
     ctx = lat.ctx
     ctx.refuse_non_simple()
-    rows = orders.multiplication_matrix(orders.alpha(ctx), lat.elements, lat)
+    rows = orders.multiplication_matrix(orders.alpha(ctx), lat)
     if rows is None:
         raise InputError("not_stable", "not a Z[alpha]-module: lattice moves under alpha")
     rep = linalg.freeze(linalg.transpose(rows))

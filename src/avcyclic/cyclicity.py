@@ -108,7 +108,7 @@ def q_stability_check(m, ctx: WeilContext) -> bool:
     via_tau = linalg.tau(m) % ctx.q ** (ctx.g - 1) == 0
     lat = conjugacy.matrix_to_ideal(ctx, m)
     v = orders.q_over_alpha(ctx)
-    via_lattice = orders.multiplication_matrix(v, lat.elements, lat) is not None
+    via_lattice = orders.multiplication_matrix(v, lat) is not None
     if not (direct == via_tau == via_lattice):
         raise ConsistencyError(
             f"q-stability routes disagree: inverse={direct} tau={via_tau} lattice={via_lattice}"

@@ -100,7 +100,7 @@ def integral_ideals(order: OrderDesc, index_bound: int) -> list[list[list[int]]]
         local_ideals = partial(_quadratic_ideals, ctx.f_low)
     else:
         # multiplication by alpha and by each ring generator, in the order's basis
-        mats = [orders.multiplication_matrix(g, lat.elements, lat)
+        mats = [orders.multiplication_matrix(g, lat)
                 for g in dict.fromkeys((orders.alpha(ctx),) + order.generators)]
         if None in mats:
             raise InputError("not_integral", "the order must contain alpha and its generators")
@@ -292,7 +292,7 @@ def _is_p_maximal(order: OrderDesc, p: int) -> bool:
     for e in basis:
         # the coordinates of e^power are those of 1 times the power-th power
         # of the matrix of multiplication by e, all mod p
-        m, y, k = orders.multiplication_matrix(e, basis, lat), one, power
+        m, y, k = orders.multiplication_matrix(e, lat), one, power
         while k:
             if k & 1:
                 y = [[c % p for c in row] for row in linalg.mat_mul(y, m)]
@@ -387,7 +387,7 @@ def refine_by_sigma(result: IcmResult, ell: int) -> list[IdealLattice]:
     sigma = orders.sigma_element(ctx, ell)
     kept = []
     for lat, ring in zip(result.classes, result.multiplicator_rings):
-        stable = orders.multiplication_matrix(sigma, lat.elements, lat) is not None
+        stable = orders.multiplication_matrix(sigma, lat) is not None
         in_ring = sigma in ring
         if stable != in_ring:
             raise ConsistencyError("sigma stability disagrees with ring membership")

@@ -7,7 +7,13 @@ element is (num, den), power-basis coordinates with no common factor
 form of den times a generating set and den the least common denominator.
 Equal elements and equal lattices give identical pairs, so dataclass
 equality is equality in K.  The lattice kernels other modules need (integer
-coordinates, multiplication matrices between bases, colon ideals) live here.
+coordinates, multiplication matrices on a lattice, colon ideals) live here.
+
+K has one multiplication: FieldElement.mult_matrix, the integer matrix M(x)
+of the regular representation (Cohen, GTM 138, 4.2.2), is the one place
+that reduces by alpha^n = -(f_0 + f_1 alpha + .. + f_(n-1) alpha^(n-1)).
+Products and conjugates of elements, scalings and products of lattices,
+and multiplication matrices on a lattice are integer rows times M(x).
 
 ideal_equivalent checks its inputs and compares multiplicator rings; the
 witness search below it takes the common ring S, which icm already holds
@@ -76,27 +82,17 @@ class FieldElement:
         if not isinstance(other, FieldElement):  # an int or a Fraction
             return FieldElement.over(self.ctx, [other.numerator * a for a in self.num],
                                      other.denominator * self.den)
-        n = self.ctx.n
-        conv = [0] * (2 * n - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num):
-                    conv[i + j] += a * b
-        out = conv[:n]
-        for k in range(n, 2 * n - 1):
-            if conv[k]:
-                row = self.ctx.power_rows[k]
-                for j in range(n):
-                    out[j] += conv[k] * row[j]
-        return FieldElement.over(self.ctx, out, self.den * other.den)
+        (num,) = linalg.mat_mul([other.num], self.mult_matrix())
+        return FieldElement.over(self.ctx, num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def mult_matrix(self) -> list[list[int]]:
         """Row-convention integer matrix of multiplication by den times this
-        element: the k-th row holds the numerators of alpha^k times it."""
+        element: the k-th row holds the numerators of alpha^k times it, so
+        v M holds those of v times it for power-basis coordinates v."""
         n = self.ctx.n
-        top = self.ctx.power_rows[n]
+        top = [-c for c in self.ctx.f_low[:n]]
         rows = [list(self.num)]
         for _ in range(n - 1):
             prev = rows[-1]
@@ -128,13 +124,8 @@ class FieldElement:
     def conj(self) -> "FieldElement":
         """Image under alpha -> q/alpha (complex conjugation on the CM field)."""
         d, rows = _conj_power_rows(self.ctx)
-        n = self.ctx.n
-        out = [0] * n
-        for c, row in zip(self.num, rows):
-            if c:
-                for j in range(n):
-                    out[j] += c * row[j]
-        return FieldElement.over(self.ctx, out, d * self.den)
+        (num,) = linalg.mat_mul([self.num], rows)
+        return FieldElement.over(self.ctx, num, d * self.den)
 
 
 @lru_cache(maxsize=None)
@@ -255,12 +246,15 @@ class IdealLattice:
     def scale(self, x: FieldElement) -> "IdealLattice":
         if x.is_zero():
             raise InputError("zero_scale", "cannot scale a lattice by zero")
-        return IdealLattice.from_elements(self.ctx, [x * e for e in self.elements])
+        return IdealLattice.over(self.ctx, linalg.mat_mul(self.mat, x.mult_matrix()),
+                                 self.den * x.den)
 
 
 def ideal_product(a: IdealLattice, b: IdealLattice) -> IdealLattice:
     _same_ctx(a, b)
-    return IdealLattice.from_elements(a.ctx, [ea * eb for ea in a.elements for eb in b.elements])
+    rows = [r for row in b.mat
+            for r in linalg.mat_mul(a.mat, FieldElement(a.ctx, row).mult_matrix())]
+    return IdealLattice.over(a.ctx, rows, a.den * b.den)
 
 
 def ideal_quotient(a: IdealLattice, b: IdealLattice) -> IdealLattice:
@@ -307,11 +301,12 @@ def integer_coords(mat, w) -> list[int] | None:
     return u
 
 
-def multiplication_matrix(x: FieldElement, basis, lat: IdealLattice) -> list[list[int]] | None:
-    """Integer matrix of multiplication by x from the given basis elements
-    to the basis of lat: row i holds the coordinates in lat of x * basis[i].
-    None when some product is not in lat."""
-    rows = [lat.coords(x * e) for e in basis]
+def multiplication_matrix(x: FieldElement, lat: IdealLattice) -> list[list[int]] | None:
+    """Integer matrix of multiplication by x on lat: row i holds the
+    coordinates in lat of x times its i-th basis element, the solution u of
+    u * mat = mat_i * M(x) / x.den.  None when x does not map lat into itself."""
+    scaled = [[x.den * c for c in row] for row in lat.mat]
+    rows = [integer_coords(scaled, w) for w in linalg.mat_mul(lat.mat, x.mult_matrix())]
     return None if None in rows else rows
 
 
@@ -334,8 +329,8 @@ def _same_ctx(a, b) -> None:
 @dataclass(frozen=True)
 class OrderDesc:
     """An order: a full-rank subring lattice, plus the generators it was
-    built from.  Ring evidence (1 in the lattice, closure under products of
-    basis elements) is verified at construction time."""
+    built from.  Ring evidence (1 in the lattice, closure under
+    multiplication by each basis element) is verified at construction time."""
 
     lattice: IdealLattice
     generators: tuple[FieldElement, ...]
@@ -344,11 +339,8 @@ class OrderDesc:
         lat = self.lattice
         if one(lat.ctx) not in lat:
             raise ConsistencyError("order lattice does not contain 1")
-        elems = lat.elements
-        for i, ei in enumerate(elems):
-            for ej in elems[i:]:
-                if (ei * ej) not in lat:
-                    raise ConsistencyError("order lattice is not multiplicatively closed")
+        if any(multiplication_matrix(e, lat) is None for e in lat.elements):
+            raise ConsistencyError("order lattice is not multiplicatively closed")
 
     @property
     def ctx(self) -> WeilContext:
@@ -486,11 +478,14 @@ def _witness_search(a: IdealLattice, b: IdealLattice, ring: IdealLattice) -> Equ
     target = lattice_index(b, a)  # the |N(x)| any witness must have
     quo = b if a == ring else ideal_quotient(b, a)
     n, den = ctx.n, quo.den
-    basis = quo.elements
-    conj_basis = [e.conj() for e in basis]
-    products = [[bi * cj for cj in conj_basis] for bi in basis]
-    scale = lcm(*(p.den for row in products for p in row))
-    products = [[[c * (scale // p.den) for c in p.num] for p in row] for row in products]
+    # with b_i = mat_i / den and conj(alpha^k) = powers_k / d, the numerators
+    # of scale * b_i conj(b_j) are (mat_j powers) M(mat_i); this scale is a
+    # positive multiple of the least one, and LLL and Fincke-Pohst are exact
+    # and homogeneous, so scaling the Gram matrices and the bound by it
+    # changes no decision, no witness and no output
+    d, powers = _conj_power_rows(ctx)
+    conj_mat, scale = linalg.mat_mul(quo.mat, powers), den * den * d
+    products = [linalg.mat_mul(conj_mat, FieldElement(ctx, row).mult_matrix()) for row in quo.mat]
     forms, certified = _search_forms(ring, target)
     want_det = target * den**n
     red = linalg.identity(n)  # consecutive forms differ little: reduce from the last basis

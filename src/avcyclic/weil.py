@@ -126,20 +126,6 @@ class WeilContext:
         return value
 
     @cached_property
-    def power_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Power-basis coordinates of alpha^k for k = 0 .. 2n-2."""
-        n = self.n
-        # alpha^n = -(a_n + a_{n-1} alpha + ... + a_1 alpha^{n-1})
-        top = tuple(-c for c in self.f_low[:n])
-        rows = [tuple(1 if j == k else 0 for j in range(n)) for k in range(n)]
-        for _ in range(n - 1):
-            prev = rows[-1]
-            shifted = [0] + list(prev[: n - 1])
-            carry = prev[n - 1]
-            rows.append(tuple(shifted[j] + carry * top[j] for j in range(n)))
-        return tuple(rows)
-
-    @cached_property
     def trace_sums(self) -> tuple[int, ...]:
         """Newton power sums of the roots, k = 0 .. 2n-2 (always integers)."""
         return tuple(poly.power_sums(self.f_low, 2 * self.n - 2))

@@ -4,8 +4,10 @@ unimodular matrix, the integer kernel, row-vector product, ideal sum and
 ideal intersection that serve as oracles for the lattice kernels, the
 rational determinant and trace-pairing Gram route that serve as oracles for
 orders.discriminant, the integrality test on field elements that serves as
-the oracle for p-maximality, and the two-pass document writer that serves
-as the oracle for cli._dump."""
+the oracle for p-maximality, the two-pass document writer that serves as
+the oracle for cli._dump, and the convolution product with the per-basis
+products built on it, which serve as oracles for the one multiplication,
+FieldElement.mult_matrix, and the lattice kernels that read it off."""
 
 import json
 import random
@@ -116,6 +118,49 @@ def ideal_intersection(a, b):
     am = [[x * (d // a.den) for x in row] for row in a.mat]
     kernel = kernel_int(am + [[-x * (d // b.den) for x in row] for row in b.mat])
     return orders.IdealLattice.over(a.ctx, [vec_mat(k[:a.ctx.n], am) for k in kernel], d)
+
+
+def convolution_product(x, y):
+    """x * y by the convolution of the numerators, reduced from the top
+    power down by alpha^n = -(f_0 + f_1 alpha + .. + f_(n-1) alpha^(n-1))."""
+    f, n = x.ctx.f_low, x.ctx.n
+    conv = [0] * (2 * n - 1)
+    for i, a in enumerate(x.num):
+        for j, b in enumerate(y.num):
+            conv[i + j] += a * b
+    for k in range(2 * n - 2, n - 1, -1):
+        for j in range(n):
+            conv[k - n + j] -= conv[k] * f[j]
+    return orders.FieldElement.over(x.ctx, conv[:n], x.den * y.den)
+
+
+def convolution_conj(x):
+    """conj(x) = sum_k x_k (q/alpha)^k, the powers by convolution_product."""
+    ctx = x.ctx
+    abar, power, out = orders.q_over_alpha(ctx), orders.one(ctx), orders.zero(ctx)
+    for c in x.num:
+        out = out + c * power
+        power = convolution_product(power, abar)
+    return out * Fraction(1, x.den)
+
+
+def products_matrix(x, lat):
+    """orders.multiplication_matrix by products: the coordinates in lat of
+    x times each basis element, or None when one of them is not in lat."""
+    rows = [lat.coords(convolution_product(x, e)) for e in lat.elements]
+    return None if None in rows else rows
+
+
+def products_scale(lat, x):
+    """x * lat, spanned by x times each basis element."""
+    return orders.IdealLattice.from_elements(lat.ctx, [convolution_product(x, e)
+                                                       for e in lat.elements])
+
+
+def products_ideal_product(a, b):
+    """a * b, spanned by the products of the basis elements."""
+    return orders.IdealLattice.from_elements(a.ctx, [convolution_product(ea, eb)
+                                                     for ea in a.elements for eb in b.elements])
 
 
 def determinant_fraction(a) -> Fraction:

@@ -242,7 +242,7 @@ def _hermite_walk(order, bound):
     most bound whose row span, in the order's coordinates, the generators
     map into itself; by index, diagonal, then entries column by column."""
     n, lat = order.ctx.n, order.lattice
-    gens = [orders.multiplication_matrix(g, lat.elements, lat) for g in order.generators]
+    gens = [orders.multiplication_matrix(g, lat) for g in order.generators]
     cells = [(i, j) for j in range(n) for i in range(j)]
     out = []
     for d in range(1, bound + 1):

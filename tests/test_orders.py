@@ -15,8 +15,9 @@ from avcyclic import icm, linalg, orders, weil
 from avcyclic.errors import ConsistencyError, DegenerateLatticeError, InputError
 from avcyclic.orders import FieldElement, IdealLattice
 
-from _helpers import (corpus_contexts, discriminant_gram, g1_contexts, ideal_intersection,
-                      ideal_sum, is_integral)
+from _helpers import (convolution_conj, convolution_product, corpus_contexts,
+                      discriminant_gram, g1_contexts, ideal_intersection, ideal_sum,
+                      is_integral, products_ideal_product, products_matrix, products_scale)
 
 
 def ctx2():
@@ -680,3 +681,50 @@ def test_element_and_lattice_arithmetic_construct_no_fraction(monkeypatch):
                     [a - b for a, b in zip(x.coeffs, y.coeffs)])
     want = _ref_mul(c, want, _ref_conj(c, x.coeffs))
     assert z.coeffs == tuple(w / 2 - 2 * b for w, b in zip(want, y.coeffs))
+
+
+# one Weil context of each degree n = 2, 4, 6
+_ONE_CONTEXT_PER_DEGREE = (ctx2(), quartic_ctx(),
+                           weil.make_context(2, 1, 3, [1, -2, 1, 1, 2, -8, 8]))
+
+
+@pytest.mark.parametrize("ctx", _ONE_CONTEXT_PER_DEGREE, ids=lambda ctx: f"n{ctx.n}")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("rational", "integral", "ring")), st.data())
+def test_one_multiplication_matches_products(ctx, kind, data):
+    # products, conjugates, scalings, ideal products and multiplication
+    # matrices all read off FieldElement.mult_matrix; the convolution product,
+    # and per-basis products located by coords, are the references.  x is a
+    # rational element (integral or not), an integral one, or an element of
+    # the ring (L : L), the one kind of x that preserves L
+    n = ctx.n
+
+    def vectors(entries, size):
+        return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=size, max_size=size)
+
+    def lattice():
+        # every lattice has an upper triangular basis with positive diagonal
+        rows = data.draw(vectors(st.integers(-9, 9), n))
+        for i, row in enumerate(rows):
+            row[:i + 1] = [0] * i + [data.draw(st.integers(1, 9))]
+        return IdealLattice.over(ctx, rows, data.draw(st.integers(1, 6)))
+
+    xs, ys = data.draw(vectors(st.fractions(-6, 6, max_denominator=4), 2))
+    x, y = FieldElement.make(ctx, xs), FieldElement.make(ctx, ys)
+    assert x * y == convolution_product(x, y)
+    assert x.conj() == convolution_conj(x)
+    lat, other = lattice(), lattice()
+    ring = orders.ideal_quotient(lat, lat)
+    if kind == "integral":
+        x = FieldElement.make(ctx, [c.numerator for c in xs])
+    elif kind == "ring":
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        x = sum((c * e for c, e in zip(coeffs, ring.elements)), orders.zero(ctx))
+    mat = orders.multiplication_matrix(x, lat)
+    assert mat == products_matrix(x, lat)
+    assert (mat is not None) == (x in ring)
+    if kind == "ring":
+        assert mat is not None
+    if not x.is_zero():
+        assert lat.scale(x) == products_scale(lat, x)
+    assert orders.ideal_product(lat, other) == products_ideal_product(lat, other)

@@ -1,8 +1,9 @@
 """The benchmark's traced run looks functions up by name: every name it
 wraps must stay an attribute of its module.  The runtime imports the
 standard library only, one gate, in front of every conversion, refuses
-non-Weil and reducible input, and the per-context classify path and the
-int-not-bool input rule are each written once."""
+non-Weil and reducible input, the per-context classify path and the
+int-not-bool input rule are each written once, and K has one
+multiplication."""
 
 import ast
 import importlib
@@ -133,3 +134,27 @@ def test_the_int_not_bool_rule_is_written_once():
              if "bool" in {n.id for n in ast.walk(call.args[1]) if isinstance(n, ast.Name)}
              and (m, scope, ast.unparse(call.args[0])) != positive]
     assert sites == [("weil", "is_int")]
+
+
+def test_one_multiplication_in_k():
+    # FieldElement.mult_matrix is the one place that reduces by alpha^n: the
+    # context keeps no table of powers, products and conjugates are rows
+    # times a matrix, multiplication on a lattice takes no second basis, and
+    # the equivalence search builds its Gram matrices from integer rows
+    weil_ctx = next(node for node in _tree("weil").body
+                    if isinstance(node, ast.ClassDef) and node.name == "WeilContext")
+    assert "power_rows" not in {node.name for node in weil_ctx.body
+                                if isinstance(node, ast.FunctionDef)}
+    orders_tree = _tree("orders")
+    element = next(node for node in orders_tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "FieldElement")
+    for method in element.body:
+        if isinstance(method, ast.FunctionDef) and method.name in ("__mul__", "conj"):
+            assert not [node for node in ast.walk(method)
+                        if isinstance(node, (ast.For, ast.While))], method.name
+    kernels = _functions("orders")
+    assert [arg.arg for arg in kernels["multiplication_matrix"].args.args] == ["x", "lat"]
+    search = kernels["_witness_search"]
+    assert "conj" not in _called_names(search)
+    assert "elements" not in {node.attr for node in ast.walk(search)
+                              if isinstance(node, ast.Attribute)}

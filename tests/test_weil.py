@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from avcyclic import polynomials as poly
-from avcyclic import weil
+from avcyclic import orders, weil
 from avcyclic.errors import CapabilityError, InputError
 
 
@@ -113,8 +113,8 @@ def test_point_count_guard():
 
 def test_power_rows_and_trace_sums():
     ctx = weil.make_context(2, 1, 1, [1, 1, 2])
-    # alpha^2 = -2 - alpha
-    assert ctx.power_rows == ((1, 0), (0, 1), (-2, -1))
+    # the rows of M(alpha) are alpha and alpha^2 = -2 - alpha
+    assert orders.alpha(ctx).mult_matrix() == [[0, 1], [-2, -1]]
     # s0 = 2, s1 = -1, s2 = (sum)^2 - 2 prod = 1 - 4 = -3
     assert ctx.trace_sums == (2, -1, -3)
     assert all(type(s) is int for s in ctx.trace_sums)
