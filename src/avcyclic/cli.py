@@ -212,12 +212,9 @@ def cmd_convert(args) -> int:
         m = _parse_rows(args.matrix, int, InputError(
             "bad_matrix", f"cannot parse matrix {args.matrix!r}: expected rows "
             "of comma-separated integers joined by ';'"))
-        lat = conjugacy.matrix_to_ideal(ctx, m)
-        back = conjugacy.ideal_to_matrix(lat)
-        conj = conjugacy.matrices_conjugate(ctx, m, back.rep)
+        lat, back, witness = conjugacy.pull_back(ctx, m)
         doc.update(direction="matrix_to_ideal", input_matrix=m, ideal=_lattice_doc(lat),
-                   round_trip={"matrix": back.rep, "status": conj.status,
-                               "witness": conj.witness})
+                   round_trip={"matrix": back.rep, "status": "conjugate", "witness": witness})
     else:
         rows = _parse_rows(args.ideal, Fraction, InputError(
             "bad_ideal", f"cannot parse ideal basis {args.ideal!r}: expected rows "
@@ -225,11 +222,13 @@ def cmd_convert(args) -> int:
         lat = orders.IdealLattice.from_rows(ctx, rows)
         mclass = conjugacy.ideal_to_matrix(lat)
         lat_back = conjugacy.matrix_to_ideal(ctx, mclass.rep)
-        eq = orders.ideal_equivalent(lat, lat_back)
+        x = orders.one(ctx) if lat == lat_back else lat.elements[0].inverse()
+        if lat.scale(x) != lat_back:  # the pull-back through b_0 is b_0^-1 lat
+            raise ConsistencyError("round-trip ideal is not b_0^-1 times the input ideal")
         doc.update(direction="ideal_to_matrix", input_ideal=_lattice_doc(lat),
                    matrix=mclass.rep,
-                   round_trip={"ideal": _lattice_doc(lat_back), "status": eq.status,
-                               "witness": None if eq.witness is None else eq.witness.coeffs})
+                   round_trip={"ideal": _lattice_doc(lat_back), "status": "equivalent",
+                               "witness": x.coeffs})
     _emit(doc, args.out)
     return 0
 

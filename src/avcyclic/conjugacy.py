@@ -6,9 +6,19 @@ Conventions.  Matrices act on column vectors.  A lattice with basis rows
 b_0 .. b_{n-1} corresponds to the matrix M whose j-th column holds the
 coefficients of alpha * b_j in that basis, so M = (B^T)^-1 * Malpha^T * B^T
 where B stacks the basis rows and Malpha is the row-convention
-multiplication-by-alpha matrix on the power basis.  Every entry point calls
-the gate WeilContext.refuse_non_simple; behind it K is a field, so for a
-matrix with characteristic polynomial f every nonzero vector is cyclic.
+multiplication-by-alpha matrix on the power basis.  pull_back,
+ideal_to_matrix and matrices_conjugate call the gate
+WeilContext.refuse_non_simple, and matrix_to_ideal is the lattice of
+pull_back; behind the gate K is a field, so for a matrix with characteristic
+polynomial f every nonzero vector is cyclic.
+
+The round trip matrix -> lattice -> matrix is certified by its
+construction: pull_back builds the lattice from an explicit basis, and the
+change of basis Q to the canonical one is integral and unimodular with
+Q^T rep = m Q^T exactly when the lattice realizes m (Latimer-MacDuffee).
+u = (Q^T)^-1 is then a witness rep = u m u^-1, so converting needs no
+equivalence search; matrices_conjugate, which must find a witness for two
+given matrices, runs one.
 """
 
 from __future__ import annotations
@@ -82,10 +92,13 @@ def _krylov(ctx: WeilContext, m, v0=None) -> tuple[IdealLattice, list, list, int
     return IdealLattice.over(ctx, e, abs(d)), wt, e, d
 
 
-def matrix_to_ideal(ctx: WeilContext, m, v0=None) -> IdealLattice:
-    """The lattice {c in K : c v0 lies in Z^n} under the action t -> m on
-    column vectors.  Round trip is certified on the spot: the canonical
-    basis matrix of the result is verified integrally conjugate to m."""
+def pull_back(ctx: WeilContext, m, v0=None) -> tuple[IdealLattice, MatrixClass, tuple]:
+    """(lat, mclass, u): the lattice lat = {c in K : c v0 lies in Z^n} under
+    the action t -> m on column vectors, the class mclass = ideal_to_matrix(lat)
+    of its canonical basis, and a witness u with mclass.rep = u m u^-1.  The
+    construction certifies the round trip: u is the inverse of the change of
+    basis it builds, verified unimodular and conjugating before it is
+    returned, or the identity when m already equals mclass.rep."""
     _check_charpoly(ctx, m)
     if v0 is not None:
         if len(v0) != ctx.n:
@@ -97,14 +110,24 @@ def matrix_to_ideal(ctx: WeilContext, m, v0=None) -> IdealLattice:
     lat, wt, _, _ = _krylov(ctx, m, v0)
     # Q = lat.mat wt / lat.den holds the coordinates of the canonical basis
     # in the basis wt^-1; alpha acts on the former by rep^T and on the
-    # latter by m^T, so Q^T rep = m Q^T
+    # latter by m^T, so Q^T rep = m Q^T and u = (Q^T)^-1 = D E for
+    # (E, D) = inverse_pair(Q^T); D E is unimodular only when D = +-1
     q = _divide_exactly(linalg.mat_mul(lat.mat, wt), lat.den,
                         "construction basis does not span the lattice")
-    qt = linalg.transpose(q)
-    rep = ideal_to_matrix(lat).rep
-    if not linalg.is_unimodular(q) or linalg.mat_mul(qt, rep) != linalg.mat_mul(m, qt):
-        raise ConsistencyError("pulled-back lattice does not realize the matrix")
-    return lat
+    e, d = linalg.inverse_pair(linalg.transpose(q))
+    u = [[d * x for x in row] for row in e]
+    mclass = ideal_to_matrix(lat)
+    _verify_witness(m, mclass.rep, u)
+    if linalg.freeze(m) == mclass.rep:
+        u = linalg.identity(ctx.n)
+    return lat, mclass, linalg.freeze(u)
+
+
+def matrix_to_ideal(ctx: WeilContext, m, v0=None) -> IdealLattice:
+    """The lattice of pull_back: {c in K : c v0 lies in Z^n} under the
+    action t -> m on column vectors, its round trip certified by the change
+    of basis that builds it."""
+    return pull_back(ctx, m, v0)[0]
 
 
 def matrices_conjugate(ctx: WeilContext, a, b) -> ConjugacyResult:

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: documents, exit codes, determinism."""
 
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -10,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from avcyclic import cli, cyclicity, icm, orders
+from avcyclic import cli, conjugacy, cyclicity, icm, orders, weil
 from avcyclic.errors import CapabilityError, ConsistencyError, DegenerateLatticeError, InputError
 
-from _helpers import dump_oracle
+from _helpers import conjugate, corpus_contexts, dump_oracle, random_unimodular
 
 FIXTURE = Path(__file__).parent / "fixtures" / "external_records.jsonl"
 
@@ -170,6 +171,128 @@ def test_convert_ideal_to_matrix(capsys):
     assert doc["matrix"] == [["-5", "-10"], ["4", "7"]]
     assert doc["round_trip"]["status"] == "equivalent"
     assert doc["round_trip"]["witness"] is not None
+
+
+# contexts for convert without a search: g = 1, a corpus quartic, and
+# t^6 - 2t^5 + t^4 + t^3 + 2t^2 - 8t + 8 over F_2 (g = 3)
+SEARCH_FREE_CONTEXTS = ((5, 1, 1, (1, -2, 5)), (2, 1, 2, (1, 1, 1, 2, 4)),
+                        (2, 1, 3, (1, -2, 1, 1, 2, -8, 8)))
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _det(a) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals."""
+    m, det = [[Fraction(x) for x in row] for row in a], Fraction(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv], det = m[piv], m[k], -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            c = m[i][k] / m[k][k]
+            m[i] = [x - c * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+def _conjugation_ok(u, a, b) -> bool:
+    """u is unimodular with b u = u a, by plain integer products."""
+    return abs(_det(u)) == 1 and _product(b, u) == _product(u, a)
+
+
+def _scaling_ok(x, lat, lat_back, f_low) -> bool:
+    """x lat = lat_back for lattice documents: x times each basis row of lat,
+    reduced by the monic f, has integer coordinates in the triangular basis
+    of lat_back, and their matrix is unimodular."""
+    n = len(f_low) - 1
+    basis = [[Fraction(v, int(lat["denominator"])) for v in map(int, row)]
+             for row in lat["rows"]]
+    target = [[Fraction(v, int(lat_back["denominator"])) for v in map(int, row)]
+              for row in lat_back["rows"]]
+    coords = []
+    for b in basis:
+        y = [Fraction(0)] * (2 * n - 1)
+        for i, xi in enumerate(x):
+            for j, bj in enumerate(b):
+                y[i + j] += xi * bj
+        for k in range(2 * n - 2, n - 1, -1):
+            for j in range(n):
+                y[k - n + j] -= y[k] * f_low[j]
+        c = []
+        for j in range(n):
+            c.append((y[j] - sum(c[i] * target[i][j] for i in range(j))) / target[j][j])
+        coords.append(c)
+    return all(v.denominator == 1 for row in coords for v in row) and abs(_det(coords)) == 1
+
+
+def _convert(capsys, ctx, direction: str) -> dict:
+    code, out = run(capsys, ["convert", "--p", str(ctx.p), "--r", str(ctx.r), "--g", str(ctx.g),
+                             "--poly=" + ",".join(map(str, ctx.f)), direction])
+    assert code == 0, out
+    return json.loads(out)
+
+
+def _matrix_arg(m) -> str:
+    return "--matrix=" + ";".join(",".join(map(str, row)) for row in m)
+
+
+def _ints(rows) -> list[list[int]]:
+    return [[int(x) for x in row] for row in rows]
+
+
+def test_convert_runs_no_equivalence_search(capsys, monkeypatch):
+    # both directions certify their round trip by the construction: with
+    # every equivalence search disabled they still exit 0, and each witness
+    # checks out in plain integer and rational arithmetic
+    def refuse(*args, **kwargs):
+        raise AssertionError("equivalence search entered")
+
+    for module, name in ((orders, "ideal_equivalent"), (orders, "_witness_search"),
+                         (conjugacy, "matrices_conjugate")):
+        monkeypatch.setattr(module, name, refuse)
+    rng = random.Random(24)
+    for p, r, g, f in SEARCH_FREE_CONTEXTS:
+        ctx = weil.make_context(p, r, g, list(f))
+        n = ctx.n
+        companion = [[1 if i == j + 1 else 0 for j in range(n - 1)] + [-ctx.f_low[i]]
+                     for i in range(n)]
+        moved = conjugate(companion, random_unimodular(rng, n))
+        doc = _convert(capsys, ctx, _matrix_arg(moved))
+        trip = doc["round_trip"]
+        u, rep = _ints(trip["witness"]), _ints(trip["matrix"])
+        assert trip["status"] == "conjugate" and u != [[int(i == j) for j in range(n)]
+                                                       for i in range(n)], f
+        assert _conjugation_ok(u, moved, rep), f
+        # the pulled-back lattice, doubled, so that it is not its own round trip
+        lat = doc["ideal"]
+        ideal = ";".join(",".join(f"{2 * int(v)}/{lat['denominator']}" for v in row)
+                         for row in lat["rows"])
+        doc = _convert(capsys, ctx, "--ideal=" + ideal)
+        trip = doc["round_trip"]
+        x = [Fraction(v) for v in trip["witness"]]
+        assert trip["status"] == "equivalent" and x != [1] + [0] * (n - 1), f
+        assert _scaling_ok(x, doc["input_ideal"], trip["ideal"], ctx.f_low), f
+
+
+def test_convert_witness_and_the_search_route_agree(capsys):
+    # on U M U^-1 for every corpus class M, the witness convert reads off its
+    # construction conjugates the input into the round-trip matrix, and the
+    # independent search route still finds the two matrices conjugate
+    rng = random.Random(20261019)
+    for ctx in corpus_contexts():
+        for report in cyclicity.classify_isogeny_class(ctx).reports:
+            m = [list(row) for row in report.class_ref.rep]
+            moved = conjugate(m, random_unimodular(rng, ctx.n))
+            trip = _convert(capsys, ctx, _matrix_arg(moved))["round_trip"]
+            u, rep = _ints(trip["witness"]), _ints(trip["matrix"])
+            assert trip["status"] == "conjugate" and _conjugation_ok(u, moved, rep), ctx.f
+            search = conjugacy.matrices_conjugate(ctx, moved, rep)
+            assert search.status == "conjugate", ctx.f
+            assert _conjugation_ok([list(row) for row in search.witness], moved, rep), ctx.f
 
 
 def test_convert_direction_validation(capsys):

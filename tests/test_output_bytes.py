@@ -10,12 +10,13 @@ of `classify --no-timing` on every G1_SAMPLE_STEP-th ordinary irreducible g = 1
 context with G1_Q_MAX < q <= G1_SAMPLE_Q_MAX (206 of 2262), and last of
 `convert --matrix=U M U^-1` on every class matrix M, U unimodular with entries
 <= 5 drawn from a fixed seed (M itself mostly takes the identity shortcut,
-the conjugate runs an equivalence search), then of `sweep --no-timing` on
-stdout for SWEEPS, of every file that `sweep --out-dir` writes for
-OUT_DIR_SWEEP, and of one error document per error path of `cli.main`
-(ERROR_INPUTS), and last of `classify --index-bound --no-timing` for
-BOUNDED_CLASSIFY and of `sweep --no-timing` for LATE_SWEEP, against the
-digests stored in fixtures/output_digests.json.
+the conjugate prints the change of basis of its pull-back), then of
+`sweep --no-timing` on stdout for SWEEPS, of every file that
+`sweep --out-dir` writes for OUT_DIR_SWEEP, and of one error document per
+error path of `cli.main` (ERROR_INPUTS), and last of
+`classify --index-bound --no-timing` for BOUNDED_CLASSIFY and of
+`sweep --no-timing` for LATE_SWEEP, against the digests stored in
+fixtures/output_digests.json.
 
 A change that alters these bytes on purpose rewrites the fixture with
 

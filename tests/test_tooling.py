@@ -1,9 +1,9 @@
 """The benchmark's traced run looks functions up by name: every name it
 wraps must stay an attribute of its module.  The runtime imports the
 standard library only, one gate, in front of every conversion, refuses
-non-Weil and reducible input, the per-context classify path and the
-int-not-bool input rule are each written once, and K has one
-multiplication."""
+non-Weil and reducible input, convert runs no equivalence search, the
+per-context classify path and the int-not-bool input rule are each written
+once, and K has one multiplication."""
 
 import ast
 import importlib
@@ -108,11 +108,16 @@ def _functions(module: str) -> dict[str, ast.FunctionDef]:
 def test_the_gate_sits_in_front_of_every_conversion():
     # the conversions call the gate themselves, so the CLI repeats neither
     # it nor the charpoly check, and a context decides irreducibility only
-    # when the gate or a caller asks, never on construction
+    # when the gate or a caller asks, never on construction; matrix_to_ideal
+    # is the lattice of pull_back, no second path, and convert reads both
+    # round trips off the construction, with no equivalence search
     conversions = _functions("conjugacy")
-    for name in ("matrix_to_ideal", "ideal_to_matrix", "matrices_conjugate"):
+    for name in ("pull_back", "ideal_to_matrix", "matrices_conjugate"):
         assert "refuse_non_simple" in _called_names(conversions[name]), name
+    assert _called_names(conversions["matrix_to_ideal"]) == {"pull_back"}
     assert not _called_names(_tree("cli")) & {"refuse_non_simple", "_check_charpoly"}
+    assert not _called_names(_functions("cli")["cmd_convert"]) & {
+        "matrices_conjugate", "ideal_equivalent", "_witness_search"}
     assert "is_irreducible" not in _called_names(_functions("weil")["make_context"])
 
 
