@@ -10,7 +10,8 @@ multiplication-by-alpha matrix on the power basis.  pull_back,
 ideal_to_matrix and matrices_conjugate call the gate
 WeilContext.refuse_non_simple, and matrix_to_ideal is the lattice of
 pull_back; behind the gate K is a field, so for a matrix with characteristic
-polynomial f every nonzero vector is cyclic.
+polynomial f every nonzero vector is cyclic and both matrix routes start
+from e_0.
 
 The round trip matrix -> lattice -> matrix is certified by its
 construction: pull_back builds the lattice from an explicit basis, and the
@@ -37,7 +38,6 @@ class MatrixClass:
     through matrices_conjugate, never through representative equality."""
 
     rep: tuple[tuple[int, ...], ...]
-    charpoly: tuple[int, ...]  # lowest degree first
     provenance: IdealLattice | None = None
 
 
@@ -48,15 +48,11 @@ class ConjugacyResult:
     search_bound: int | None = None
 
 
-def _check_integers(entries, what: str) -> None:
-    if not all(map(is_int, entries)):
-        raise InputError("not_integer", f"{what} entries must be integers")
-
-
 def _check_charpoly(ctx: WeilContext, m) -> None:
     if len(m) != ctx.n or any(len(row) != ctx.n for row in m):
         raise InputError("bad_shape", f"matrix must be {ctx.n} x {ctx.n}")
-    _check_integers((x for row in m for x in row), "matrix")
+    if not all(is_int(x) for row in m for x in row):
+        raise InputError("not_integer", "matrix entries must be integers")
     if linalg.charpoly(m) != ctx.f_low:
         raise InputError(
             "charpoly_mismatch",
@@ -75,39 +71,32 @@ def ideal_to_matrix(lat: IdealLattice) -> MatrixClass:
     rep = linalg.freeze(linalg.transpose(rows))
     if linalg.charpoly(rep) != ctx.f_low:
         raise ConsistencyError("multiplication matrix has wrong characteristic polynomial")
-    return MatrixClass(rep, ctx.f_low, lat)
+    return MatrixClass(rep, lat)
 
 
-def _krylov(ctx: WeilContext, m, v0=None) -> tuple[IdealLattice, list, list, int]:
-    """(lat, wt, E, D) for the Krylov matrix wt with rows v0, m v0, ..,
-    m^(n-1) v0, E wt = D I, and the lattice lat spanned by the rows of
+def _krylov(ctx: WeilContext, m) -> tuple[IdealLattice, list, list, int]:
+    """(lat, wt, E, D) for the Krylov matrix wt with rows e_0, m e_0, ..,
+    m^(n-1) e_0, E wt = D I, and the lattice lat spanned by the rows of
     wt^-1 = E / D: the pull-back of Z^n through c -> (c as polynomial in m)
-    v0.  The coordinates of y in the basis wt^-1 are y wt.  v0 defaults to
-    the first standard basis vector; behind the gate every nonzero v0 is
-    cyclic, so wt is nonsingular."""
-    wt = [list(v0) if v0 is not None else [1] + [0] * (ctx.n - 1)]
+    e_0.  The coordinates of y in the basis wt^-1 are y wt.  Behind the gate
+    every nonzero vector is cyclic, so wt is nonsingular."""
+    wt = [[1] + [0] * (ctx.n - 1)]
     for _ in range(ctx.n - 1):
         wt.append([sum(x * y for x, y in zip(row, wt[-1])) for row in m])
     e, d = linalg.inverse_pair(wt)
     return IdealLattice.over(ctx, e, abs(d)), wt, e, d
 
 
-def pull_back(ctx: WeilContext, m, v0=None) -> tuple[IdealLattice, MatrixClass, tuple]:
-    """(lat, mclass, u): the lattice lat = {c in K : c v0 lies in Z^n} under
+def pull_back(ctx: WeilContext, m) -> tuple[IdealLattice, MatrixClass, tuple]:
+    """(lat, mclass, u): the lattice lat = {c in K : c e_0 lies in Z^n} under
     the action t -> m on column vectors, the class mclass = ideal_to_matrix(lat)
     of its canonical basis, and a witness u with mclass.rep = u m u^-1.  The
     construction certifies the round trip: u is the inverse of the change of
     basis it builds, verified unimodular and conjugating before it is
     returned, or the identity when m already equals mclass.rep."""
     _check_charpoly(ctx, m)
-    if v0 is not None:
-        if len(v0) != ctx.n:
-            raise InputError("bad_shape", f"v0 must have {ctx.n} entries")
-        _check_integers(v0, "v0")
-        if not any(v0):
-            raise InputError("zero_vector", "v0 must be nonzero")
     ctx.refuse_non_simple()
-    lat, wt, _, _ = _krylov(ctx, m, v0)
+    lat, wt, _, _ = _krylov(ctx, m)
     # Q = lat.mat wt / lat.den holds the coordinates of the canonical basis
     # in the basis wt^-1; alpha acts on the former by rep^T and on the
     # latter by m^T, so Q^T rep = m Q^T and u = (Q^T)^-1 = D E for
@@ -123,11 +112,11 @@ def pull_back(ctx: WeilContext, m, v0=None) -> tuple[IdealLattice, MatrixClass, 
     return lat, mclass, linalg.freeze(u)
 
 
-def matrix_to_ideal(ctx: WeilContext, m, v0=None) -> IdealLattice:
-    """The lattice of pull_back: {c in K : c v0 lies in Z^n} under the
+def matrix_to_ideal(ctx: WeilContext, m) -> IdealLattice:
+    """The lattice of pull_back: {c in K : c e_0 lies in Z^n} under the
     action t -> m on column vectors, its round trip certified by the change
     of basis that builds it."""
-    return pull_back(ctx, m, v0)[0]
+    return pull_back(ctx, m)[0]
 
 
 def matrices_conjugate(ctx: WeilContext, a, b) -> ConjugacyResult:

@@ -120,8 +120,12 @@ def group_structure_oracle(m, ctx: WeilContext) -> tuple[tuple[int, ...], bool]:
     """Invariant factors of coker(1 - m) and whether that group is cyclic.
     Independent of the tau route: works directly on the Smith normal form."""
     conjugacy._check_charpoly(ctx, m)
-    snf = linalg.smith_normal_form(_one_minus(m))
-    factors = snf.invariant_factors
+    return _group_structure(ctx, _one_minus(m))
+
+
+def _group_structure(ctx: WeilContext, one_minus) -> tuple[tuple[int, ...], bool]:
+    """group_structure_oracle given 1 - m for a matrix m already checked."""
+    factors = linalg.smith_normal_form(one_minus).invariant_factors
     if prod(factors) != ctx.point_count:
         raise ConsistencyError("group order from invariant factors differs from f(1)")
     cyclic = len(factors) < 2 or factors[-2] == 1
@@ -166,7 +170,7 @@ def _report_for(ctx: WeilContext, mclass: MatrixClass) -> CyclicityReport:
     g_ = _gcd_with_count(ctx, tau_im)
     c1 = tau_m % ctx.q ** (ctx.g - 1) == 0 and g_ >= 1
     c2 = tau_m % ctx.q ** (ctx.g - 1) == 0 and g_ >= 2
-    factors, cyclic = group_structure_oracle(m, ctx)
+    factors, cyclic = _group_structure(ctx, one_minus)  # ideal_to_matrix checked m
     descriptor = tuple(d for d in factors if d != 1)
     verdict = "not_cyclic" if c2 else "cyclic"
     agrees = (verdict == "not_cyclic") == (not cyclic)

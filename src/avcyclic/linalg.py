@@ -238,14 +238,13 @@ def hnf_rational(a: Matrix) -> tuple[list[list[int]], list[list[int]], int, int]
 
 @dataclass(frozen=True)
 class SnfResult:
-    s: tuple[tuple[int, ...], ...]
     invariant_factors: tuple[int, ...]
 
 
 def smith_normal_form(a: Matrix) -> SnfResult:
-    """Smith normal form S of a square integer matrix: diagonal, nonnegative,
-    each invariant factor dividing the next, zeros last.  No transforms are
-    kept.
+    """Invariant factors of a square integer matrix: the diagonal of its
+    Smith normal form S, nonnegative, each dividing the next, zeros last.
+    Neither S nor the transforms are kept.
 
     Kannan-Bachem (Cohen, GTM 138, 2.4.4): Hermite forms of the rows and of
     the columns alternate until the matrix is diagonal, and then (d_i, d_j)
@@ -265,8 +264,7 @@ def smith_normal_form(a: Matrix) -> SnfResult:
     for i in range(n):
         for j in range(i + 1, n):
             d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
-    return SnfResult(freeze([[x if i == j else 0 for j in range(n)]
-                             for i, x in enumerate(d)]), tuple(d))
+    return SnfResult(tuple(d))
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +288,9 @@ def _orthogonalize(g: list[list[int]], lam: list[list[int]], d: list[int], k: in
         raise ValueError("gram matrix is not positive definite")
 
 
-def lll_reduce_gram(gram: Matrix, delta: Fraction = Fraction(99, 100)) -> list[list[int]]:
-    """LLL transformation for a positive definite rational Gram matrix.
+def lll_reduce_gram(gram: Matrix) -> list[list[int]]:
+    """LLL transformation, delta = 99/100, for a positive definite rational
+    Gram matrix.
 
     Returns unimodular integer rows u such that u * basis is LLL-reduced
     when gram[i][j] is the inner product of basis vectors i and j.  Raises
@@ -308,11 +307,10 @@ def lll_reduce_gram(gram: Matrix, delta: Fraction = Fraction(99, 100)) -> list[l
     """
     n = len(gram)
     g, _ = _cleared(gram)  # Gram matrix of u * basis, times c
-    a, b = delta.as_integer_ratio()
     u = identity(n)
     lam = zeros(n, n)
     d = [1] * (n + 1)
-    # terminates: each swap shrinks the Lovasz potential by a factor of delta
+    # terminates: each swap shrinks the Lovasz potential by a factor of 99/100
     if n:
         _orthogonalize(g, lam, d, 0)
     k = 1
@@ -330,7 +328,7 @@ def lll_reduce_gram(gram: Matrix, delta: Fraction = Fraction(99, 100)) -> list[l
                 lam[k][j] -= q * d[j + 1]
                 for m in range(j):
                     lam[k][m] -= q * lam[j][m]
-        if b * d[k + 1] * d[k - 1] >= a * d[k] ** 2 - b * lam[k][k - 1] ** 2:
+        if 100 * d[k + 1] * d[k - 1] >= 99 * d[k] ** 2 - 100 * lam[k][k - 1] ** 2:
             k += 1
         else:
             u[k], u[k - 1] = u[k - 1], u[k]

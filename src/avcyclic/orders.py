@@ -12,8 +12,9 @@ coordinates, multiplication matrices on a lattice, colon ideals) live here.
 K has one multiplication: FieldElement.mult_matrix, the integer matrix M(x)
 of the regular representation (Cohen, GTM 138, 4.2.2), is the one place
 that reduces by alpha^n = -(f_0 + f_1 alpha + .. + f_(n-1) alpha^(n-1)).
-Products and conjugates of elements, scalings and products of lattices,
-and multiplication matrices on a lattice are integer rows times M(x).
+Products of elements, scalings and products of lattices, multiplication
+matrices on a lattice and the conjugates the witness search reads off the
+powers of q/alpha are integer rows times M(x).
 
 ideal_equivalent checks its inputs and compares multiplicator rings; the
 witness search below it takes the common ring S, which icm already holds
@@ -104,9 +105,6 @@ class FieldElement:
     def trace(self) -> Fraction:
         return Fraction(sum(c * s for c, s in zip(self.num, self.ctx.trace_sums)), self.den)
 
-    def norm(self) -> Fraction:
-        return Fraction(linalg.determinant(self.mult_matrix()), self.den ** self.ctx.n)
-
     def charpoly(self) -> tuple:
         """Characteristic polynomial of the multiplication map, lowest
         degree first.  Monic of degree 2g; equal to the minimal polynomial
@@ -121,38 +119,20 @@ class FieldElement:
         e, d = linalg.inverse_pair(self.mult_matrix())
         return FieldElement.over(self.ctx, [self.den * x for x in e[0]], d)
 
-    def conj(self) -> "FieldElement":
-        """Image under alpha -> q/alpha (complex conjugation on the CM field)."""
-        d, rows = _conj_power_rows(self.ctx)
-        (num,) = linalg.mat_mul([self.num], rows)
-        return FieldElement.over(self.ctx, num, d * self.den)
-
 
 @lru_cache(maxsize=None)
 def _conj_power_rows(ctx: WeilContext) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(d, rows) with rows[k] / d the coordinates of (q/alpha)^k,
-    k = 0 .. n-1; only defined when q/alpha is again a root of f (precisely
-    the functional equation)."""
+    k = 0 .. n-1, so that the numerators x give those of conj(x) as x rows,
+    over d.  The one caller, the witness search, is reached only behind the
+    gate WeilContext.refuse_non_simple: f is a Weil polynomial there, q/alpha
+    is a root of f by the functional equation, and nothing is checked here."""
     abar = q_over_alpha(ctx)
-    if not _apply_poly(ctx, abar).is_zero():
-        raise InputError("not_self_reciprocal", "q/alpha is not a root of f")
     powers = [one(ctx)]
     for _ in range(ctx.n - 1):
         powers.append(powers[-1] * abar)
     d = lcm(*(x.den for x in powers))
     return d, tuple(tuple(c * (d // x.den) for c in x.num) for x in powers)
-
-
-def _apply_poly(ctx: WeilContext, x: FieldElement) -> FieldElement:
-    """Evaluate f at a field element (Horner)."""
-    acc = zero(ctx)
-    for c in reversed(ctx.f_low):
-        acc = acc * x + c * one(ctx)
-    return acc
-
-
-def zero(ctx: WeilContext) -> FieldElement:
-    return FieldElement(ctx, (0,) * ctx.n)
 
 
 def one(ctx: WeilContext) -> FieldElement:

@@ -5,9 +5,12 @@ ideal intersection that serve as oracles for the lattice kernels, the
 rational determinant and trace-pairing Gram route that serve as oracles for
 orders.discriminant, the integrality test on field elements that serves as
 the oracle for p-maximality, the two-pass document writer that serves as
-the oracle for cli._dump, and the convolution product with the per-basis
+the oracle for cli._dump, the convolution product with the per-basis
 products built on it, which serve as oracles for the one multiplication,
-FieldElement.mult_matrix, and the lattice kernels that read it off."""
+FieldElement.mult_matrix, and the lattice kernels that read it off, the
+conjugate built on it, which serves as the oracle for the conjugation rows
+of the witness search, and the zero element and the norm det M(x) / den^n
+of a field element."""
 
 import json
 import random
@@ -134,10 +137,19 @@ def convolution_product(x, y):
     return orders.FieldElement.over(x.ctx, conv[:n], x.den * y.den)
 
 
+def zero(ctx):
+    return orders.FieldElement(ctx, (0,) * ctx.n)
+
+
+def norm(x) -> Fraction:
+    """N(x) = det M(x) / den^n, M(x) the multiplication matrix of den x."""
+    return Fraction(linalg.determinant(x.mult_matrix()), x.den ** x.ctx.n)
+
+
 def convolution_conj(x):
     """conj(x) = sum_k x_k (q/alpha)^k, the powers by convolution_product."""
     ctx = x.ctx
-    abar, power, out = orders.q_over_alpha(ctx), orders.one(ctx), orders.zero(ctx)
+    abar, power, out = orders.q_over_alpha(ctx), orders.one(ctx), zero(ctx)
     for c in x.num:
         out = out + c * power
         power = convolution_product(power, abar)

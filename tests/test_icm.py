@@ -11,7 +11,7 @@ from avcyclic import icm, linalg, orders, weil
 from avcyclic.errors import InputError
 from avcyclic.orders import IdealLattice
 
-from _helpers import corpus_contexts, g1_contexts, is_integral, vec_mat
+from _helpers import corpus_contexts, g1_contexts, is_integral, vec_mat, zero
 
 
 def pair_order(p, r, g, coeffs):
@@ -328,7 +328,7 @@ def _p_maximal_by_search(o, p) -> bool:
     basis = o.lattice.elements
     for coeffs in product(range(p), repeat=len(basis)):
         if any(coeffs):
-            y = sum((c * e for c, e in zip(coeffs, basis)), orders.zero(o.ctx))
+            y = sum((c * e for c, e in zip(coeffs, basis)), zero(o.ctx))
             if is_integral(y * Fraction(1, p)):
                 return False
     return True

@@ -17,7 +17,8 @@ from avcyclic.orders import FieldElement, IdealLattice
 
 from _helpers import (convolution_conj, convolution_product, corpus_contexts,
                       discriminant_gram, g1_contexts, ideal_intersection, ideal_sum,
-                      is_integral, products_ideal_product, products_matrix, products_scale)
+                      is_integral, norm, products_ideal_product, products_matrix,
+                      products_scale, zero)
 
 
 def ctx2():
@@ -41,7 +42,7 @@ def test_element_arithmetic():
     assert (-a).coeffs == (Fraction(0), Fraction(-1))
     assert (3 * a).coeffs == (Fraction(0), Fraction(3))
     assert a.trace() == -1
-    assert a.norm() == 2
+    assert norm(a) == 2
     assert a.charpoly() == (2, 1, 1)
     assert is_integral(a)
 
@@ -53,13 +54,11 @@ def test_inverse_and_conj():
     assert inv.coeffs == (Fraction(-1, 2), Fraction(-1, 2))
     assert (a * inv).coeffs == (Fraction(1), Fraction(0))
     assert not is_integral(inv)
-    # conjugation swaps alpha with q/alpha
-    assert a.conj().coeffs == (Fraction(-1), Fraction(-1))
+    # conjugation swaps alpha with q/alpha: it is row 1 of the conjugation rows
     assert orders.q_over_alpha(c).coeffs == (Fraction(-1), Fraction(-1))
-    assert a.conj().conj().coeffs == a.coeffs
-    assert (a * a.conj()).coeffs == (Fraction(2), Fraction(0))  # N(alpha) = q
+    assert orders._conj_power_rows(c) == (1, ((1, 0), (-1, -1)))
     with pytest.raises(ZeroDivisionError):
-        orders.zero(c).inverse()
+        zero(c).inverse()
 
 
 def test_q_over_alpha_read_off_f():
@@ -123,7 +122,7 @@ def test_lattice_contains_and_scale():
     doubled = std.scale(FieldElement.make(c, [2]))
     assert doubled.mat == ((2, 0), (0, 2))
     with pytest.raises(InputError):
-        std.scale(orders.zero(c))
+        std.scale(zero(c))
 
 
 def test_lattice_degenerate_inputs():
@@ -394,7 +393,7 @@ def test_equivalence_witness_norm_matches_index():
     moved = std.scale(FieldElement.make(c, [1, 1]))
     r = orders.ideal_equivalent(std, moved)
     assert r.status == "equivalent"
-    assert abs(r.witness.norm()) == orders.lattice_index(moved, std)
+    assert abs(norm(r.witness)) == orders.lattice_index(moved, std)
 
 
 def test_equivalence_quartic_heuristic():
@@ -496,7 +495,7 @@ def test_equivalence_quartic_huge_unit():
         assert orders.ideal_equivalent(x, y).status == "not_equivalent"
     root = orders.alpha(c) + orders.q_over_alpha(c) + orders.one(c)  # +-sqrt(46)
     unit = FieldElement.make(c, [24335]) + 3588 * root
-    assert unit.norm() == 1
+    assert norm(unit) == 1
     moved = classes[1].scale(unit * unit * (orders.alpha(c) + orders.one(c)))
     r = orders.ideal_equivalent(classes[1], moved)
     assert r.status == "equivalent"
@@ -612,17 +611,6 @@ def _ref_mul(ctx, x, y):
     return tuple(conv[:n])
 
 
-def _ref_conj(ctx, x):
-    # q / alpha = -q (f_1 + f_2 alpha + ... + alpha^(n-1)) / f_0
-    n = ctx.n
-    abar = [Fraction(-ctx.q * ctx.f_low[k + 1], ctx.f_low[0]) for k in range(n)]
-    out, power = [Fraction(0)] * n, [Fraction(int(k == 0)) for k in range(n)]
-    for c in x:
-        out = [o + c * p for o, p in zip(out, power)]
-        power = _ref_mul(ctx, power, abar)
-    return tuple(out)
-
-
 def _ref_trace(ctx, x):
     # the diagonal of multiplication by x on the power basis
     return sum(_ref_mul(ctx, [int(j == k) for j in range(ctx.n)], x)[k] for k in range(ctx.n))
@@ -643,7 +631,7 @@ def test_element_arithmetic_matches_fraction_reference(data):
     assert x.coeffs == tuple(xs)
     checks = [(x + y, tuple(a + b for a, b in zip(xs, ys))),
               (x - y, tuple(a - b for a, b in zip(xs, ys))),
-              (x * y, _ref_mul(ctx, xs, ys)), (x.conj(), _ref_conj(ctx, xs))]
+              (x * y, _ref_mul(ctx, xs, ys))]
     if any(xs):
         inv = x.inverse()
         assert _ref_mul(ctx, xs, inv.coeffs) == tuple(Fraction(int(k == 0)) for k in range(ctx.n))
@@ -658,7 +646,7 @@ def test_element_arithmetic_matches_fraction_reference(data):
 
 
 def test_element_and_lattice_arithmetic_construct_no_fraction(monkeypatch):
-    # +, -, *, conj, coords and elements work on integer numerators over one
+    # +, -, *, coords and elements work on integer numerators over one
     # denominator; only the coeffs view and the rational surface build Fractions
     c = quartic_ctx()
     x = FieldElement.make(c, [Fraction(1, 2), 3, Fraction(-5, 6), 1])
@@ -671,7 +659,7 @@ def test_element_and_lattice_arithmetic_construct_no_fraction(monkeypatch):
         raise AssertionError("Fraction constructed")
 
     monkeypatch.setattr(orders, "Fraction", refuse)
-    z = (x + y) * (x - y) * x.conj() * half - 2 * y
+    z = (x + y) * (x - y) * x * half - 2 * y
     assert lat.coords(z) is None
     assert [lat.coords(e) for e in lat.elements] == [[int(i == j) for j in range(4)]
                                                      for i in range(4)]
@@ -679,7 +667,7 @@ def test_element_and_lattice_arithmetic_construct_no_fraction(monkeypatch):
     monkeypatch.undo()
     want = _ref_mul(c, [a + b for a, b in zip(x.coeffs, y.coeffs)],
                     [a - b for a, b in zip(x.coeffs, y.coeffs)])
-    want = _ref_mul(c, want, _ref_conj(c, x.coeffs))
+    want = _ref_mul(c, want, x.coeffs)
     assert z.coeffs == tuple(w / 2 - 2 * b for w, b in zip(want, y.coeffs))
 
 
@@ -692,9 +680,9 @@ _ONE_CONTEXT_PER_DEGREE = (ctx2(), quartic_ctx(),
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(("rational", "integral", "ring")), st.data())
 def test_one_multiplication_matches_products(ctx, kind, data):
-    # products, conjugates, scalings, ideal products and multiplication
-    # matrices all read off FieldElement.mult_matrix; the convolution product,
-    # and per-basis products located by coords, are the references.  x is a
+    # products, scalings, ideal products and multiplication matrices all
+    # read off FieldElement.mult_matrix; the convolution product, and
+    # per-basis products located by coords, are the references.  x is a
     # rational element (integral or not), an integral one, or an element of
     # the ring (L : L), the one kind of x that preserves L
     n = ctx.n
@@ -712,14 +700,13 @@ def test_one_multiplication_matches_products(ctx, kind, data):
     xs, ys = data.draw(vectors(st.fractions(-6, 6, max_denominator=4), 2))
     x, y = FieldElement.make(ctx, xs), FieldElement.make(ctx, ys)
     assert x * y == convolution_product(x, y)
-    assert x.conj() == convolution_conj(x)
     lat, other = lattice(), lattice()
     ring = orders.ideal_quotient(lat, lat)
     if kind == "integral":
         x = FieldElement.make(ctx, [c.numerator for c in xs])
     elif kind == "ring":
         coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-        x = sum((c * e for c, e in zip(coeffs, ring.elements)), orders.zero(ctx))
+        x = sum((c * e for c, e in zip(coeffs, ring.elements)), zero(ctx))
     mat = orders.multiplication_matrix(x, lat)
     assert mat == products_matrix(x, lat)
     assert (mat is not None) == (x in ring)
@@ -728,3 +715,28 @@ def test_one_multiplication_matches_products(ctx, kind, data):
     if not x.is_zero():
         assert lat.scale(x) == products_scale(lat, x)
     assert orders.ideal_product(lat, other) == products_ideal_product(lat, other)
+
+
+@pytest.mark.parametrize("ctx", _ONE_CONTEXT_PER_DEGREE, ids=lambda ctx: f"n{ctx.n}")
+def test_conj_power_rows_match_convolution(ctx):
+    # the witness search conjugates x as x.num times these rows over d * x.den:
+    # row k is conj(alpha^k) by the convolution reference, and the map is an
+    # involution that sends alpha to q / alpha, so alpha * conj(alpha) = q
+    d, rows = orders._conj_power_rows(ctx)
+    power = orders.one(ctx)
+    for row in rows:
+        assert FieldElement.over(ctx, row, d) == convolution_conj(power)
+        power = power * orders.alpha(ctx)
+
+    def conj(x):
+        (num,) = linalg.mat_mul([x.num], rows)
+        return FieldElement.over(ctx, num, d * x.den)
+
+    a = orders.alpha(ctx)
+    assert conj(a) == orders.q_over_alpha(ctx)
+    assert a * conj(a) == FieldElement.make(ctx, [ctx.q])
+    rng = random.Random(ctx.n)
+    for _ in range(20):
+        x = FieldElement.make(ctx, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                    for _ in range(ctx.n)])
+        assert conj(conj(x)) == x

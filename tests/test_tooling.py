@@ -3,15 +3,17 @@ wraps must stay an attribute of its module.  The runtime imports the
 standard library only, one gate, in front of every conversion, refuses
 non-Weil and reducible input, convert runs no equivalence search, the
 per-context classify path and the int-not-bool input rule are each written
-once, and K has one multiplication."""
+once, K has one multiplication, and no option or member stays that only
+tests reach."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
-from avcyclic import cli, orders
+from avcyclic import cli, conjugacy, linalg, orders
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -153,13 +155,22 @@ def test_one_multiplication_in_k():
     orders_tree = _tree("orders")
     element = next(node for node in orders_tree.body
                    if isinstance(node, ast.ClassDef) and node.name == "FieldElement")
-    for method in element.body:
-        if isinstance(method, ast.FunctionDef) and method.name in ("__mul__", "conj"):
-            assert not [node for node in ast.walk(method)
-                        if isinstance(node, (ast.For, ast.While))], method.name
+    mul = next(method for method in element.body
+               if isinstance(method, ast.FunctionDef) and method.name == "__mul__")
+    assert not [node for node in ast.walk(mul) if isinstance(node, (ast.For, ast.While))]
     kernels = _functions("orders")
     assert [arg.arg for arg in kernels["multiplication_matrix"].args.args] == ["x", "lat"]
     search = kernels["_witness_search"]
     assert "conj" not in _called_names(search)
     assert "elements" not in {node.attr for node in ast.walk(search)
                               if isinstance(node, ast.Attribute)}
+
+
+def test_no_option_or_member_only_tests_reach():
+    # the Krylov matrix always starts at e_0, LLL always runs at
+    # delta = 99/100, and the equivalence search reads the conjugation rows
+    # itself, so none of these takes an option and K has no conj or norm
+    for fn in (conjugacy.pull_back, conjugacy.matrix_to_ideal, conjugacy._krylov):
+        assert list(inspect.signature(fn).parameters) == ["ctx", "m"], fn.__name__
+    assert list(inspect.signature(linalg.lll_reduce_gram).parameters) == ["gram"]
+    assert not {"conj", "norm"} & set(vars(orders.FieldElement))
