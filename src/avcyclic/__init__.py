@@ -31,7 +31,6 @@ from .icm import IcmResult, enumerate_icm, minkowski_index_bound, refine_by_sigm
 from .ingest import ExternalClassRecord, FixtureLoad, cross_validate, load_fixture
 from .linalg import (
     SnfResult,
-    cofactor_matrix,
     determinant,
     is_unimodular,
     smith_normal_form,
@@ -81,7 +80,6 @@ __all__ = [
     "SnfResult",
     "WeilContext",
     "classify_isogeny_class",
-    "cofactor_matrix",
     "cross_validate",
     "determinant",
     "discriminant",

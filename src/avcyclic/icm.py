@@ -11,9 +11,9 @@ off the index for most candidates: an ideal I of index d of R = Z[F, V]
 has R <= (I : I) <= d^-1 R, so it is R unless some prime p | d has
 p^2 | disc(R) and R is not p-maximal, which one Pohst-Zassenhaus test per
 prime decides (Cohen, GTM 138, 6.1.3); only the other candidates take the
-colon ideal (I : I).  The tests run the search of orders.ideal_equivalent
-with that ring, and a test against R itself builds no colon ideal either,
-since (b : R) = b.
+colon ideal (I : I).  The tests run the witness search of
+orders.ideal_equivalent with that ring, and a test against R itself builds
+no colon ideal either, since (b : R) = b.
 
 The integral ideals are built prime by prime (Cohen, GTM 138, 6.2).  At
 g = 1 the order Z[F, V] is Z[alpha], since q/alpha = -a1 - alpha, and its
@@ -311,8 +311,8 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
     new when its reduced form (orders.form_key) is.  For g >= 2 its
     multiplicator ring comes from _ring_decider (the order itself, with no
     colon ideal, wherever its index allows no over-order), and it is new
-    when the equivalence search of orders.ideal_equivalent, given that
-    ring, separates it from every kept representative with the same ring.
+    when the witness search of orders.ideal_equivalent, given that ring,
+    separates it from every kept representative with the same ring.
     Non-Weil input raises not_weil and reducible input not_irreducible, at
     every g (WeilContext.refuse_non_simple).
 

@@ -86,13 +86,6 @@ def _cleared(a: Matrix) -> tuple[list[list[int]], int]:
     return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
 
 
-def cofactor_matrix(a: Matrix) -> list[list[int]]:
-    """Cofactor matrix: entry (i, j) is (-1)^(i+j) times the (i, j) minor,
-    the transpose of the adjugate.  Dimension 1 gives [[1]], so that
-    A * cof(A)^T = det(A) * I holds there too."""
-    return transpose(_leverrier(a)[1])
-
-
 def entries_gcd(a: Matrix) -> int:
     g = 0
     for row in a:

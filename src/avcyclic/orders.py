@@ -16,10 +16,14 @@ Products of elements, scalings and products of lattices, multiplication
 matrices on a lattice and the conjugates the witness search reads off the
 powers of q/alpha are integer rows times M(x).
 
-ideal_equivalent checks its inputs and compares multiplicator rings; the
-witness search below it takes the common ring S, which icm already holds
-for its candidates, so no ring is rebuilt there.  When a is S itself,
-b is an S-module and the search runs on (b : S) = b with no colon ideal.
+ideal_equivalent checks its inputs and runs the witness search on (b : a)
+with no multiplicator ring: a witness x * a = b forces (a : a) = (b : b),
+and the unit the search scans by is the least power of a fixed unit that
+maps b into itself.  Rings are compared first only at g = 1, where their
+discriminants are read off the norm forms, and otherwise only when a
+g >= 3 search ends indeterminate.  icm, which holds the common ring S of
+its candidates, calls the search with S; when a is S itself, b is an
+S-module and the search runs on (b : S) = b with no colon ideal.
 """
 
 from __future__ import annotations
@@ -427,33 +431,44 @@ class EquivalenceResult:
 def ideal_equivalent(a: IdealLattice, b: IdealLattice) -> EquivalenceResult:
     """Searches for x with x * a = b.
 
-    Ideals with different multiplicator rings are never equivalent; for a
-    common ring S the search is _witness_search, which callers holding S
-    (icm) call directly.  Every witness lies in (b : a), which is b itself
-    when a = S, and has |N(x)| = [a : b].  The search is an exact Fincke-Pohst
-    enumeration of (b : a) under trace forms Tr(w * x * conj(x)), w totally
-    positive in K+, each on an LLL-reduced basis.  An irreducible Weil
-    polynomial makes K a CM field, on which these forms are positive
-    definite.  For g <= 2 (unit rank g - 1 <= 1) the bounds provably cover
-    some witness, and a failed search is a proof of inequivalence.  For
-    g >= 3 the bound is heuristic and an exhausted search reports
-    indeterminate.
+    Every witness lies in (b : a) and has |N(x)| = [a : b].  A witness also
+    forces (a : a) = (b : b), so the search needs no multiplicator ring: it
+    runs on (b : a) at once, under forms whose unit is the least power of a
+    fixed unit that maps b into itself (_search_forms).  It is an exact
+    Fincke-Pohst enumeration of (b : a) under trace forms
+    Tr(w * x * conj(x)), w totally positive in K+, each on an LLL-reduced
+    basis.  An irreducible Weil polynomial makes K a CM field, on which
+    these forms are positive definite.  For g <= 2 (unit rank g - 1 <= 1)
+    the bounds provably cover some witness, and a failed search is a proof
+    of inequivalence, for ideals with different rings too.  At g = 1 the
+    rings are compared first, as their discriminants are read off the norm
+    forms with no colon ideal.  For g >= 3 the bound is heuristic: an
+    exhausted search reports indeterminate, unless the multiplicator rings,
+    compared only then, differ.
     """
     _same_ctx(a, b)
     ctx = a.ctx
     ctx.refuse_non_simple()
     if a == b:
         return EquivalenceResult("equivalent", one(ctx))
-    ring = multiplicator_ring(a).lattice
-    if ring != multiplicator_ring(b).lattice:
+    if ctx.g == 1:
+        (a0, b0, c0, _), (a1, b1, c1, _) = _norm_form(a), _norm_form(b)
+        if b0 * b0 - 4 * a0 * c0 != b1 * b1 - 4 * a1 * c1:
+            return EquivalenceResult("not_equivalent")
+    eq = _witness_search(a, b)
+    if eq.status == "indeterminate" and (multiplicator_ring(a).lattice
+                                         != multiplicator_ring(b).lattice):
         return EquivalenceResult("not_equivalent")
-    return _witness_search(a, b, ring)
+    return eq
 
 
-def _witness_search(a: IdealLattice, b: IdealLattice, ring: IdealLattice) -> EquivalenceResult:
-    """The search of ideal_equivalent for ideals a != b of one Weil context
-    whose common multiplicator ring is ring.  When a is ring itself, b is a
-    module over it and (b : a) = b, so no colon ideal is built."""
+def _witness_search(a: IdealLattice, b: IdealLattice,
+                    ring: IdealLattice | None = None) -> EquivalenceResult:
+    """The search of ideal_equivalent for ideals a != b of one Weil context,
+    under forms whose unit is read off b.  ring, when given, is the common
+    multiplicator ring S of a and b, which icm holds for its candidates:
+    when a is S itself, b is a module over it and (b : a) = b, so no colon
+    ideal is built."""
     ctx = a.ctx
     target = lattice_index(b, a)  # the |N(x)| any witness must have
     quo = b if a == ring else ideal_quotient(b, a)
@@ -466,7 +481,7 @@ def _witness_search(a: IdealLattice, b: IdealLattice, ring: IdealLattice) -> Equ
     d, powers = _conj_power_rows(ctx)
     conj_mat, scale = linalg.mat_mul(quo.mat, powers), den * den * d
     products = [linalg.mat_mul(conj_mat, FieldElement(ctx, row).mult_matrix()) for row in quo.mat]
-    forms, certified = _search_forms(ring, target)
+    forms, certified = _search_forms(b, target)
     want_det = target * den**n
     red = linalg.identity(n)  # consecutive forms differ little: reduce from the last basis
     for traces, bound in forms:
@@ -499,10 +514,11 @@ def _witness_search(a: IdealLattice, b: IdealLattice, ring: IdealLattice) -> Equ
 UNIT_SCAN_FROM = 16
 
 
-def _search_forms(ring: IdealLattice, target: Fraction) -> tuple[list[tuple[tuple, Fraction | int]], bool]:
+def _search_forms(lat: IdealLattice, target: Fraction) -> tuple[list[tuple[tuple, Fraction | int]], bool]:
     """Forms Tr(w * x * conj(x)), each given by (Tr(w alpha^k))_k and a
     bound, such that some witness x meets one of them, and whether that is
-    proven.  A witness can be moved by any unit of the multiplicator ring S.
+    proven.  A witness can be moved by any unit of the multiplicator ring S
+    of lat, read off any lattice lat with that ring (_real_unit_trace).
 
     g = 1: w = 1 and Tr(x * conj(x)) = 2 N(x) = 2T exactly.
     g = 2: write P_i = |x_i|^2 at the two places of K+, so P_1 P_2 = T, and
@@ -519,7 +535,7 @@ def _search_forms(ring: IdealLattice, target: Fraction) -> tuple[list[tuple[tupl
     g >= 3: w = 1 under a fixed multiple of the AM-GM floor n T^(1/g),
     heuristic.
     """
-    ctx = ring.ctx
+    ctx = lat.ctx
     plain = ctx.trace_sums[:ctx.n]
     if ctx.g == 1:
         return [(plain, 2 * target)], True
@@ -531,7 +547,7 @@ def _search_forms(ring: IdealLattice, target: Fraction) -> tuple[list[tuple[tupl
     a1, a2 = ctx.f_low[3], ctx.f_low[2]
     d = a1 * a1 - 4 * (a2 - 2 * ctx.q)  # disc of beta = alpha + q/alpha; not a square
     beta = alpha(ctx) + q_over_alpha(ctx)
-    span = _real_unit_trace(ring, d, beta) + 2
+    span = _real_unit_trace(lat, d, beta) + 2
     if span <= UNIT_SCAN_FROM:
         return [(plain, 2 * _sqrt_ceil(target) * span)], True
     # A in (2 sqrt(d), 3 sqrt(d)] puts (A + sqrt(d)) / (A - sqrt(d)) in [2, 3)
@@ -555,11 +571,13 @@ def _sqrt_ceil(x: Fraction) -> Fraction:
     return Fraction(root, x.denominator)
 
 
-def _real_unit_trace(ring: IdealLattice, d: int, beta: FieldElement) -> int:
+def _real_unit_trace(lat: IdealLattice, d: int, beta: FieldElement) -> int:
     """|Tr_{K+/Q}(eta)| for eta the least power of the fundamental unit eps
-    of Z[beta], beta = alpha + q/alpha of discriminant d, that lies in the
-    order ring (g = 2 only)."""
-    ctx = ring.ctx
+    of Z[beta], beta = alpha + q/alpha of discriminant d, that maps lat into
+    itself (g = 2 only): the least power in the multiplicator ring (lat : lat),
+    so any lattice with ring S gives the eta of S, and on S itself the test
+    is membership."""
+    ctx = lat.ctx
     a1 = ctx.f_low[3]
     # eps = (G + B sqrt(d)) / 2 with G = 2h - (d mod 2) k, B = k for the first
     # convergent h/k of ((d mod 2) + sqrt(d)) / 2 with G^2 - d B^2 = +-4
@@ -577,7 +595,7 @@ def _real_unit_trace(ring: IdealLattice, d: int, beta: FieldElement) -> int:
         den = (d - num * num) // den
     eps = FieldElement.make(ctx, [Fraction(big_g + k * a1, 2)]) + k * beta  # sqrt(d) = 2 beta + a1
     eta = eps
-    while eta not in ring:
+    while multiplication_matrix(eta, lat) is None:
         eta = eta * eps
     return abs(int(eta.trace())) // 2
 

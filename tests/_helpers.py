@@ -9,8 +9,10 @@ the oracle for cli._dump, the convolution product with the per-basis
 products built on it, which serve as oracles for the one multiplication,
 FieldElement.mult_matrix, and the lattice kernels that read it off, the
 conjugate built on it, which serves as the oracle for the conjugation rows
-of the witness search, and the zero element and the norm det M(x) / den^n
-of a field element."""
+of the witness search, the zero element and the norm det M(x) / den^n
+of a field element, the ring-first equivalence decision that serves as the
+oracle for orders.ideal_equivalent, and the cofactor matrix read off the
+adjugate of linalg._leverrier."""
 
 import json
 import random
@@ -156,6 +158,18 @@ def convolution_conj(x):
     return out * Fraction(1, x.den)
 
 
+def ring_first_equivalent(a, b):
+    """orders.ideal_equivalent decided rings first: different multiplicator
+    rings are never equivalent, and for a common ring S the witness search
+    runs with S, so (b : S) = b when a is S."""
+    if a == b:
+        return orders.EquivalenceResult("equivalent", orders.one(a.ctx))
+    ring = orders.multiplicator_ring(a).lattice
+    if ring != orders.multiplicator_ring(b).lattice:
+        return orders.EquivalenceResult("not_equivalent")
+    return orders._witness_search(a, b, ring)
+
+
 def products_matrix(x, lat):
     """orders.multiplication_matrix by products: the coordinates in lat of
     x times each basis element, or None when one of them is not in lat."""
@@ -173,6 +187,13 @@ def products_ideal_product(a, b):
     """a * b, spanned by the products of the basis elements."""
     return orders.IdealLattice.from_elements(a.ctx, [convolution_product(ea, eb)
                                                      for ea in a.elements for eb in b.elements])
+
+
+def cofactor_matrix(a) -> list[list[int]]:
+    """Cofactor matrix: entry (i, j) is (-1)^(i+j) times the (i, j) minor,
+    the transpose of the adjugate.  Dimension 1 gives [[1]], so that
+    A * cof(A)^T = det(A) * I holds there too."""
+    return linalg.transpose(linalg._leverrier(a)[1])
 
 
 def determinant_fraction(a) -> Fraction:

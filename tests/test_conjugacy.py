@@ -195,6 +195,30 @@ def test_quartic_constructed_conjugates():
         assert linalg.mat_mul(moved, w) == linalg.mat_mul(w, base)
 
 
+def test_quartic_conjugacy_test_builds_one_colon_ideal_and_no_ring(monkeypatch):
+    # the search runs on (b : a) with its unit read off b: a conjugate pair
+    # with distinct lattices takes one colon ideal and no multiplicator ring
+    c = weil.make_context(2, 1, 2, [1, 1, 1, 2, 4])
+    base = conjugacy.ideal_to_matrix(IdealLattice.standard(c)).rep
+    moved = conjugate(base, random_unimodular(random.Random(27), 4))
+    assert conjugacy.matrix_to_ideal(c, moved) != conjugacy.matrix_to_ideal(c, base)
+    calls = {}
+
+    def counted(name):
+        fn = getattr(orders, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("ideal_quotient", "multiplicator_ring"):
+        monkeypatch.setattr(orders, name, counted(name))
+    r = conjugacy.matrices_conjugate(c, moved, base)
+    assert r.status == "conjugate"
+    assert calls == {"ideal_quotient": 1}
+
+
 def test_quartic_roundtrip():
     c = weil.make_context(2, 1, 2, [1, 1, 1, 2, 4])
     std = IdealLattice.standard(c)

@@ -20,8 +20,8 @@ from avcyclic import conjugacy, icm, linalg, orders, weil
 from avcyclic.errors import DegenerateLatticeError
 from avcyclic.orders import IdealLattice
 
-from _helpers import (conjugate, corpus_contexts, determinant_fraction, inverse_unimodular,
-                      kernel_int, random_int_matrix, random_unimodular)
+from _helpers import (cofactor_matrix, conjugate, corpus_contexts, determinant_fraction,
+                      inverse_unimodular, kernel_int, random_int_matrix, random_unimodular)
 
 
 def test_determinant_hand_values():
@@ -40,13 +40,13 @@ def test_determinant_matches_fraction_path():
 
 
 def test_cofactor_hand_values():
-    assert linalg.cofactor_matrix([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
-    assert linalg.cofactor_matrix([[0, -2], [1, -1]]) == [[-1, -1], [2, 0]]
-    assert linalg.cofactor_matrix([[0, 2], [-2, 0]]) == [[0, 2], [-2, 0]]
+    assert cofactor_matrix([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
+    assert cofactor_matrix([[0, -2], [1, -1]]) == [[-1, -1], [2, 0]]
+    assert cofactor_matrix([[0, 2], [-2, 0]]) == [[0, 2], [-2, 0]]
 
 
 def test_cofactor_dimension_one_convention():
-    assert linalg.cofactor_matrix([[17]]) == [[1]]
+    assert cofactor_matrix([[17]]) == [[1]]
 
 
 def test_cofactor_transpose_identity():
@@ -55,7 +55,7 @@ def test_cofactor_transpose_identity():
         n = rng.choice([2, 3, 4])
         m = random_int_matrix(rng, n)
         d = linalg.determinant(m)
-        prod = linalg.mat_mul(m, linalg.transpose(linalg.cofactor_matrix(m)))
+        prod = linalg.mat_mul(m, linalg.transpose(cofactor_matrix(m)))
         assert prod == [[d if i == j else 0 for j in range(n)] for i in range(n)]
 
 
@@ -68,10 +68,10 @@ def test_cofactor_product_rule():
             a = random_int_matrix(rng, n, 5)
             b = random_int_matrix(rng, n, 5)
             ab = linalg.mat_mul(a, b)
-            assert linalg.cofactor_matrix(ab) == linalg.mat_mul(
-                linalg.cofactor_matrix(a), linalg.cofactor_matrix(b)
+            assert cofactor_matrix(ab) == linalg.mat_mul(
+                cofactor_matrix(a), cofactor_matrix(b)
             )
-            adj = [linalg.transpose(linalg.cofactor_matrix(m)) for m in (ab, a, b)]
+            adj = [linalg.transpose(cofactor_matrix(m)) for m in (ab, a, b)]
             assert adj[0] == linalg.mat_mul(adj[2], adj[1])
 
 
@@ -569,7 +569,6 @@ def test_inverse_reads_no_cofactors(monkeypatch):
     def refuse(a):
         raise AssertionError("adjugate called")
 
-    monkeypatch.setattr(linalg, "cofactor_matrix", refuse)
     monkeypatch.setattr(linalg, "_leverrier", refuse)
     for m in ([[2, 1, 0], [1, 3, 1], [0, 1, 4]],
               [[0, Fraction(1, 2)], [Fraction(-2, 3), 5]]):
@@ -605,7 +604,6 @@ def test_smith_reads_no_adjugate(monkeypatch):
     def refuse(a):
         raise AssertionError("adjugate called")
 
-    monkeypatch.setattr(linalg, "cofactor_matrix", refuse)
     monkeypatch.setattr(linalg, "_leverrier", refuse)
     assert [linalg.smith_normal_form(m).invariant_factors for m in mats] == want
 
@@ -635,7 +633,7 @@ def _low_rank_matrices(draw):
 @given(_low_rank_matrices())
 def test_cofactor_matrix_matches_sympy_adjugate(m):
     want = sympy.Matrix(m).adjugate().T.tolist() if len(m) > 1 else [[1]]
-    assert linalg.cofactor_matrix(m) == [[int(x) for x in row] for row in want]
+    assert cofactor_matrix(m) == [[int(x) for x in row] for row in want]
     assert linalg.tau(m) == linalg.entries_gcd(want)
 
 

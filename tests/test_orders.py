@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avcyclic import icm, linalg, orders, weil
+from avcyclic import conjugacy, icm, linalg, orders, weil
 from avcyclic.errors import ConsistencyError, DegenerateLatticeError, InputError
 from avcyclic.orders import FieldElement, IdealLattice
 
-from _helpers import (convolution_conj, convolution_product, corpus_contexts,
+from _helpers import (conjugate, convolution_conj, convolution_product, corpus_contexts,
                       discriminant_gram, g1_contexts, ideal_intersection, ideal_sum,
                       is_integral, norm, products_ideal_product, products_matrix,
-                      products_scale, zero)
+                      products_scale, random_unimodular, ring_first_equivalent, zero)
 
 
 def ctx2():
@@ -361,6 +361,8 @@ def test_equivalence_quadratic():
 
 
 def test_equivalence_distinct_rings_short_circuit():
+    # at g = 1 the ring discriminants, read off the norm forms, differ and
+    # decide before any search; at g = 2 the certified search decides
     c = ctx5()
     std = IdealLattice.standard(c)
     other = IdealLattice.from_rows(c, [[1, 1], [0, 2]])
@@ -571,16 +573,20 @@ def test_ideal_quotient_reads_no_cofactors(monkeypatch):
     def refuse(a):
         raise AssertionError("adjugate called")
 
-    monkeypatch.setattr(linalg, "cofactor_matrix", refuse)
     monkeypatch.setattr(linalg, "_leverrier", refuse)
     for (a, b), q in want.items():
         assert orders.ideal_quotient(a, b) == q
 
 
 @cache
+def _corpus_results() -> tuple[icm.IcmResult, ...]:
+    return tuple(icm.enumerate_icm(orders.frobenius_pair_order(ctx)) for ctx in corpus_contexts())
+
+
+@cache
 def _corpus_classes(g: int) -> tuple[IdealLattice, ...]:
-    return tuple(lat for ctx in corpus_contexts() if ctx.g == g
-                 for lat in icm.enumerate_icm(orders.frobenius_pair_order(ctx)).classes)
+    return tuple(lat for result in _corpus_results() if result.order.ctx.g == g
+                 for lat in result.classes)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -593,6 +599,93 @@ def test_equivalence_finds_a_witness_for_any_scaling(g, data):
     r = orders.ideal_equivalent(a, a.scale(x))
     assert r.status == "equivalent"
     assert a.scale(r.witness) == a.scale(x)
+
+
+def test_equivalence_agrees_with_the_ring_first_decision_on_corpus_lattices():
+    # on every ordered pair of the class representatives and multiplicator
+    # rings of each corpus context (g = 1 and g = 2) ideal_equivalent reaches
+    # the status and the witness of the decision that compares the rings
+    # first, and where the rings differ the certified search alone, with no
+    # ring, proves inequivalence
+    pairs = distinct = 0
+    for result in _corpus_results():
+        lattices = list(dict.fromkeys(result.classes + result.multiplicator_rings))
+        for a in lattices:
+            for b in lattices:
+                assert orders.ideal_equivalent(a, b) == ring_first_equivalent(a, b), (a, b)
+                pairs += 1
+                if orders.multiplicator_ring(a) != orders.multiplicator_ring(b):
+                    assert orders._witness_search(a, b).status == "not_equivalent", (a, b)
+                    distinct += 1
+    assert pairs == 285 and distinct == 96
+
+
+def test_equivalence_agrees_with_the_ring_first_decision_on_conjugate_pairs():
+    # the lattices of U M U^-1 and of M, as matrices_conjugate tests them,
+    # for M the matrix of a corpus class and U seeded with entries <= 5
+    reps = [(lat.ctx, conjugacy.ideal_to_matrix(lat).rep)
+            for result in _corpus_results() for lat in result.classes]
+    rng = random.Random(27)
+    searched = 0
+    for k in range(200):
+        ctx, m = reps[k % len(reps)]
+        moved = conjugate(m, random_unimodular(rng, ctx.n))
+        a, b = conjugacy.matrix_to_ideal(ctx, moved), conjugacy.matrix_to_ideal(ctx, m)
+        r = orders.ideal_equivalent(a, b)
+        assert r.status == "equivalent" and r == ring_first_equivalent(a, b), (ctx.f, moved)
+        searched += a != b
+    assert searched == 167
+
+
+def test_equivalence_agrees_with_the_ring_first_decision_on_distinct_rings():
+    # the g = 1 lattices above whose rings differ, both ways round: the
+    # discriminants of their norm forms differ, as their rings do
+    c = ctx5()
+    std = IdealLattice.standard(c)
+    other = IdealLattice.from_rows(c, [[1, 1], [0, 2]])
+    maximal = orders.multiplicator_ring(other).lattice
+    scaled = other.scale(FieldElement.make(c, [3, 1]))
+    pairs = [(a, b) for a, b in permutations((std, other, maximal, scaled), 2)
+             if orders.multiplicator_ring(a) != orders.multiplicator_ring(b)]
+    assert len(pairs) == 6  # Z[alpha] against each lattice of the maximal order, both ways
+    for a, b in pairs:
+        r = orders.ideal_equivalent(a, b)
+        assert r == orders.EquivalenceResult("not_equivalent") == ring_first_equivalent(a, b)
+
+
+def test_equivalence_sextic_distinct_rings():
+    # g = 3: Z[F, V] of t^6 - t^5 + t^4 - 3t^3 + 2t^2 - 4t + 8 over F_2 is
+    # not 2-maximal, and its three classes of index at most 2 have three
+    # different multiplicator rings.  The heuristic search ends indeterminate
+    # on every pair, and the rings, compared then, prove inequivalence
+    c = weil.make_context(2, 1, 3, [1, -1, 1, -3, 2, -4, 8])
+    result = icm.enumerate_icm(orders.frobenius_pair_order(c), index_bound=2)
+    assert len(set(result.multiplicator_rings)) == len(result.classes) == 3
+    for a, b in permutations(result.classes, 2):
+        assert orders._witness_search(a, b).status == "indeterminate"
+        r = orders.ideal_equivalent(a, b)
+        assert r == orders.EquivalenceResult("not_equivalent") == ring_first_equivalent(a, b)
+
+
+def test_real_unit_is_read_off_any_lattice_with_the_ring():
+    # eta is the least power of eps that maps L into itself: for every ring
+    # S reached on the 20 corpus quartics, S and each class with ring S
+    # give the same eta
+    rings = 0
+    for result in _corpus_results():
+        ctx = result.order.ctx
+        if ctx.g != 2:
+            continue
+        a1, a2 = ctx.f_low[3], ctx.f_low[2]
+        d = a1 * a1 - 4 * (a2 - 2 * ctx.q)
+        beta = orders.alpha(ctx) + orders.q_over_alpha(ctx)
+        traces = {}
+        for lat, ring in zip(result.classes, result.multiplicator_rings):
+            if ring not in traces:
+                traces[ring] = orders._real_unit_trace(ring, d, beta)
+            assert orders._real_unit_trace(lat, d, beta) == traces[ring], (ctx.f, lat)
+        rings += len(traces)
+    assert rings == 26
 
 
 # Reference arithmetic on Fraction coordinates, independent of the integer
