@@ -6,14 +6,15 @@ index and deduplicating them under equivalence yields the full monoid.
 At g = 1 each ideal is invertible over its multiplicator ring, and its
 reduced binary quadratic form names its class, so deduplication is one set
 lookup per candidate; for g >= 2 each candidate is tested against every
-kept representative with the same multiplicator ring.  That ring is read
-off the index for most candidates: an ideal I of index d of R = Z[F, V]
-has R <= (I : I) <= d^-1 R, so it is R unless some prime p | d has
-p^2 | disc(R) and R is not p-maximal, which one Pohst-Zassenhaus test per
-prime decides (Cohen, GTM 138, 6.1.3); only the other candidates take the
-colon ideal (I : I).  The tests run the witness search of
-orders.ideal_equivalent with that ring, and a test against R itself builds
-no colon ideal either, since (b : R) = b.
+kept representative with the same multiplicator ring.  That ring is
+R = Z[F, V], with no colon ideal, where the data proves it, else (I : I).
+At g = 1 it is R exactly when the reduced form has discriminant disc(R).
+For g >= 2 an ideal I of index d of R has R <= (I : I) <= d^-1 R, so it
+is R unless some prime p | d has p^2 | disc(R) and R is not p-maximal,
+which one Pohst-Zassenhaus test per prime decides (Cohen, GTM 138, 6.1.3).
+The tests run the witness search of orders.ideal_equivalent with that
+ring, and a test against R itself builds no colon ideal either, since
+(b : R) = b.
 
 The integral ideals are built prime by prime (Cohen, GTM 138, 6.2).  At
 g = 1 the order Z[F, V] is Z[alpha], since q/alpha = -a1 - alpha, and its
@@ -257,23 +258,29 @@ def _kernel_mod(rows, p: int) -> list[list[int]]:
 
 
 def _ring_decider(order: OrderDesc):
-    """ring_of(I, d), the multiplicator ring of an ideal I of index d of the
-    order R.  It is R itself, with no colon ideal, when every prime p | d
-    has p^2 not dividing disc(R) or R p-maximal: dR <= I gives
-    R <= (I : I) <= d^-1 R, and an over-order S with p | [S : R] needs
-    p^2 | disc(R) and R not p-maximal.  Each p-maximality is decided once,
-    on first need."""
+    """ring_of(I, e), the multiplicator ring of an ideal I of the order R:
+    R itself, with no colon ideal, where the evidence e read off I proves
+    it, else (I : I).  At g = 1, e is the reduced form (a, b, c) of I,
+    whose discriminant is that of (I : I) >= R, and an order of an
+    imaginary quadratic field is fixed by its discriminant.  For g >= 2, e
+    is the index d of I: dR <= I gives R <= (I : I) <= d^-1 R, and an
+    over-order S with p | [S : R] needs p^2 | disc(R) and R not p-maximal.
+    Each p-maximality is decided once, on first need."""
     disc = orders.discriminant(order)
     maximal: dict[int, bool] = {}
 
-    def ring_of(ideal: IdealLattice, index: int) -> IdealLattice:
-        for p in prime_factors(index):
-            if disc % (p * p) == 0:
-                if p not in maximal:
-                    maximal[p] = _is_p_maximal(order, p)
-                if not maximal[p]:
-                    return orders.multiplicator_ring(ideal).lattice
-        return order.lattice
+    def p_maximal(p: int) -> bool:
+        if p not in maximal:
+            maximal[p] = _is_p_maximal(order, p)
+        return maximal[p]
+
+    def ring_of(ideal: IdealLattice, evidence) -> IdealLattice:
+        if order.ctx.g == 1:
+            a, b, c = evidence
+            proven = b * b - 4 * a * c == disc
+        else:
+            proven = all(disc % (p * p) or p_maximal(p) for p in prime_factors(evidence))
+        return order.lattice if proven else orders.multiplicator_ring(ideal).lattice
 
     return ring_of
 
@@ -307,12 +314,12 @@ def _is_p_maximal(order: OrderDesc, p: int) -> bool:
 def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult:
     """All ideal classes of the order, as canonical integral representatives
     of index at most index_bound, pairwise inequivalent: the first candidate
-    of each class in the order of integral_ideals.  At g = 1 a candidate is
-    new when its reduced form (orders.form_key) is.  For g >= 2 its
-    multiplicator ring comes from _ring_decider (the order itself, with no
-    colon ideal, wherever its index allows no over-order), and it is new
-    when the witness search of orders.ideal_equivalent, given that ring,
-    separates it from every kept representative with the same ring.
+    of each class in the order of integral_ideals.  Rings come from
+    _ring_decider, read off the reduced form at g = 1 and the index for
+    g >= 2.  At g = 1 a candidate is new when its reduced form
+    (orders.form_key) is.  For g >= 2 it is new when the witness search of
+    orders.ideal_equivalent, given its ring, separates it from every kept
+    representative with the same ring.
     Non-Weil input raises not_weil and reducible input not_irreducible, at
     every g (WeilContext.refuse_non_simple).
 
@@ -329,8 +336,7 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
         index_bound = mink if ctx.g == 1 else min(mink, cap)
     if index_bound < 1:
         raise InputError("bad_bound", "index bound must be a positive integer")
-    if ctx.g >= 2:
-        ring_of = _ring_decider(order)
+    ring_of = _ring_decider(order)
     reps: list[IdealLattice] = []
     rings: list[IdealLattice] = []
     indeterminate: list[tuple[int, int, int]] = []
@@ -342,7 +348,7 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
             if key not in keys:
                 keys.add(key)
                 reps.append(cand)
-                rings.append(orders.multiplicator_ring(cand).lattice)
+                rings.append(ring_of(cand, key))
             continue
         ring = ring_of(cand, prod(t[k][k] for k in range(ctx.n)))
         duplicate = False

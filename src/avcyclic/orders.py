@@ -16,14 +16,17 @@ Products of elements, scalings and products of lattices, multiplication
 matrices on a lattice and the conjugates the witness search reads off the
 powers of q/alpha are integer rows times M(x).
 
-ideal_equivalent checks its inputs and runs the witness search on (b : a)
-with no multiplicator ring: a witness x * a = b forces (a : a) = (b : b),
-and the unit the search scans by is the least power of a fixed unit that
-maps b into itself.  Rings are compared first only at g = 1, where their
-discriminants are read off the norm forms, and otherwise only when a
-g >= 3 search ends indeterminate.  icm, which holds the common ring S of
-its candidates, calls the search with S; when a is S itself, b is an
-S-module and the search runs on (b : S) = b with no colon ideal.
+Each job has one rule.  The multiplicator ring (a : a) is the colon ideal
+at every g.  At g = 1 the reduced binary quadratic form of a lattice
+(form_key) names its class, and ideal_equivalent decides by it, as icm
+does; the witness search then only builds the witness.  For g >= 2
+ideal_equivalent runs the witness search on (b : a) with no multiplicator
+ring: a witness x * a = b forces (a : a) = (b : b), and the unit the search
+scans by is the least power of a fixed unit that maps b into itself.  Rings
+are compared only when a g >= 3 search ends indeterminate.  icm, which
+holds the common ring S of its candidates, calls the search with S; when a
+is S itself, b is an S-module and the search runs on (b : S) = b with no
+colon ideal.
 """
 
 from __future__ import annotations
@@ -350,50 +353,29 @@ def frobenius_pair_order(ctx: WeilContext) -> OrderDesc:
 
 @lru_cache(maxsize=None)
 def multiplicator_ring(a: IdealLattice) -> OrderDesc:
-    """(a : a), packaged as an order (the packaging re-verifies ring-ness).
-
-    At g = 1 it is read off the primitive norm form (A, B, C) of a = Zu + Zv:
-    tau = v / u is a root of A t^2 - B t + C, and the ring of u [1, tau] is
-    Z[A tau] = Z + Z A tau (Cox, Primes of the form x^2 + ny^2, Lemma 7.5),
-    for every lattice, stable under alpha or not.  With k the content of
-    den^2 N(x u + y v), A tau = A v conj(u) / N(u) = den^2 v conj(u) / k,
-    and den^2 v conj(u) = m11 alpha (m00 + m01 conj(alpha)) =
-    m11 (f(0) m01 + m00 alpha), where f(0) = N(alpha) is q for Weil input.
-    For g >= 2 it is the colon ideal.
-    """
-    if a.ctx.g == 1:
-        (m00, m01), (_, m11) = a.mat
-        k = _norm_form(a)[3]
-        lat = IdealLattice.over(a.ctx, [[k, 0], [a.ctx.f_low[0] * m11 * m01, m11 * m00]], k)
-    else:
-        lat = ideal_quotient(a, a)
+    """(a : a), the colon ideal, as an order (OrderDesc re-verifies ring-ness)."""
+    lat = ideal_quotient(a, a)
     return OrderDesc(lat, lat.elements)
 
 
-def _norm_form(lat: IdealLattice) -> tuple[int, int, int, int]:
-    """(A, B, C, k) for a g = 1 lattice with basis u = (m00 + m01 alpha) / den,
-    v = m11 alpha / den: N(x u + y v) den^2 = k (A x^2 + B xy + C y^2) with
-    A, B, C coprime, so tau = v / u is a root of A t^2 - B t + C.  A > 0,
-    and B^2 - 4AC is the discriminant of the multiplicator ring (every
-    lattice of a quadratic field is invertible over its ring)."""
+def form_key(lat: IdealLattice) -> tuple[int, int, int]:
+    """The reduced form of a g = 1 lattice: its class under K^* scaling.
+
+    With basis u = (m00 + m01 alpha) / den and v = m11 alpha / den,
+    den^2 N(x u + y v) = k (A x^2 + B xy + C y^2) for the content k, so
+    tau = v / u is a root of A t^2 - B t + C with A > 0.  Every lattice of
+    a quadratic field is invertible over its multiplicator ring O, so
+    B^2 - 4AC, kept by reduction, is disc(O).  Every basis here is oriented
+    alike (m00 m11 > 0), so equal reduced forms mean lambda I = J for some
+    lambda in K^* (Cohen, GTM 138, 5.2.8), never I and its conjugate.
+    """
     (m00, m01), (_, m11) = lat.mat
     q, a1 = lat.ctx.f_low[:2]  # N(c0 + c1 alpha) = c0^2 - a1 c0 c1 + q c1^2
     a = m00 * m00 - a1 * m00 * m01 + q * m01 * m01
     b = m11 * (2 * q * m01 - a1 * m00)  # Tr(u conj(v)) den^2
     c = q * m11 * m11
     k = gcd(a, b, c)
-    return a // k, b // k, c // k, k
-
-
-def form_key(lat: IdealLattice) -> tuple[int, int, int]:
-    """The reduced form of a g = 1 lattice: its class under K^* scaling.
-
-    The primitive norm form (A, B, C) of _norm_form has the discriminant
-    of the multiplicator ring O; every basis here is oriented alike
-    (m00 m11 > 0), so equal reduced forms mean lambda I = J for some
-    lambda in K^* (Cohen, GTM 138, 5.2.8), never I and its conjugate.
-    """
-    a, b, c, _ = _norm_form(lat)
+    a, b, c = a // k, b // k, c // k
     # reduce to |b| <= a <= c, b >= 0 if |b| = a or a = c (Cohen, 5.4.2)
     while True:
         if not -a < b <= a:
@@ -439,23 +421,24 @@ def ideal_equivalent(a: IdealLattice, b: IdealLattice) -> EquivalenceResult:
     Tr(w * x * conj(x)), w totally positive in K+, each on an LLL-reduced
     basis.  An irreducible Weil polynomial makes K a CM field, on which
     these forms are positive definite.  For g <= 2 (unit rank g - 1 <= 1)
-    the bounds provably cover some witness, and a failed search is a proof
-    of inequivalence, for ideals with different rings too.  At g = 1 the
-    rings are compared first, as their discriminants are read off the norm
-    forms with no colon ideal.  For g >= 3 the bound is heuristic: an
-    exhausted search reports indeterminate, unless the multiplicator rings,
-    compared only then, differ.
+    the bounds provably cover some witness.  At g = 1 equal reduced forms
+    (form_key) decide, the rule icm uses, and the search only builds the
+    witness of an equivalent pair: equal keys with no witness found raise
+    ConsistencyError.  At g = 2 a failed search is a proof of
+    inequivalence, for ideals with different rings too.  For g >= 3 the
+    bound is heuristic: an exhausted search reports indeterminate, unless
+    the multiplicator rings, compared only then, differ.
     """
     _same_ctx(a, b)
     ctx = a.ctx
     ctx.refuse_non_simple()
     if a == b:
         return EquivalenceResult("equivalent", one(ctx))
-    if ctx.g == 1:
-        (a0, b0, c0, _), (a1, b1, c1, _) = _norm_form(a), _norm_form(b)
-        if b0 * b0 - 4 * a0 * c0 != b1 * b1 - 4 * a1 * c1:
-            return EquivalenceResult("not_equivalent")
+    if ctx.g == 1 and form_key(a) != form_key(b):
+        return EquivalenceResult("not_equivalent")
     eq = _witness_search(a, b)
+    if ctx.g == 1 and eq.status != "equivalent":
+        raise ConsistencyError("equal reduced forms, but the search found no witness")
     if eq.status == "indeterminate" and (multiplicator_ring(a).lattice
                                          != multiplicator_ring(b).lattice):
         return EquivalenceResult("not_equivalent")

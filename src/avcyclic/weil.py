@@ -18,6 +18,7 @@ decides irreducibility on first use, after the gate has refused non-Weil f.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -158,6 +159,14 @@ def make_context(p: int, r: int, g: int, coeffs: Sequence[int]) -> WeilContext:
         raise InputError("bad_degree", f"expected {2 * g + 1} coefficients, got {len(coeffs)}")
     if coeffs[0] != 1:
         raise InputError("not_monic", "leading coefficient must be 1")
+    # the JSON writer prints at most sys.get_int_max_str_digits() digits (0, or
+    # no such call: any), so q >= 10^limit is refused before p^r is formed, by
+    # bit lengths where they decide (8^limit < 10^limit < 16^limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = r * p.bit_length()
+    if limit and bits > 3 * limit and (bits - r >= 4 * limit or p**r >= 10**limit):
+        raise CapabilityError(f"q = {p}^{r} has more than {limit} decimal digits, "
+                              "the most the JSON writer prints")
     q = p**r
     f = tuple(coeffs)
     ok, reason = _weil_reason(poly.from_monic_first(f), q)

@@ -422,20 +422,31 @@ def test_sweep_fixture_record_outside_the_envelope_is_a_rejected_line(tmp_path, 
 
 
 def test_classify_g1_runs_no_colon_ideal_and_no_subspace_scan(capsys, monkeypatch):
-    # g = 1 lists its ideals in closed form and reads each ring off the norm
-    # form: neither the colon ideal nor the generic local step is reached
+    # g = 1 lists its ideals in closed form, so the generic local step is
+    # never reached, and a class whose reduced form has the discriminant of
+    # Z[alpha] has that ring, with no colon ideal.  Z[alpha] is maximal over
+    # F_2, F_101 and F_127, so no colon is built there; t^2 - 2t + 5 over F_5
+    # (disc -16) builds exactly one, the ring Z[i] = Z[(1 + alpha) / 2] of
+    # its class (2, alpha - 1) = 2 Z[i]
     argvs = [["classify", "--p", p, "--r", "1", "--g", "1", "--poly=" + f, "--no-timing"]
              for p, f in (("2", "1,1,2"), ("5", "1,-2,5"), ("101", "1,3,101"),
                           ("127", "1,-10,127"))]
     want = [run(capsys, argv) for argv in argvs]
+    quotient, colons = orders.ideal_quotient, []
+
+    def counted(a, b):
+        colons.append(quotient(a, b))
+        return colons[-1]
 
     def refuse(*args):
-        raise AssertionError("generic g >= 2 path reached at g = 1")
+        raise AssertionError("colon ideal or generic g >= 2 path reached at g = 1")
 
-    orders.multiplicator_ring.cache_clear()
-    monkeypatch.setattr(orders, "ideal_quotient", refuse)
     monkeypatch.setattr(icm, "_local_ideals", refuse)
-    assert [run(capsys, argv) for argv in argvs] == want
+    for argv, expected, builds in zip(argvs, want, (0, 1, 0, 0)):
+        orders.multiplicator_ring.cache_clear()
+        monkeypatch.setattr(orders, "ideal_quotient", counted if builds else refuse)
+        assert run(capsys, argv) == expected
+    assert [(ring.den, ring.mat) for ring in colons] == [(2, ((1, 1), (0, 2)))]
     assert all(code == 0 for code, _ in want)
 
 
@@ -526,6 +537,24 @@ def test_validate_factor_search_is_capped(capsys):
     assert time.monotonic() - start < 1
     assert code == 2
     assert json.loads(out)["error"]["code"] == "capability"
+
+
+def test_validate_refuses_q_too_long_to_write(capsys):
+    # the JSON writer prints at most sys.get_int_max_str_digits() decimal
+    # digits; a longer q = p^r is a capability error, refused before p^r is
+    # formed, so r = 10^12 returns at once; the longest q is still written
+    limit = sys.get_int_max_str_digits()
+    start = time.monotonic()
+    for r in (20000, 10**12):
+        code, out = run(capsys, ["validate", "--p", "2", "--r", str(r), "--g", "1",
+                                 "--poly=1,0,1"])
+        assert (code, json.loads(out)["error"]["code"]) == (2, "capability"), r
+    assert time.monotonic() - start < 1
+    longest = (10**limit).bit_length() - 1  # 2^longest < 10^limit
+    code, out = run(capsys, ["validate", "--p", "2", "--r", str(longest), "--g", "1",
+                             "--poly=1,0,1"])
+    assert (code, json.loads(out)["context"]["q"]) == (1, str(2**longest))
+    assert len(str(2**longest)) == limit
 
 
 def test_validate_non_weil_octic_returns(capsys):

@@ -199,9 +199,11 @@ def test_g1_class_counts_match_kronecker_class_number():
 
 
 def test_g1_form_key_decides_equivalence():
-    # enumerate_icm keeps one candidate per reduced-form key at g = 1, so the
-    # key must separate exactly what ideal_equivalent separates: never I from
-    # x I, never merging I with its conjugate, whatever the index; and the
+    # enumerate_icm and ideal_equivalent decide g = 1 classes by the reduced
+    # form, so the key must separate exactly what the certified witness
+    # search, which reads no form, separates: never I from x I, never
+    # merging I with its conjugate, whatever the index.  ideal_equivalent's
+    # witness maps each pair with equal keys onto each other, and the
     # reduced form's discriminant is that of the multiplicator ring
     pairs = 0
     for ctx in g1_contexts(16):
@@ -213,9 +215,13 @@ def test_g1_form_key_decides_equivalence():
         for cand, (a, b, c) in zip(cands, keys):
             assert b * b - 4 * a * c == orders.discriminant(orders.multiplicator_ring(cand))
         for i, j in combinations(range(len(cands)), 2):
-            status = orders.ideal_equivalent(cands[i], cands[j]).status
+            status = orders._witness_search(cands[i], cands[j]).status
             assert (keys[i] == keys[j]) == (status == "equivalent"), (ctx.f, i, j)
-            pairs += status == "equivalent"
+            if keys[i] == keys[j]:
+                eq = orders.ideal_equivalent(cands[i], cands[j])
+                assert eq.status == "equivalent", (ctx.f, i, j)
+                assert cands[i].scale(eq.witness) == cands[j], (ctx.f, i, j)
+                pairs += 1
     assert pairs > 0
 
 
@@ -306,10 +312,12 @@ BOUNDED_QUARTICS = ((7, 1, [1, 0, -1, 0, 49], 119), (5, 1, [1, -3, 7, -15, 25], 
 
 
 def test_decided_ring_is_the_multiplicator_ring():
-    # R itself where no prime of the index can carry an over-order, the colon
-    # ideal elsewhere: both routes occur, and both give (I : I)
+    # R itself where the reduced form's discriminant (g = 1) or the index
+    # (g = 2) rules out an over-order, the colon ideal elsewhere: both
+    # routes occur at each g, and both give (I : I)
     cases = [(ctx, None) for ctx in corpus_contexts() if ctx.g == 2]
     cases += [(weil.make_context(p, r, 2, f), bound) for p, r, f, bound in BOUNDED_QUARTICS]
+    cases += [(ctx, None) for ctx in g1_contexts(64)]
     routes = set()
     for ctx, bound in cases:
         o = orders.frobenius_pair_order(ctx)
@@ -317,10 +325,12 @@ def test_decided_ring_is_the_multiplicator_ring():
         ring_of = icm._ring_decider(o)
         for t in icm.integral_ideals(o, bound):
             cand = IdealLattice.over(ctx, linalg.mat_mul(t, o.lattice.mat), o.lattice.den)
-            ring = ring_of(cand, prod(t[k][k] for k in range(ctx.n)))
+            evidence = (orders.form_key(cand) if ctx.g == 1
+                        else prod(t[k][k] for k in range(ctx.n)))
+            ring = ring_of(cand, evidence)
             assert ring == orders.multiplicator_ring(cand).lattice, (ctx.f, t)
-            routes.add(ring == o.lattice)
-    assert routes == {True, False}
+            routes.add((ctx.g, ring == o.lattice))
+    assert routes == {(1, True), (1, False), (2, True), (2, False)}
 
 
 def _p_maximal_by_search(o, p) -> bool:

@@ -298,28 +298,60 @@ _NON_WEIL_G1 = [weil.make_context(2, 1, 1, f)
                 for f in ([1, 5, 2], [1, 0, -2], [1, 1, -1], [1, 0, 1], [1, 0, 3], [1, 1, 3])]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.one_of(st.sampled_from(list(g1_contexts(64))), st.sampled_from(_NON_WEIL_G1)),
-       st.sampled_from(("ideal", "scaled", "any")), st.data())
-def test_g1_multiplicator_ring_matches_colon_ring(ctx, kind, data):
-    # at g = 1 the ring is Z[A tau] from the primitive norm form; the colon
-    # ideal (L : L), the route for g >= 2, is the reference.  It holds for
-    # every lattice: integral ideals, their rational scalings, and lattices
-    # that alpha does not map into themselves, in every quadratic field,
-    # where N(alpha) = f(0)
-    assert ctx.is_irreducible
+def _draw_g1_lattice(ctx, kind, data) -> IdealLattice:
+    """An integral ideal of Z[alpha], one scaled by a random x, or ("any")
+    a random lattice that alpha need not map into itself."""
     if kind == "any":
         entries = st.integers(-40, 40)
         rows = data.draw(st.lists(st.lists(entries, min_size=2, max_size=2), min_size=2,
                                   max_size=3).filter(lambda r: linalg.determinant(r[:2])))
-        lat = IdealLattice.over(ctx, rows, data.draw(st.integers(1, 12)))
+        return IdealLattice.over(ctx, rows, data.draw(st.integers(1, 12)))
+    lat = data.draw(st.sampled_from(_g1_ideals(ctx)))
+    if kind == "scaled":
+        coords = st.lists(st.fractions(-9, 9, max_denominator=7), min_size=2, max_size=2)
+        lat = lat.scale(FieldElement.make(lat.ctx, data.draw(coords.filter(any))))
+    return lat
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from(list(g1_contexts(64))), st.sampled_from(_NON_WEIL_G1)),
+       st.sampled_from(("ideal", "scaled", "any")), st.data())
+def test_g1_multiplicator_ring_matches_colon_ring(ctx, kind, data):
+    # the fact icm reads g = 1 rings by: the reduced form of a lattice has
+    # the discriminant of its multiplicator ring, the colon ideal (L : L),
+    # and as an order of a quadratic field is fixed by its discriminant,
+    # that discriminant is disc(Z[alpha]) exactly when the ring is Z[alpha].
+    # It holds for every lattice: integral ideals, their rational scalings,
+    # and lattices that alpha does not map into themselves, in every
+    # quadratic field, where N(alpha) = f(0)
+    assert ctx.is_irreducible
+    lat = _draw_g1_lattice(ctx, kind, data)
+    ring = orders.multiplicator_ring.__wrapped__(lat)
+    assert ring.lattice == orders.ideal_quotient(lat, lat)
+    a, b, c = orders.form_key(lat)
+    disc = orders.discriminant(ring)
+    assert b * b - 4 * a * c == disc
+    std = _standard_order(ctx)
+    assert (disc == orders.discriminant(std)) == (ring.lattice == std.lattice)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(list(g1_contexts(64))), st.sampled_from(("scaled", "any")),
+       st.booleans(), st.data())
+def test_g1_equivalence_status_is_the_search_status(ctx, kind, moved, data):
+    # ideal_equivalent decides g = 1 pairs by the reduced form; the
+    # certified search, which reads no form, reaches the same status on
+    # pairs of scaled ideals, on pairs of lattices that alpha does not map
+    # into themselves, and on a lattice against a scaled copy of itself
+    a = _draw_g1_lattice(ctx, kind, data)
+    if moved:
+        coords = st.lists(st.fractions(-9, 9, max_denominator=7), min_size=2, max_size=2)
+        b = a.scale(FieldElement.make(ctx, data.draw(coords.filter(any))))
     else:
-        lat = data.draw(st.sampled_from(_g1_ideals(ctx)))
-        if kind == "scaled":
-            coords = st.lists(st.fractions(-9, 9, max_denominator=7), min_size=2, max_size=2)
-            lat = lat.scale(FieldElement.make(lat.ctx, data.draw(coords.filter(any))))
-    want = orders.ideal_quotient(lat, lat)
-    assert orders.multiplicator_ring.__wrapped__(lat).lattice == want
+        b = _draw_g1_lattice(ctx, kind, data)
+    r = orders.ideal_equivalent(a, b)
+    assert r.status == orders._witness_search(a, b).status
+    assert r.status == "not_equivalent" or a.scale(r.witness) == b
 
 
 def test_discriminants():
@@ -361,14 +393,29 @@ def test_equivalence_quadratic():
 
 
 def test_equivalence_distinct_rings_short_circuit():
-    # at g = 1 the ring discriminants, read off the norm forms, differ and
-    # decide before any search; at g = 2 the certified search decides
+    # at g = 1 the reduced forms, whose discriminants are those of the
+    # rings, differ and decide before any search; at g = 2 the certified
+    # search decides
     c = ctx5()
     std = IdealLattice.standard(c)
     other = IdealLattice.from_rows(c, [[1, 1], [0, 2]])
     r = orders.ideal_equivalent(std, other)
     assert r.status == "not_equivalent"
     assert r.witness is None
+
+
+def test_g1_equal_keys_without_a_witness_raise(monkeypatch):
+    # at g = 1 the reduced forms decide and the search only builds the
+    # witness: a search that finds none for equal keys is a consistency
+    # failure, never an answer
+    c = ctx5()
+    std = IdealLattice.standard(c)
+    moved = std.scale(FieldElement.make(c, [1, 1]))
+    assert orders.form_key(std) == orders.form_key(moved)
+    monkeypatch.setattr(orders, "_witness_search",
+                        lambda a, b: orders.EquivalenceResult("not_equivalent"))
+    with pytest.raises(ConsistencyError):
+        orders.ideal_equivalent(std, moved)
 
 
 def test_equivalence_certified_negative():
@@ -639,7 +686,7 @@ def test_equivalence_agrees_with_the_ring_first_decision_on_conjugate_pairs():
 
 def test_equivalence_agrees_with_the_ring_first_decision_on_distinct_rings():
     # the g = 1 lattices above whose rings differ, both ways round: the
-    # discriminants of their norm forms differ, as their rings do
+    # discriminants of their reduced forms differ, as their rings do
     c = ctx5()
     std = IdealLattice.standard(c)
     other = IdealLattice.from_rows(c, [[1, 1], [0, 2]])

@@ -3,8 +3,9 @@ wraps must stay an attribute of its module.  The runtime imports the
 standard library only, one gate, in front of every conversion, refuses
 non-Weil and reducible input, convert runs no equivalence search, the
 per-context classify path and the int-not-bool input rule are each written
-once, K has one multiplication, and no option or member stays that only
-tests reach."""
+once, K has one multiplication, the multiplicator ring one formula and g = 1
+equivalence one rule, and no option or member stays that only tests
+reach."""
 
 import ast
 import importlib
@@ -164,6 +165,18 @@ def test_one_multiplication_in_k():
     assert "conj" not in _called_names(search)
     assert "elements" not in {node.attr for node in ast.walk(search)
                               if isinstance(node, ast.Attribute)}
+
+
+def test_one_ring_formula_and_one_g1_equivalence_rule():
+    # the multiplicator ring is the colon ideal at every g, with no g = 1
+    # closed form and no norm-form helper left, and ideal_equivalent
+    # decides g = 1 pairs by the reduced form, the rule icm uses
+    kernels = _functions("orders")
+    ring = kernels["multiplicator_ring"]
+    assert "g" not in {node.attr for node in ast.walk(ring) if isinstance(node, ast.Attribute)}
+    assert "ideal_quotient" in _called_names(ring)
+    assert not [path.name for path in SOURCES if "_norm_form" in path.read_text(encoding="utf-8")]
+    assert "form_key" in _called_names(kernels["ideal_equivalent"])
 
 
 def test_no_option_or_member_only_tests_reach():
