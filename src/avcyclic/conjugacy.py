@@ -38,7 +38,7 @@ class MatrixClass:
     through matrices_conjugate, never through representative equality."""
 
     rep: tuple[tuple[int, ...], ...]
-    provenance: IdealLattice | None = None
+    provenance: IdealLattice
 
 
 @dataclass(frozen=True)

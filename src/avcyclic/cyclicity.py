@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import gcd, prod
 
 from . import conjugacy, icm, linalg, orders
@@ -99,12 +98,13 @@ def membership(m, ctx: WeilContext, c: int) -> bool:
 
 def q_stability_check(m, ctx: WeilContext) -> bool:
     """Whether q m^-1 is an integer matrix; computed three independent ways
-    (the exact inverse by Bareiss elimination, tau divisibility from the
-    Faddeev-LeVerrier adjugate, lattice stability under q/alpha) which must
+    (the integer inverse pair E m = D I by Bareiss elimination, so q m^-1 =
+    q E / D is integral iff D divides every q E_ij; tau divisibility from the
+    Faddeev-LeVerrier adjugate; lattice stability under q/alpha) which must
     agree."""
     conjugacy._check_charpoly(ctx, m)
-    inv = linalg.mat_inverse_fraction(m)
-    direct = all((Fraction(x) * ctx.q).denominator == 1 for row in inv for x in row)
+    e, d = linalg.inverse_pair(m)
+    direct = all(ctx.q * x % d == 0 for row in e for x in row)
     via_tau = linalg.tau(m) % ctx.q ** (ctx.g - 1) == 0
     lat = conjugacy.matrix_to_ideal(ctx, m)
     v = orders.q_over_alpha(ctx)

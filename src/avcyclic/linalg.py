@@ -1,25 +1,20 @@
-"""Exact linear algebra over Z and Q.
+"""Exact linear algebra over Z.
 
 Matrices are sequences of rows.  Every function returns fresh lists and
-never mutates its input.  The kernels work on integers: determinants and
-inverses by fraction-free Bareiss elimination, the characteristic
+never mutates its input.  The kernels take integer matrices: determinants
+and inverses by fraction-free Bareiss elimination, the characteristic
 polynomial and the adjugate (so the cofactors and tau) from one integer
 Faddeev-LeVerrier pass, the canonical Hermite normal form (so lattice
 bases are reproducible byte for byte) and the Smith normal form from
 alternating row and column Hermite forms, and integral LLL and the
 Fincke-Pohst search of short_vectors, both on one integral Gram-Schmidt
-(Gram determinants).  Rational input reaches them through one
-common denominator: the determinant, inverse, characteristic polynomial,
-Hermite form, LLL transform and short vectors of A are read off those of
-d A, d the least common denominator of the entries.  Fractions appear only
-in the rational results (mat_inverse_fraction, the characteristic
-polynomial of a rational matrix).
+(Gram determinants).  hnf_rational is the one rational entry: it clears a
+rational generating set by its least common denominator first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterator, Sequence
@@ -55,7 +50,8 @@ def freeze(a: Matrix) -> tuple[tuple, ...]:
 
 
 def determinant(a: Matrix) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination."""
     n = len(a)
     if n == 0:
         return 1
@@ -128,14 +124,6 @@ def inverse_pair(b: Matrix) -> tuple[list[list[int]], int]:
     return [row[n:] for row in m], prev
 
 
-def mat_inverse_fraction(a: Matrix) -> list[list[Fraction]]:
-    """Exact inverse of a rational matrix: d B^-1 = d E / D for B = d A and
-    (E, D) = inverse_pair(B)."""
-    b, d = _cleared(a)
-    e, det = inverse_pair(b)
-    return [[Fraction(d * x, det) for x in row] for row in e]
-
-
 def _leverrier(b: Matrix) -> tuple[list[int], list[list[int]]]:
     """(c, adj(B)) for a square integer matrix B: c = [1, c_1, .., c_n] with
     det(tI - B) = sum_k c_k t^(n-k), by integer Faddeev-LeVerrier.
@@ -156,18 +144,10 @@ def _leverrier(b: Matrix) -> tuple[list[int], list[list[int]]]:
     return c, adj if n % 2 else [[-x for x in row] for row in adj]
 
 
-def charpoly(a: Matrix) -> tuple:
-    """Characteristic polynomial det(tI - A), lowest degree first, monic.
-
-    Integer Faddeev-LeVerrier (_leverrier) on B = d A; the coefficient of
-    t^(n-k) of A is c_k / d^k.  Integer input gives int coefficients, any
-    other input Fraction.
-    """
-    b, d = _cleared(a)
-    high = _leverrier(b)[0]
-    if all(isinstance(x, int) for row in a for x in row):
-        return tuple(reversed(high))
-    return tuple(Fraction(c, d ** k) for k, c in enumerate(high))[::-1]
+def charpoly(a: Matrix) -> tuple[int, ...]:
+    """Characteristic polynomial det(tI - A) of a square integer matrix,
+    lowest degree first, monic: integer Faddeev-LeVerrier (_leverrier)."""
+    return tuple(reversed(_leverrier(a)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +262,7 @@ def _orthogonalize(g: list[list[int]], lam: list[list[int]], d: list[int], k: in
 
 
 def lll_reduce_gram(gram: Matrix) -> list[list[int]]:
-    """LLL transformation, delta = 99/100, for a positive definite rational
+    """LLL transformation, delta = 99/100, for a positive definite integer
     Gram matrix.
 
     Returns unimodular integer rows u such that u * basis is LLL-reduced
@@ -290,16 +270,15 @@ def lll_reduce_gram(gram: Matrix) -> list[list[int]]:
     ValueError when the form is not positive definite (a Gram-Schmidt
     length comes out zero or negative).
 
-    Integral LLL (Cohen, GTM 138, Alg. 2.6.7) on the cleared Gram matrix
-    c * gram, which has the same mu and the same decisions: d[i] is the Gram
-    determinant of the first i vectors and lam[k][j] = d[j+1] mu[k][j], all
-    integers, and every division below is exact.  The Gram matrix of the
-    current basis is kept up to date, and only the Gram-Schmidt row being
-    worked on is recomputed.  mu is rounded half to even, as round() rounds
-    a Fraction, so the output is deterministic.
+    Integral LLL (Cohen, GTM 138, Alg. 2.6.7): d[i] is the Gram determinant
+    of the first i vectors and lam[k][j] = d[j+1] mu[k][j], all integers,
+    and every division below is exact.  The Gram matrix of the current
+    basis is kept up to date, and only the Gram-Schmidt row being worked on
+    is recomputed.  mu is rounded half to even, as round() rounds a
+    rational, so the output is deterministic.
     """
     n = len(gram)
-    g, _ = _cleared(gram)  # Gram matrix of u * basis, times c
+    g = copy_rows(gram)  # Gram matrix of u * basis
     u = identity(n)
     lam = zeros(n, n)
     d = [1] * (n + 1)
@@ -336,22 +315,22 @@ def lll_reduce_gram(gram: Matrix) -> list[list[int]]:
 
 def short_vectors(gram: Matrix, bound) -> Iterator[tuple[int, ...]]:
     """Fincke-Pohst enumeration of the nonzero integer vectors v with
-    v * gram * v^T <= bound, for a positive definite rational Gram matrix.
+    v * gram * v^T <= bound, for a positive definite integer Gram matrix and
+    a rational bound.
 
     Yields one vector of each pair +-v (the one whose last nonzero
     coordinate is positive), the last coordinate outermost, each in
     increasing order.  Raises ValueError when the form is not positive
-    definite.  Integer arithmetic on the Gram-Schmidt data of g = c * gram
-    against N / D = c * bound (Cohen, GTM 138, Alg. 2.7.5): coordinate i
-    adds (d[i+1] v_i + s_i)^2 / (d[i] d[i+1]), s_i = sum_{j>i} lam[j][i] v_j.
+    definite.  Integer arithmetic on the Gram-Schmidt data of gram against
+    N / D = bound (Cohen, GTM 138, Alg. 2.7.5): coordinate i adds
+    (d[i+1] v_i + s_i)^2 / (d[i] d[i+1]), s_i = sum_{j>i} lam[j][i] v_j.
     """
     n = len(gram)
-    g, c = _cleared(gram)
-    num, den = (c * bound).as_integer_ratio()
+    num, den = bound.as_integer_ratio()
     lam = zeros(n, n)
     d = [1] * (n + 1)
     for k in range(n):
-        _orthogonalize(g, lam, d, k)
+        _orthogonalize(gram, lam, d, k)
     v = [0] * n
 
     def search(i: int, e: int, on_axis: bool):

@@ -160,13 +160,16 @@ def q_over_alpha(ctx: WeilContext) -> FieldElement:
 
 def sigma_element(ctx: WeilContext, ell: int) -> FieldElement:
     """f(1) / (ell * (1 - alpha)); integrality of this element across classes
-    drives the local cyclicity refinement."""
+    drives the local cyclicity refinement.  f(1) - f(t) = (1 - t) s(t) with
+    s_j = f_(j+1) + .. + f_n and f(alpha) = 0 give f(1) / (1 - alpha) = s(alpha),
+    so the element is s(alpha) / ell, with no inversion in K (Cohen, GTM 138,
+    4.2)."""
     if not is_prime(ell):
         raise InputError("ell_not_prime", f"{ell} is not prime")
     if ctx.point_count % ell:
         raise InputError("ell_not_dividing", f"{ell} does not divide the point count")
-    one_minus = one(ctx) - alpha(ctx)
-    return Fraction(ctx.point_count, ell) * one_minus.inverse()
+    f = ctx.f_low
+    return FieldElement.over(ctx, [sum(f[j + 1:]) for j in range(ctx.n)], ell)
 
 
 # ---------------------------------------------------------------------------

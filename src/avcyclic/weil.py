@@ -355,9 +355,11 @@ def enumerate_weil_contexts(
         raise CapabilityError(f"enumeration supports g <= {ENUM_G_CAP}")
     if not is_prime(p) or r < 1:
         raise InputError("bad_field", "q must be a prime power")
-    q = p**r
-    if q > ENUM_Q_CAP:
+    # p^r >= 2^r > ENUM_Q_CAP once r reaches the cap's bit length, so a long r
+    # is refused before p^r is formed
+    if r >= ENUM_Q_CAP.bit_length() or p**r > ENUM_Q_CAP:
         raise CapabilityError(f"enumeration supports q <= {ENUM_Q_CAP}")
+    q = p**r
     # Only coefficient vectors already satisfying the functional equation can
     # pass validate_weil, so the generator fixes the mirrored coefficients.
     if g == 1:

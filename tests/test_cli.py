@@ -523,7 +523,24 @@ def test_sweep_determinism(tmp_path, capsys):
 
 
 def test_sweep_capability_exit_2(capsys):
-    code, out = run(capsys, ["sweep", "--p", "2", "--r", "1", "--g", "3"])
+    # g = 3, and q = 3^(10^7) over weil.ENUM_Q_CAP, refused at once, before
+    # q is formed
+    for p, r, g in (("2", "1", "3"), ("3", "10000000", "1")):
+        start = time.monotonic()
+        code, out = run(capsys, ["sweep", "--p", p, "--r", r, "--g", g])
+        assert time.monotonic() - start < 1
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "capability"
+
+
+def test_classify_refuses_a_g1_minkowski_bound_over_the_cap(capsys):
+    # q = 2^61: the default g = 1 bound, the Minkowski bound of about 2e9, is
+    # over icm.G1_INDEX_CAP, so classify refuses at once, where listing the
+    # ideals up to it would not end
+    start = time.monotonic()
+    code, out = run(capsys, ["classify", "--p", "2", "--r", "61", "--g", "1",
+                             "--poly=1,1,2305843009213693952", "--no-timing"])
+    assert time.monotonic() - start < 1
     assert code == 2
     assert json.loads(out)["error"]["code"] == "capability"
 

@@ -8,7 +8,7 @@ from math import prod
 import pytest
 
 from avcyclic import icm, linalg, orders, weil
-from avcyclic.errors import InputError
+from avcyclic.errors import CapabilityError, InputError
 from avcyclic.orders import IdealLattice
 
 from _helpers import corpus_contexts, g1_contexts, is_integral, vec_mat, zero
@@ -22,6 +22,16 @@ def test_minkowski_bound_values():
     assert icm.minkowski_index_bound(pair_order(2, 1, 1, [1, 1, 2])) == 2  # disc -7
     assert icm.minkowski_index_bound(pair_order(5, 1, 1, [1, -2, 5])) == 3  # disc -16
     assert icm.minkowski_index_bound(pair_order(2, 2, 1, [1, 1, 4])) == 3  # disc -15
+
+
+def test_g1_default_bound_is_capped_and_an_explicit_one_honoured():
+    order = pair_order(2, 26, 1, [1, 1, 2**26])
+    assert icm.minkowski_index_bound(order) > icm.G1_INDEX_CAP
+    with pytest.raises(CapabilityError):
+        icm.enumerate_icm(order)
+    result = icm.enumerate_icm(order, 50)
+    assert (result.index_bound, result.completeness) == (50, "heuristic")
+    assert result.classes
 
 
 def test_single_class_monoid():

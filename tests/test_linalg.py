@@ -1,8 +1,11 @@
-"""Exact integer/rational matrix kernel tests.
+"""Exact integer matrix kernel tests.
 
 Oracle values were computed by hand (2x2 cofactor rule, row reduction)
 before the implementation and are frozen here; the property tests at the
 end compare the kernels with sympy on random integer and rational matrices.
+The kernels take integer matrices only (hnf_rational aside): a test with a
+rational matrix clears its denominators itself and checks the kernel's
+result on the cleared matrix against the rational oracle.
 """
 
 import itertools
@@ -356,27 +359,21 @@ def test_lll_matches_fraction_oracle():
                 b = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in b]
             grams.append(linalg.mat_mul(b, linalg.transpose(b)))
     assert len(grams) > 250
+    rational = 0
     for gram in grams:
-        assert linalg.lll_reduce_gram(gram) == _lll_reduce_gram_fraction(gram), gram
+        cleared, c = linalg._cleared(gram)
+        rational += c > 1
+        want = _lll_reduce_gram_fraction(gram)
+        # c * gram has the same mu and the same decisions
+        assert _lll_reduce_gram_fraction(cleared) == want, gram
+        got = linalg.lll_reduce_gram(cleared)
+        assert got == want, gram
+        assert all(type(x) is int for row in got for x in row)
+    assert rational > 50
     assert linalg.lll_reduce_gram([]) == []
     for gram in ([[1, 0], [0, -1]], [[1, 2], [2, 4]], [[0]], [[1, 0, 0], [0, 1, 1], [0, 1, 1]]):
         with pytest.raises(ValueError, match="not positive definite"):
             linalg.lll_reduce_gram(gram)
-
-
-def test_lll_on_integer_gram_constructs_no_fraction(monkeypatch):
-    rng = random.Random(77)
-    grams = list(TIE_GRAMS) + [_random_gram(rng, n) for n in (3, 5, 8)]
-    want = [_lll_reduce_gram_fraction(g) for g in grams]
-
-    def refuse(*args):
-        raise AssertionError("Fraction constructed")
-
-    monkeypatch.setattr(linalg, "Fraction", refuse)
-    got = [linalg.lll_reduce_gram(g) for g in grams]
-    monkeypatch.undo()
-    assert got == want
-    assert all(type(x) is int for u in got for row in u for x in row)
 
 
 def test_short_vectors_match_brute_force():
@@ -385,10 +382,12 @@ def test_short_vectors_match_brute_force():
         n = rng.choice([1, 2, 3])
         gram = [[Fraction(x, 2) for x in row] for row in _random_gram(rng, n)]
         bound = Fraction(rng.randint(1, 80), rng.randint(1, 3))
-        got = list(linalg.short_vectors(gram, bound))
-        # v_i^2 <= bound * (gram^-1)_ii on the ellipsoid
-        inv = linalg.mat_inverse_fraction(gram)
-        box = [isqrt(int(bound * inv[i][i])) + 1 for i in range(n)]
+        cleared, scale = linalg._cleared(gram)
+        got = list(linalg.short_vectors(cleared, scale * bound))
+        # v_i^2 <= bound * (gram^-1)_ii on the ellipsoid, gram^-1 = scale E / D
+        # for E (scale gram) = D I
+        e, d = linalg.inverse_pair(cleared)
+        box = [isqrt(int(bound * Fraction(scale * e[i][i], d))) + 1 for i in range(n)]
         want = set()
         for v in itertools.product(*[range(-r, r + 1) for r in box]):
             last = next((c for c in reversed(v) if c), 0)
@@ -452,7 +451,7 @@ def _short_vector_inputs(rng):
             if determinant_fraction(b) == 0:
                 continue
             gram = linalg.mat_mul(b, linalg.transpose(b))
-            u = linalg.lll_reduce_gram(gram)
+            u = linalg.lll_reduce_gram(linalg._cleared(gram)[0])
             reduced = linalg.mat_mul(linalg.mat_mul(u, gram), linalg.transpose(u))
             top = max(reduced[i][i] for i in range(n))
             for g in (gram, reduced):
@@ -463,32 +462,22 @@ def _short_vector_inputs(rng):
 def test_short_vectors_match_fraction_oracle():
     inputs = list(_short_vector_inputs(random.Random(1959)))
     assert len(inputs) > 800
-    seen = 0
+    seen = rational = 0
     for gram, bound in inputs:
-        got = list(linalg.short_vectors(gram, bound))
-        assert got == list(_short_vectors_fraction(gram, bound)), (gram, bound)
+        cleared, c = linalg._cleared(gram)
+        rational += c > 1
+        want = list(_short_vectors_fraction(gram, bound))
+        # v (c gram) v^T <= c bound is the same ellipsoid
+        assert list(_short_vectors_fraction(cleared, c * bound)) == want, (gram, bound)
+        got = list(linalg.short_vectors(cleared, c * bound))
+        assert got == want, (gram, bound)
         seen += len(got)
     assert seen > 10000
+    assert rational > 150
     assert list(linalg.short_vectors([], 5)) == []
     for gram in ([[1, 0], [0, -1]], [[1, 2], [2, 4]], [[0]], [[1, 0, 0], [0, 1, 1], [0, 1, 1]]):
         with pytest.raises(ValueError, match="not positive definite"):
             list(linalg.short_vectors(gram, 5))
-
-
-def test_short_vectors_on_integer_gram_constructs_no_fraction(monkeypatch):
-    rng = random.Random(88)
-    inputs = [(g, b) for g, b in _short_vector_inputs(rng)
-              if all(type(x) is int for row in g for x in row) and type(b) is int][::5]
-    want = [list(_short_vectors_fraction(g, b)) for g, b in inputs]
-
-    def refuse(*args):
-        raise AssertionError("Fraction constructed")
-
-    monkeypatch.setattr(linalg, "Fraction", refuse)
-    got = [list(linalg.short_vectors(g, b)) for g, b in inputs]
-    monkeypatch.undo()
-    assert got == want
-    assert sum(map(len, got)) > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +510,13 @@ def _sympy_charpoly(m) -> tuple:
 @PROPERTY
 @given(st.one_of(INT_MATRICES, RATIONAL_MATRICES))
 def test_charpoly_matches_sympy(m):
-    cp = linalg.charpoly(m)
-    assert cp == _sympy_charpoly(m)
-    # integer input gives int coefficients, any other input Fraction
-    integral = all(isinstance(x, int) for row in m for x in row)
-    assert all(type(c) is (int if integral else Fraction) for c in cp)
+    b, d = linalg._cleared(m)
+    cp = linalg.charpoly(b)
+    assert all(type(c) is int for c in cp)
+    # det(tI - d m) = d^n det((t / d) I - m): the coefficient of t^k is
+    # d^(n-k) times that of m
+    n = len(m)
+    assert tuple(Fraction(c, d ** (n - k)) for k, c in enumerate(cp)) == _sympy_charpoly(m)
 
 
 @PROPERTY
@@ -533,13 +524,17 @@ def test_charpoly_matches_sympy(m):
 def test_determinant_and_inverse_match_sympy(m):
     det = _fraction(sympy.Matrix(m).det())
     assert determinant_fraction(m) == det
+    b, c = linalg._cleared(m)
     if det == 0:
         with pytest.raises(DegenerateLatticeError):
-            linalg.mat_inverse_fraction(m)
+            linalg.inverse_pair(b)
         return
-    inv = linalg.mat_inverse_fraction(m)
+    # E b = D I for b = c m, D = +-det(b), so m^-1 = c E / D
+    e, d = linalg.inverse_pair(b)
+    assert abs(d) == abs(linalg.determinant(b))
+    assert all(type(x) is int for row in e for x in row)
+    inv = [[Fraction(c * x, d) for x in row] for row in e]
     assert inv == [[_fraction(x) for x in row] for row in sympy.Matrix(m).inv().tolist()]
-    assert all(type(x) is Fraction for row in inv for x in row)
 
 
 @PROPERTY
@@ -553,7 +548,7 @@ def test_singular_inverse_raises(m, data):
                 Fraction(0)) for j in range(n)]
     assert determinant_fraction(m) == 0
     with pytest.raises(DegenerateLatticeError, match="singular matrix"):
-        linalg.mat_inverse_fraction(m)
+        linalg.inverse_pair(linalg._cleared(m)[0])
 
 
 @PROPERTY
@@ -564,16 +559,17 @@ def test_smith_invariant_factors_match_sympy(m):
 
 
 def test_inverse_reads_no_cofactors(monkeypatch):
-    # cyclicity.q_stability_check counts the exact inverse and tau (read off
+    # cyclicity.q_stability_check counts the inverse pair and tau (read off
     # the adjugate of _leverrier) as independent routes
     def refuse(a):
         raise AssertionError("adjugate called")
 
     monkeypatch.setattr(linalg, "_leverrier", refuse)
-    for m in ([[2, 1, 0], [1, 3, 1], [0, 1, 4]],
-              [[0, Fraction(1, 2)], [Fraction(-2, 3), 5]]):
-        inv = linalg.mat_inverse_fraction(m)
-        assert linalg.mat_mul(m, inv) == linalg.identity(len(m))
+    # the second matrix is 6 times [[0, 1/2], [-2/3, 5]]
+    for m in ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], [[0, 3], [-4, 30]]):
+        e, d = linalg.inverse_pair(m)
+        scalar = [[d * x for x in row] for row in linalg.identity(len(m))]
+        assert linalg.mat_mul(e, m) == linalg.mat_mul(m, e) == scalar
 
 
 def test_smith_reads_no_adjugate(monkeypatch):

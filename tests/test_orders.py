@@ -96,6 +96,21 @@ def test_sigma_element():
     assert e.value.code == "ell_not_dividing"
 
 
+def test_sigma_times_one_minus_alpha_is_the_point_count_over_ell():
+    # sigma_ell (1 - alpha) = f(1) / ell by field arithmetic, for every prime
+    # ell | f(1) of the corpus and of the g = 1 contexts with q <= 64
+    contexts = list(corpus_contexts()) + list(g1_contexts(64))
+    pairs = 0
+    for ctx in contexts:
+        one_minus = orders.one(ctx) - orders.alpha(ctx)
+        for ell in weil.prime_factors(ctx.point_count):
+            sigma = orders.sigma_element(ctx, ell)
+            want = FieldElement.make(ctx, [Fraction(ctx.point_count, ell)])
+            assert sigma * one_minus == want, (ctx.f, ell)
+            pairs += 1
+    assert pairs > 800
+
+
 def test_lattice_canonical_form():
     c = ctx2()
     std = IdealLattice.standard(c)

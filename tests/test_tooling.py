@@ -4,8 +4,9 @@ standard library only, one gate, in front of every conversion, refuses
 non-Weil and reducible input, convert runs no equivalence search, the
 per-context classify path and the int-not-bool input rule are each written
 once, K has one multiplication, the multiplicator ring one formula and g = 1
-equivalence one rule, and no option or member stays that only tests
-reach."""
+equivalence one rule, no option or member stays that only tests reach,
+and the exact kernels take integers: linalg has one rational entry and the
+sigma refinement inverts nothing in K."""
 
 import ast
 import importlib
@@ -187,3 +188,18 @@ def test_no_option_or_member_only_tests_reach():
         assert list(inspect.signature(fn).parameters) == ["ctx", "m"], fn.__name__
     assert list(inspect.signature(linalg.lll_reduce_gram).parameters) == ["gram"]
     assert not {"conj", "norm"} & set(vars(orders.FieldElement))
+
+
+def test_the_exact_kernels_take_integers():
+    # linalg keeps no Fraction and no rational inverse, hnf_rational is its
+    # one rational entry, and sigma_ell is read off the coefficients of f
+    tree = _tree("linalg")
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.asname or alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "Fraction" not in names
+    assert not [path.name for path in SOURCES
+                if "mat_inverse_fraction" in path.read_text(encoding="utf-8")]
+    assert [scope for module, scope, _ in _call_sites("_cleared")
+            if module == "linalg"] == ["hnf_rational"]
+    assert "inverse" not in _called_names(_functions("orders")["sigma_element"])

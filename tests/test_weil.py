@@ -2,6 +2,7 @@
 enumeration completeness at desk scale."""
 
 import random
+import time
 from math import isqrt
 
 import pytest
@@ -335,6 +336,15 @@ def test_enumeration_caps():
         weil.enumerate_weil_contexts(17, 1, 1)
     with pytest.raises(InputError):
         weil.enumerate_weil_contexts(6, 1, 1)
+    # p^r >= 2^r exceeds ENUM_Q_CAP once r reaches the cap's bit length, so
+    # r = 10^12 is refused at once, without forming p^r; q = 2^4 = 16, the
+    # cap itself, still enumerates
+    start = time.monotonic()
+    for p, r in ((2, 10**12), (3, 10**12), (2, weil.ENUM_Q_CAP.bit_length())):
+        with pytest.raises(CapabilityError):
+            weil.enumerate_weil_contexts(p, r, 1)
+    assert time.monotonic() - start < 1
+    assert weil.enumerate_weil_contexts(2, weil.ENUM_Q_CAP.bit_length() - 1, 1)
 
 
 def test_quartic_enumeration_includes_known_context():
