@@ -55,7 +55,6 @@ from .weil import (
     enumerate_weil_contexts,
     is_irreducible,
     make_context,
-    validate_weil,
 )
 
 __version__ = "0.1.0"
@@ -107,5 +106,4 @@ __all__ = [
     "smith_normal_form",
     "structural_identities",
     "tau",
-    "validate_weil",
 ]

@@ -33,7 +33,7 @@ SCHEMA_VERSION = "1"
 
 # error codes meaning "the input parsed fine, the math said no"
 _REFUSAL_CODES = {"not_weil", "not_ordinary", "not_irreducible", "charpoly_mismatch",
-                  "not_stable", "bad_point_count"}
+                  "not_stable"}
 
 
 _escape = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses

@@ -10,7 +10,7 @@ as coker(1-M) via Smith normal form; the two must agree on every class.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import gcd, prod
 
 from . import conjugacy, icm, linalg, orders
@@ -196,25 +196,17 @@ def _report_for(ctx: WeilContext, mclass: MatrixClass) -> CyclicityReport:
 
 def classify_isogeny_class(ctx: WeilContext,
                            index_bound: int | None = None) -> ClassificationResult:
-    """Full pipeline: enumerate the ideal classes of Z[alpha, q/alpha],
+    """Full pipeline: enumerate the ideal classes of Z[alpha, q/alpha] (in
+    the order enumerate_icm lists them, which every index below shares),
     convert each to its canonical matrix, and report cyclicity with the
-    group-structure oracle cross-check plus the per-prime sigma refinement
-    consistency check."""
+    group-structure oracle cross-check, one verdict per multiplicator ring,
+    and, for each prime ell | f(1), the classes refine_by_sigma keeps equal
+    to those with ell | tau(1 - M).  Non-ordinary Weil input raises
+    not_ordinary here; frobenius_pair_order refuses non-Weil input and
+    enumerate_icm reducible input."""
     if ctx.is_weil and not ctx.is_ordinary:
         raise InputError("not_ordinary", "not ordinary: middle coefficient shares a factor with p")
-    ctx.refuse_non_simple()
-    order = orders.frobenius_pair_order(ctx)
-    result = icm.enumerate_icm(order, index_bound)
-    ranked = sorted(range(len(result.classes)),
-                    key=lambda i: (result.classes[i].den, result.classes[i].mat))
-    remap = {old: new for new, old in enumerate(ranked)}
-    result = replace(
-        result,
-        classes=tuple(result.classes[i] for i in ranked),
-        multiplicator_rings=tuple(result.multiplicator_rings[i] for i in ranked),
-        indeterminate_pairs=tuple((remap[i], remap[j], b)
-                                  for i, j, b in result.indeterminate_pairs),
-    )
+    result = icm.enumerate_icm(orders.frobenius_pair_order(ctx), index_bound)
     reports = tuple(_report_for(ctx, conjugacy.ideal_to_matrix(lat)) for lat in result.classes)
     # sigma_ell lies in (I : I) exactly when ell | tau(1 - M): one verdict per ring
     rings = result.multiplicator_rings
@@ -222,11 +214,9 @@ def classify_isogeny_class(ctx: WeilContext,
         raise ConsistencyError("classes with one multiplicator ring have different verdicts")
     sigma_checks = []
     for ell in prime_factors(ctx.point_count):
-        kept = icm.refine_by_sigma(result, ell)
-        sigma_idx = tuple(i for i, lat in enumerate(result.classes) if lat in kept)
         tau_idx = tuple(i for i, rep in enumerate(reports)
                         if rep.gcd_with_point_count % ell == 0)
-        check = SigmaCheck(ell, sigma_idx, tau_idx)
+        check = SigmaCheck(ell, icm.refine_by_sigma(result, ell), tau_idx)
         if not check.agree:
             raise ConsistencyError(
                 f"sigma refinement at ell = {ell} disagrees with the tau route"

@@ -321,12 +321,14 @@ def _is_p_maximal(order: OrderDesc, p: int) -> bool:
 def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult:
     """All ideal classes of the order, as canonical integral representatives
     of index at most index_bound, pairwise inequivalent: the first candidate
-    of each class in the order of integral_ideals.  Rings come from
-    _ring_decider, read off the reduced form at g = 1 and the index for
-    g >= 2.  At g = 1 a candidate is new when its reduced form
-    (orders.form_key) is.  For g >= 2 it is new when the witness search of
-    orders.ideal_equivalent, given its ring, separates it from every kept
-    representative with the same ring.
+    of each class in the order of integral_ideals, listed in (den, mat)
+    order, the one index space of the class list.  multiplicator_rings
+    follows that order, and each indeterminate pair (i, j, bound) names two
+    classes by it.  Rings come from _ring_decider, read off the reduced
+    form at g = 1 and the index for g >= 2.  At g = 1 a candidate is new
+    when its reduced form (orders.form_key) is.  For g >= 2 it is new when
+    the witness search of orders.ideal_equivalent, given its ring,
+    separates it from every kept representative with the same ring.
     Non-Weil input raises not_weil and reducible input not_irreducible, at
     every g (WeilContext.refuse_non_simple).  At g = 1 a default bound, the
     Minkowski bound, above G1_INDEX_CAP raises CapabilityError.
@@ -383,18 +385,21 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
     if indeterminate:
         logger.warning("equivalence search exhausted on %d pairs; class count may overshoot",
                        len(indeterminate))
+    ranked = sorted(range(len(reps)), key=lambda i: (reps[i].den, reps[i].mat))
+    rank = {old: new for new, old in enumerate(ranked)}
     return IcmResult(
         order=order,
-        classes=tuple(reps),
-        multiplicator_rings=tuple(rings),
+        classes=tuple(reps[i] for i in ranked),
+        multiplicator_rings=tuple(rings[i] for i in ranked),
         index_bound=index_bound,
         completeness="certified" if certified else "heuristic",
-        indeterminate_pairs=tuple(indeterminate),
+        indeterminate_pairs=tuple((rank[i], rank[j], b) for i, j, b in indeterminate),
     )
 
 
-def refine_by_sigma(result: IcmResult, ell: int) -> list[IdealLattice]:
-    """Classes stable under multiplication by f(1)/(ell (1 - alpha)).
+def refine_by_sigma(result: IcmResult, ell: int) -> tuple[int, ...]:
+    """Indices of the classes stable under multiplication by
+    f(1)/(ell (1 - alpha)), in the order of result.classes.
 
     Both available tests (direct stability of the representative, and
     membership of the element in the multiplicator ring) are computed and
@@ -403,11 +408,11 @@ def refine_by_sigma(result: IcmResult, ell: int) -> list[IdealLattice]:
     ctx = result.order.ctx
     sigma = orders.sigma_element(ctx, ell)
     kept = []
-    for lat, ring in zip(result.classes, result.multiplicator_rings):
+    for i, (lat, ring) in enumerate(zip(result.classes, result.multiplicator_rings)):
         stable = orders.multiplication_matrix(sigma, lat) is not None
         in_ring = sigma in ring
         if stable != in_ring:
             raise ConsistencyError("sigma stability disagrees with ring membership")
         if stable:
-            kept.append(lat)
-    return kept
+            kept.append(i)
+    return tuple(kept)

@@ -53,14 +53,6 @@ class FieldElement:
     den: int = 1
 
     @staticmethod
-    def make(ctx: WeilContext, seq) -> "FieldElement":
-        coeffs = [Fraction(c) for c in seq]
-        if len(coeffs) > ctx.n:
-            raise InputError("bad_coords", f"expected at most {ctx.n} coordinates")
-        (num,), den = linalg._cleared([coeffs + [0] * (ctx.n - len(coeffs))])
-        return FieldElement(ctx, tuple(num), den)
-
-    @staticmethod
     def over(ctx: WeilContext, num, den: int) -> "FieldElement":
         """The element num / den for integers num and a nonzero den."""
         g = gcd(den, *num) * (-1 if den < 0 else 1)
@@ -538,7 +530,7 @@ def _search_forms(lat: IdealLattice, target: Fraction) -> tuple[list[tuple[tuple
         return [(plain, 2 * _sqrt_ceil(target) * span)], True
     # A in (2 sqrt(d), 3 sqrt(d)] puts (A + sqrt(d)) / (A - sqrt(d)) in [2, 3)
     big_a = isqrt(4 * d) + 1
-    root = FieldElement.make(ctx, [big_a - a1]) - 2 * beta  # sqrt(d) = +-(2 beta + a1)
+    root = one(ctx) * (big_a - a1) - 2 * beta  # sqrt(d) = +-(2 beta + a1)
     gamma, gamma_norm = root * root, (big_a * big_a - d) ** 2
     forms, w = [], one(ctx)
     for j in range(2 * span.bit_length() + 1):  # rho^m >= 4^m > span^4
@@ -579,7 +571,7 @@ def _real_unit_trace(lat: IdealLattice, d: int, beta: FieldElement) -> int:
             break
         num = c * den - num
         den = (d - num * num) // den
-    eps = FieldElement.make(ctx, [Fraction(big_g + k * a1, 2)]) + k * beta  # sqrt(d) = 2 beta + a1
+    eps = one(ctx) * Fraction(big_g + k * a1, 2) + k * beta  # sqrt(d) = 2 beta + a1
     eta = eps
     while multiplication_matrix(eta, lat) is None:
         eta = eta * eps

@@ -35,6 +35,8 @@ ENUM_G_CAP = 2
 FACTOR_BOX_CAP = 5 * 10**7  # candidate factors one irreducibility test may try
 
 _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# strong Miller-Rabin to the 13 prime bases up to 41 decides every n below it
+MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def is_int(x) -> bool:
@@ -43,18 +45,46 @@ def is_int(x) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    return n > 1 and prime_factors(n) == [n]
+    """Primality of n: a screen by the primes up to 41, which alone decides
+    n < 43^2, the least composite with no such factor; above that, strong
+    Miller-Rabin to those 13 bases, deterministic below MILLER_RABIN_BOUND
+    (Sorenson & Webster, Math. Comp. 86 (2017)).  Larger n raise
+    CapabilityError."""
+    bases = _SIEVE_PRIMES[:13]  # the primes up to 41
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
+        return n > 1
+    if n >= MILLER_RABIN_BOUND:
+        raise CapabilityError(f"primality of {n} is not decided above {MILLER_RABIN_BOUND}")
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    d = (n - 1) >> s
+    for b in bases:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n| in increasing order (trial division)."""
-    n, out = abs(n), []
-    d = 2
-    while d * d <= n:
+    """Distinct prime factors of |n| in increasing order: trial division,
+    which stops once the cofactor left is below MILLER_RABIN_BOUND and
+    prime."""
+    n, out, d = abs(n), [], 2
+    prime = n < MILLER_RABIN_BOUND and is_prime(n)
+    while not prime and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
+            prime = n < MILLER_RABIN_BOUND and is_prime(n)
         d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
@@ -120,11 +150,10 @@ class WeilContext:
 
     @cached_property
     def point_count(self) -> int:
-        """Order of the group of rational points: f(1)."""
-        value = poly.evaluate(self.f_low, 1)
-        if self.is_weil and value <= 0:
-            raise InputError("bad_point_count", "f(1) must be positive for a Weil polynomial")
-        return value
+        """Order of the group of rational points: f(1), positive for Weil f.
+        Each non-real pair of roots gives |1 - alpha|^2 > 0, and f(0) = q^g
+        forces an even number of roots -sqrt(q), hence of roots +sqrt(q)."""
+        return poly.evaluate(self.f_low, 1)
 
     @cached_property
     def trace_sums(self) -> tuple[int, ...]:
@@ -172,12 +201,6 @@ def make_context(p: int, r: int, g: int, coeffs: Sequence[int]) -> WeilContext:
     ok, reason = _weil_reason(poly.from_monic_first(f), q)
     ordinary = gcd(f[g], p) == 1  # middle coefficient coprime to p
     return WeilContext(p, r, q, g, f, ok, reason, ordinary)
-
-
-def validate_weil(coeffs: Sequence[int], q: int) -> bool:
-    """True iff the monic even-degree polynomial has every root on
-    |t| = sqrt(q).  Exact; no floating point."""
-    return _weil_reason(poly.from_monic_first(coeffs), q)[0]
 
 
 def _weil_reason(f_low: tuple, q: int) -> tuple[bool, str | None]:
@@ -361,7 +384,7 @@ def enumerate_weil_contexts(
         raise CapabilityError(f"enumeration supports q <= {ENUM_Q_CAP}")
     q = p**r
     # Only coefficient vectors already satisfying the functional equation can
-    # pass validate_weil, so the generator fixes the mirrored coefficients.
+    # pass _weil_reason, so the generator fixes the mirrored coefficients.
     if g == 1:
         top = isqrt(4 * q)
         box = ([1, a1, q] for a1 in range(-top, top + 1))

@@ -11,8 +11,10 @@ FieldElement.mult_matrix, and the lattice kernels that read it off, the
 conjugate built on it, which serves as the oracle for the conjugation rows
 of the witness search, the zero element and the norm det M(x) / den^n
 of a field element, the ring-first equivalence decision that serves as the
-oracle for orders.ideal_equivalent, and the cofactor matrix read off the
-adjugate of linalg._leverrier."""
+oracle for orders.ideal_equivalent, the cofactor matrix read off the
+adjugate of linalg._leverrier, and the element built from rational
+coordinates and the Weil test on bare coefficients, which only tests
+need."""
 
 import json
 import random
@@ -20,6 +22,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from avcyclic import linalg, orders, weil
+from avcyclic import polynomials as poly
 from avcyclic.errors import DegenerateLatticeError
 
 # The acceptance corpus: every ordinary irreducible g = 1 context for these
@@ -139,8 +142,25 @@ def convolution_product(x, y):
     return orders.FieldElement.over(x.ctx, conv[:n], x.den * y.den)
 
 
+def make_element(ctx, seq):
+    """The field element with the given rational power-basis coordinates,
+    at most n of them, padded with zeros."""
+    coeffs = [Fraction(c) for c in seq]
+    assert len(coeffs) <= ctx.n
+    coeffs += [Fraction(0)] * (ctx.n - len(coeffs))
+    d = lcm(*(c.denominator for c in coeffs))
+    return orders.FieldElement.over(ctx, [c.numerator * (d // c.denominator) for c in coeffs], d)
+
+
 def zero(ctx):
     return orders.FieldElement(ctx, (0,) * ctx.n)
+
+
+def validate_weil(coeffs, q: int) -> bool:
+    """Whether the monic even-degree polynomial, highest degree first, has
+    every root on |t| = sqrt(q): the Weil flag of weil.make_context, for
+    any q."""
+    return weil._weil_reason(poly.from_monic_first(coeffs), q)[0]
 
 
 def norm(x) -> Fraction:

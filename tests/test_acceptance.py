@@ -115,8 +115,7 @@ def test_criterion_4_two_route_agreement_and_sigma():
                 # raises if the three routes split; classes are stable so True
                 assert cyclicity.q_stability_check([list(r) for r in rep.class_ref.rep], ctx)
             for ell in weil.prime_factors(ctx.point_count):
-                kept = icm.refine_by_sigma(res.icm_result, ell)
-                sigma_set = {i for i, lat in enumerate(res.icm_result.classes) if lat in kept}
+                sigma_set = set(icm.refine_by_sigma(res.icm_result, ell))
                 tau_set = {i for i, rep in enumerate(res.reports)
                            if rep.tau_one_minus_m % ell == 0}
                 assert sigma_set == tau_set, (ctx.f, ell)

@@ -61,6 +61,21 @@ def test_validate_flags_failures_with_exit_1(capsys):
     assert json.loads(out)["weil_reason"] == "root_location"
 
 
+def test_validate_decides_a_large_prime_at_once(capsys):
+    # p = 10^18 + 3 is decided by Miller-Rabin, not trial division towards
+    # 10^9; t^2 + q is Weil and irreducible but not ordinary
+    p = 10**18 + 3
+    start = time.monotonic()
+    code, out = run(capsys, ["validate", "--p", str(p), "--r", "1", "--g", "1",
+                             f"--poly=1,0,{p}"])
+    assert time.monotonic() - start < 1
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["is_weil"] is True and doc["is_irreducible"] is True
+    assert doc["is_ordinary"] is False
+    assert doc["point_count"] == str(p + 1)
+
+
 def test_validate_usage_errors_exit_2(capsys):
     code, out = run(capsys, ["validate", "--p", "2", "--r", "1", "--g", "1",
                              "--poly", "1,x,2"])
@@ -513,6 +528,16 @@ def test_sweep_bad_bound_exits_as_classify_does(capsys):
     code, out = run(capsys, ["classify", "--p", "2", "--r", "1", "--g", "1", "--poly=1,1,2",
                              "--index-bound", "0"])
     assert (code, json.loads(out)["error"]["code"]) == (2, "bad_bound")
+
+
+def test_sweep_refuses_a_field_that_is_not_a_prime_power(capsys):
+    # p = 4 is not prime and r = 0 is no extension degree: bad_field, exit 2
+    for p, r in (("4", "1"), ("2", "0")):
+        code, out = run(capsys, ["sweep", "--p", p, "--r", r, "--g", "1", "--no-timing"])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["schema_version"] == "1"
+        assert doc["error"]["code"] == "bad_field"
 
 
 def test_sweep_determinism(tmp_path, capsys):

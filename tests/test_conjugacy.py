@@ -8,7 +8,7 @@ from avcyclic import conjugacy, linalg, orders, weil
 from avcyclic.errors import ConsistencyError, InputError
 from avcyclic.orders import IdealLattice
 
-from _helpers import conjugate, inverse_unimodular, random_unimodular
+from _helpers import conjugate, inverse_unimodular, make_element, random_unimodular
 
 
 def ctx2():
@@ -45,7 +45,7 @@ def test_ideal_to_matrix_rejects_unstable_lattice():
 def test_scaling_does_not_change_the_matrix():
     c = ctx5()
     lat = IdealLattice.from_rows(c, [[1, 1], [0, 2]])
-    scaled = lat.scale(orders.FieldElement.make(c, [3]))
+    scaled = lat.scale(make_element(c, [3]))
     assert conjugacy.ideal_to_matrix(scaled).rep == conjugacy.ideal_to_matrix(lat).rep
 
 

@@ -56,6 +56,23 @@ def test_two_class_monoid_with_distinct_rings():
     assert r.completeness == "certified"
 
 
+def test_class_list_is_in_den_mat_order_with_first_seen_representatives():
+    # the classes come back sorted by (den, mat), each with its ring, and
+    # each is the first candidate of integral_ideals with its reduced form
+    for ctx in g1_contexts(16):
+        o = orders.frobenius_pair_order(ctx)
+        r = icm.enumerate_icm(o)
+        keys = [(lat.den, lat.mat) for lat in r.classes]
+        assert keys == sorted(keys), ctx.f
+        assert list(r.multiplicator_rings) == [orders.multiplicator_ring(lat).lattice
+                                               for lat in r.classes]
+        first = {}
+        for t in icm.integral_ideals(o, r.index_bound):
+            cand = IdealLattice.over(ctx, linalg.mat_mul(t, o.lattice.mat), o.lattice.den)
+            first.setdefault(orders.form_key(cand), cand)
+        assert set(r.classes) == set(first.values()), ctx.f
+
+
 def test_two_class_monoid_same_ring():
     # class number 2 at discriminant -15: a genuinely non-principal class
     r = icm.enumerate_icm(pair_order(2, 2, 1, [1, 1, 4]))
@@ -238,9 +255,10 @@ def test_g1_form_key_decides_equivalence():
 def test_refine_by_sigma_values():
     r5 = icm.enumerate_icm(pair_order(5, 1, 1, [1, -2, 5]))
     kept = icm.refine_by_sigma(r5, 2)
-    assert [(l.den, l.mat) for l in kept] == [(1, ((1, 1), (0, 2)))]
+    assert kept == (1,)
+    assert [(r5.classes[i].den, r5.classes[i].mat) for i in kept] == [(1, ((1, 1), (0, 2)))]
     r2 = icm.enumerate_icm(pair_order(2, 1, 1, [1, 1, 2]))
-    assert icm.refine_by_sigma(r2, 2) == []
+    assert icm.refine_by_sigma(r2, 2) == ()
     with pytest.raises(InputError) as e:
         icm.refine_by_sigma(r5, 3)
     assert e.value.code == "ell_not_dividing"

@@ -17,7 +17,7 @@ from avcyclic.orders import FieldElement, IdealLattice
 
 from _helpers import (conjugate, convolution_conj, convolution_product, corpus_contexts,
                       discriminant_gram, g1_contexts, ideal_intersection, ideal_sum,
-                      is_integral, norm, products_ideal_product, products_matrix,
+                      is_integral, make_element, norm, products_ideal_product, products_matrix,
                       products_scale, random_unimodular, ring_first_equivalent, zero)
 
 
@@ -105,7 +105,7 @@ def test_sigma_times_one_minus_alpha_is_the_point_count_over_ell():
         one_minus = orders.one(ctx) - orders.alpha(ctx)
         for ell in weil.prime_factors(ctx.point_count):
             sigma = orders.sigma_element(ctx, ell)
-            want = FieldElement.make(ctx, [Fraction(ctx.point_count, ell)])
+            want = make_element(ctx, [Fraction(ctx.point_count, ell)])
             assert sigma * one_minus == want, (ctx.f, ell)
             pairs += 1
     assert pairs > 800
@@ -131,10 +131,10 @@ def test_lattice_contains_and_scale():
     std = IdealLattice.standard(c)
     assert orders.one(c) in std
     assert orders.alpha(c) in std
-    assert FieldElement.make(c, [Fraction(1, 2), 0]) not in std
+    assert make_element(c, [Fraction(1, 2), 0]) not in std
     half = IdealLattice.from_rows(c, [[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
-    assert FieldElement.make(c, [Fraction(1, 2), Fraction(-3, 2)]) in half
-    doubled = std.scale(FieldElement.make(c, [2]))
+    assert make_element(c, [Fraction(1, 2), Fraction(-3, 2)]) in half
+    doubled = std.scale(make_element(c, [2]))
     assert doubled.mat == ((2, 0), (0, 2))
     with pytest.raises(InputError):
         std.scale(zero(c))
@@ -155,14 +155,14 @@ def test_ideal_operations():
     std = IdealLattice.standard(c)
     a = orders.alpha(c)
     alat = std.scale(a)
-    two = std.scale(FieldElement.make(c, [2]))
+    two = std.scale(make_element(c, [2]))
     assert alat.mat == ((2, 0), (0, 1))
     # 2 = alpha * conj(alpha), so (2) + (alpha) = (alpha)
     assert ideal_sum(two, alat) == alat
     assert orders.ideal_product(two, alat).mat == ((4, 0), (0, 2))
     assert ideal_intersection(two, alat) == two  # (2) inside (alpha)
     # spec'd quotient value: scaling both sides by 2 halves the quotient
-    four = std.scale(FieldElement.make(c, [4]))
+    four = std.scale(make_element(c, [4]))
     q = orders.ideal_quotient(two, four)
     assert (q.den, q.mat) == (2, ((1, 0), (0, 1)))
     # (ab : b) = a for invertible b
@@ -172,8 +172,8 @@ def test_ideal_operations():
 def test_ideal_ops_are_commutative_and_monotone():
     c = ctx5()
     std = IdealLattice.standard(c)
-    x = std.scale(FieldElement.make(c, [1, 1]))
-    y = std.scale(FieldElement.make(c, [2, -1]))
+    x = std.scale(make_element(c, [1, 1]))
+    y = std.scale(make_element(c, [2, -1]))
     assert ideal_sum(x, y) == ideal_sum(y, x)
     assert orders.ideal_product(x, y) == orders.ideal_product(y, x)
     assert ideal_intersection(x, y) == ideal_intersection(y, x)
@@ -296,7 +296,7 @@ def test_multiplicator_ring():
     bigger = orders.multiplicator_ring(IdealLattice.from_rows(c, [[1, 1], [0, 2]]))
     assert (bigger.lattice.den, bigger.lattice.mat) == (2, ((1, 1), (0, 2)))
     # invariant under scaling the ideal
-    scaled = IdealLattice.from_rows(c, [[1, 1], [0, 2]]).scale(FieldElement.make(c, [3, 1]))
+    scaled = IdealLattice.from_rows(c, [[1, 1], [0, 2]]).scale(make_element(c, [3, 1]))
     assert orders.multiplicator_ring(scaled).lattice == bigger.lattice
 
 
@@ -324,7 +324,7 @@ def _draw_g1_lattice(ctx, kind, data) -> IdealLattice:
     lat = data.draw(st.sampled_from(_g1_ideals(ctx)))
     if kind == "scaled":
         coords = st.lists(st.fractions(-9, 9, max_denominator=7), min_size=2, max_size=2)
-        lat = lat.scale(FieldElement.make(lat.ctx, data.draw(coords.filter(any))))
+        lat = lat.scale(make_element(lat.ctx, data.draw(coords.filter(any))))
     return lat
 
 
@@ -361,7 +361,7 @@ def test_g1_equivalence_status_is_the_search_status(ctx, kind, moved, data):
     a = _draw_g1_lattice(ctx, kind, data)
     if moved:
         coords = st.lists(st.fractions(-9, 9, max_denominator=7), min_size=2, max_size=2)
-        b = a.scale(FieldElement.make(ctx, data.draw(coords.filter(any))))
+        b = a.scale(make_element(ctx, data.draw(coords.filter(any))))
     else:
         b = _draw_g1_lattice(ctx, kind, data)
     r = orders.ideal_equivalent(a, b)
@@ -425,7 +425,7 @@ def test_g1_equal_keys_without_a_witness_raise(monkeypatch):
     # failure, never an answer
     c = ctx5()
     std = IdealLattice.standard(c)
-    moved = std.scale(FieldElement.make(c, [1, 1]))
+    moved = std.scale(make_element(c, [1, 1]))
     assert orders.form_key(std) == orders.form_key(moved)
     monkeypatch.setattr(orders, "_witness_search",
                         lambda a, b: orders.EquivalenceResult("not_equivalent"))
@@ -439,7 +439,7 @@ def test_equivalence_certified_negative():
     # indeterminate escape hatch in the quadratic branch)
     c = weil.make_context(2, 2, 1, [1, 1, 4])
     std = IdealLattice.standard(c)
-    two = std.scale(FieldElement.make(c, [2]))
+    two = std.scale(make_element(c, [2]))
     p2 = ideal_sum(two, std.scale(orders.alpha(c)))
     assert (p2.den, p2.mat) == (1, ((2, 0), (0, 1)))
     assert orders.multiplicator_ring(p2).lattice == std
@@ -454,7 +454,7 @@ def test_equivalence_certified_negative():
 def test_equivalence_witness_norm_matches_index():
     c = ctx5()
     std = IdealLattice.standard(c)
-    moved = std.scale(FieldElement.make(c, [1, 1]))
+    moved = std.scale(make_element(c, [1, 1]))
     r = orders.ideal_equivalent(std, moved)
     assert r.status == "equivalent"
     assert abs(norm(r.witness)) == orders.lattice_index(moved, std)
@@ -490,7 +490,7 @@ def _real_unit(c):
     for w in range(1, 50):
         for s in range(-50 * w, 50 * w + 1):
             if abs(s * s - a1 * s * w + (a2 - 2 * c.q) * w * w) == 1:
-                return FieldElement.make(c, [s]) + w * (orders.alpha(c) + orders.q_over_alpha(c))
+                return make_element(c, [s]) + w * (orders.alpha(c) + orders.q_over_alpha(c))
     raise AssertionError("no small real unit")
 
 
@@ -509,7 +509,7 @@ def test_equivalence_quartic_principal_multiples(p, coeffs):
     assert orders.q_over_alpha(c) not in std and unit not in std
     rng = random.Random(2001)
     for _ in range(12):
-        x = FieldElement.make(c, [rng.randint(-4, 4) for _ in range(4)])
+        x = make_element(c, [rng.randint(-4, 4) for _ in range(4)])
         if x.is_zero():
             continue
         for _ in range(rng.randint(0, 3)):
@@ -537,7 +537,7 @@ def test_equivalence_quartic_unit_scan_agrees_with_one_search(p, coeffs, monkeyp
     pairs = []
     for i, x in enumerate(classes):
         for j, y in enumerate(classes):
-            z = FieldElement.make(c, [rng.randint(-3, 3) for _ in range(3)] + [1])
+            z = make_element(c, [rng.randint(-3, 3) for _ in range(3)] + [1])
             pairs.append((x, y.scale(z), i == j))
     for scan_from in (0, 10**9):
         monkeypatch.setattr(orders, "UNIT_SCAN_FROM", scan_from)
@@ -558,7 +558,7 @@ def test_equivalence_quartic_huge_unit():
     for x, y in permutations(classes, 2):
         assert orders.ideal_equivalent(x, y).status == "not_equivalent"
     root = orders.alpha(c) + orders.q_over_alpha(c) + orders.one(c)  # +-sqrt(46)
-    unit = FieldElement.make(c, [24335]) + 3588 * root
+    unit = make_element(c, [24335]) + 3588 * root
     assert norm(unit) == 1
     moved = classes[1].scale(unit * unit * (orders.alpha(c) + orders.one(c)))
     r = orders.ideal_equivalent(classes[1], moved)
@@ -629,7 +629,7 @@ def test_ideal_quotient_reads_no_cofactors(monkeypatch):
     # both inverses come from linalg.inverse_pair, O(n^3), not from adjugates
     c = quartic_ctx()
     lattices = icm.enumerate_icm(orders.frobenius_pair_order(c)).classes
-    lattices += (lattices[-1].scale(FieldElement.make(c, [Fraction(1, 3), 1, 0, Fraction(-1, 2)])),)
+    lattices += (lattices[-1].scale(make_element(c, [Fraction(1, 3), 1, 0, Fraction(-1, 2)])),)
     want = {(a, b): _quotient_by_intersection(a, b) for a in lattices for b in lattices}
 
     def refuse(a):
@@ -657,7 +657,7 @@ def test_equivalence_finds_a_witness_for_any_scaling(g, data):
     # a corpus class against a copy scaled by a random nonzero x
     a = data.draw(st.sampled_from(_corpus_classes(g)))
     coords = st.lists(st.fractions(-4, 4, max_denominator=3), min_size=a.ctx.n, max_size=a.ctx.n)
-    x = FieldElement.make(a.ctx, data.draw(coords.filter(any)))
+    x = make_element(a.ctx, data.draw(coords.filter(any)))
     r = orders.ideal_equivalent(a, a.scale(x))
     assert r.status == "equivalent"
     assert a.scale(r.witness) == a.scale(x)
@@ -706,7 +706,7 @@ def test_equivalence_agrees_with_the_ring_first_decision_on_distinct_rings():
     std = IdealLattice.standard(c)
     other = IdealLattice.from_rows(c, [[1, 1], [0, 2]])
     maximal = orders.multiplicator_ring(other).lattice
-    scaled = other.scale(FieldElement.make(c, [3, 1]))
+    scaled = other.scale(make_element(c, [3, 1]))
     pairs = [(a, b) for a, b in permutations((std, other, maximal, scaled), 2)
              if orders.multiplicator_ring(a) != orders.multiplicator_ring(b)]
     assert len(pairs) == 6  # Z[alpha] against each lattice of the maximal order, both ways
@@ -782,7 +782,7 @@ def test_element_arithmetic_matches_fraction_reference(data):
     ctx = data.draw(st.sampled_from(_corpus_contexts_up_to_g2()))
     coords = st.lists(st.fractions(-20, 20, max_denominator=12), min_size=ctx.n, max_size=ctx.n)
     xs, ys = data.draw(coords), data.draw(coords)
-    x, y = FieldElement.make(ctx, xs), FieldElement.make(ctx, ys)
+    x, y = make_element(ctx, xs), make_element(ctx, ys)
     assert x.coeffs == tuple(xs)
     checks = [(x + y, tuple(a + b for a, b in zip(xs, ys))),
               (x - y, tuple(a - b for a, b in zip(xs, ys))),
@@ -795,7 +795,7 @@ def test_element_arithmetic_matches_fraction_reference(data):
         assert got.coeffs == want
         # lowest terms: equal elements are equal pairs, so they compare and hash equal
         assert got.den > 0 and gcd(got.den, *got.num) == 1
-        same = FieldElement.make(ctx, want)
+        same = make_element(ctx, want)
         assert got == same and hash(got) == hash(same)
     assert x.trace() == _ref_trace(ctx, xs)
 
@@ -804,8 +804,8 @@ def test_element_and_lattice_arithmetic_construct_no_fraction(monkeypatch):
     # +, -, *, coords and elements work on integer numerators over one
     # denominator; only the coeffs view and the rational surface build Fractions
     c = quartic_ctx()
-    x = FieldElement.make(c, [Fraction(1, 2), 3, Fraction(-5, 6), 1])
-    y = FieldElement.make(c, [2, Fraction(1, 3), 0, Fraction(7, 4)])
+    x = make_element(c, [Fraction(1, 2), 3, Fraction(-5, 6), 1])
+    y = make_element(c, [2, Fraction(1, 3), 0, Fraction(7, 4)])
     lat = IdealLattice.from_rows(c, [[Fraction(1, 2), 0, 0, 0], [0, 1, 0, 0],
                                      [0, 0, 1, 0], [0, 0, 0, 3]])
     half = Fraction(1, 2)
@@ -853,12 +853,12 @@ def test_one_multiplication_matches_products(ctx, kind, data):
         return IdealLattice.over(ctx, rows, data.draw(st.integers(1, 6)))
 
     xs, ys = data.draw(vectors(st.fractions(-6, 6, max_denominator=4), 2))
-    x, y = FieldElement.make(ctx, xs), FieldElement.make(ctx, ys)
+    x, y = make_element(ctx, xs), make_element(ctx, ys)
     assert x * y == convolution_product(x, y)
     lat, other = lattice(), lattice()
     ring = orders.ideal_quotient(lat, lat)
     if kind == "integral":
-        x = FieldElement.make(ctx, [c.numerator for c in xs])
+        x = make_element(ctx, [c.numerator for c in xs])
     elif kind == "ring":
         coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
         x = sum((c * e for c, e in zip(coeffs, ring.elements)), zero(ctx))
@@ -889,9 +889,9 @@ def test_conj_power_rows_match_convolution(ctx):
 
     a = orders.alpha(ctx)
     assert conj(a) == orders.q_over_alpha(ctx)
-    assert a * conj(a) == FieldElement.make(ctx, [ctx.q])
+    assert a * conj(a) == make_element(ctx, [ctx.q])
     rng = random.Random(ctx.n)
     for _ in range(20):
-        x = FieldElement.make(ctx, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        x = make_element(ctx, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                                     for _ in range(ctx.n)])
         assert conj(conj(x)) == x

@@ -6,7 +6,8 @@ per-context classify path and the int-not-bool input rule are each written
 once, K has one multiplication, the multiplicator ring one formula and g = 1
 equivalence one rule, no option or member stays that only tests reach,
 and the exact kernels take integers: linalg has one rational entry and the
-sigma refinement inverts nothing in K."""
+sigma refinement inverts nothing in K.  The class list is ordered once, in
+icm, and the primality test is bounded, with no dead refusal left."""
 
 import ast
 import importlib
@@ -15,7 +16,7 @@ import inspect
 import sys
 from pathlib import Path
 
-from avcyclic import cli, conjugacy, linalg, orders
+from avcyclic import cli, conjugacy, linalg, orders, weil
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -203,3 +204,18 @@ def test_the_exact_kernels_take_integers():
     assert [scope for module, scope, _ in _call_sites("_cleared")
             if module == "linalg"] == ["hnf_rational"]
     assert "inverse" not in _called_names(_functions("orders")["sigma_element"])
+
+
+def test_one_class_order_and_a_bounded_prime_test():
+    # enumerate_icm lists the classes in their final order, so the pipeline
+    # neither re-sorts nor rebuilds the result, and leaves the gate to
+    # frobenius_pair_order and enumerate_icm; FieldElement.make and
+    # validate_weil live with the tests, f(1) > 0 needs no refusal, and
+    # is_prime decides by Miller-Rabin, not by factoring
+    assert not _called_names(_functions("cyclicity")["classify_isogeny_class"]) & {
+        "sorted", "replace", "refuse_non_simple"}
+    assert not hasattr(orders.FieldElement, "make")
+    assert not hasattr(weil, "validate_weil")
+    assert not [path.name for path in SOURCES
+                if "bad_point_count" in path.read_text(encoding="utf-8")]
+    assert "prime_factors" not in _called_names(_functions("weil")["is_prime"])

@@ -12,6 +12,8 @@ from avcyclic import polynomials as poly
 from avcyclic import orders, weil
 from avcyclic.errors import CapabilityError, InputError
 
+from _helpers import validate_weil
+
 
 def test_prime_helpers():
     assert [n for n in range(2, 30) if weil.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -73,15 +75,15 @@ def test_degree_cap_is_a_capability_error():
 
 def test_validate_weil_examples():
     # in: valid ordinary elliptic input
-    assert weil.validate_weil([1, -1, 2], 2)
+    assert validate_weil([1, -1, 2], 2)
     # boundary double root at +-2 sqrt(q) when q is a square
-    assert weil.validate_weil([1, -4, 4], 4)
-    assert weil.validate_weil([1, 4, 4], 4)
+    assert validate_weil([1, -4, 4], 4)
+    assert validate_weil([1, 4, 4], 4)
     # trace too large: roots leave the circle
-    assert not weil.validate_weil([1, -5, 2], 2)
+    assert not validate_weil([1, -5, 2], 2)
     assert weil._weil_reason(poly.from_monic_first([1, -5, 2]), 2)[1] == "root_location"
     # wrong constant term
-    assert not weil.validate_weil([1, 0, -2], 2)
+    assert not validate_weil([1, 0, -2], 2)
     assert weil._weil_reason(poly.from_monic_first([1, 0, -2]), 2)[1] == "constant_term"
     # odd degree never qualifies
     assert weil._weil_reason(poly.from_monic_first([1, 0, 0, -8]), 2)[1] == "bad_degree"
@@ -91,7 +93,7 @@ def test_validate_weil_examples():
 
 def test_validate_weil_quartics():
     # (t^2 - 2)^2: repeated real roots at +-sqrt(2), still on the circle
-    assert weil.validate_weil([1, 0, -4, 0, 4], 2)
+    assert validate_weil([1, 0, -4, 0, 4], 2)
     ctx = weil.make_context(2, 1, 2, [1, 0, -4, 0, 4])
     assert ctx.is_weil and not ctx.is_ordinary and not ctx.is_irreducible
     # genuinely ordinary irreducible quartic over F_2
@@ -110,6 +112,50 @@ def test_boundary_context_flags():
 def test_point_count_guard():
     ctx = weil.make_context(2, 1, 1, [1, -1, 2])
     assert ctx.point_count == 2
+    # f(1) > 0 for every Weil f, reducible ones included: non-real root
+    # pairs give |1 - alpha|^2 > 0 and the roots +-sqrt(q) come in pairs
+    fields = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))
+    seen = reducible = 0
+    for p, r in fields:
+        for g in (1, 2):
+            for ctx in weil.enumerate_weil_contexts(p, r, g):
+                assert ctx.point_count == poly.evaluate(ctx.f_low, 1) > 0, ctx.f
+                seen += 1
+                reducible += not ctx.is_irreducible
+    assert seen > reducible > 0
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(10**5) if weil.is_prime(n)] == list(sympy.primerange(10**5))
+    rng = random.Random(20261020)
+    samples = [rng.randrange(10**5, weil.MILLER_RABIN_BOUND) for _ in range(300)]
+    samples += [sympy.prevprime(x) * sympy.nextprime(x) for x in (10**6, 10**9, 10**12)]
+    samples += [561, 41041, 825265, 321197185, 3215031751]  # Carmichael and base-2..7 liars
+    for n in samples:
+        assert weil.is_prime(n) == sympy.isprime(n), n
+    assert weil.is_prime(10**18 + 3) and weil.is_prime(2**61 - 1)
+
+
+def test_strong_pseudoprimes_are_composite():
+    # 3825123056546413051 is a strong pseudoprime to the bases 2 .. 23, and
+    # 318665857834031151167461 to every prime base up to 37
+    for n in (3825123056546413051, 318665857834031151167461):
+        assert not sympy.isprime(n)
+        assert not weil.is_prime(n)
+    with pytest.raises(CapabilityError):
+        weil.is_prime(int(sympy.nextprime(weil.MILLER_RABIN_BOUND)))
+
+
+def test_prime_factors_stop_at_a_prime_cofactor():
+    # trial division stops once the cofactor 10^18 + 3 is prime, where it
+    # would otherwise run towards 10^9
+    start = time.monotonic()
+    assert weil.prime_factors(2**40 * (10**18 + 3)) == [2, 10**18 + 3]
+    assert weil.prime_factors(-(10**18 + 3)) == [10**18 + 3]
+    assert time.monotonic() - start < 1
+    rng = random.Random(7)
+    for n in [rng.randrange(1, 10**9) for _ in range(200)] + [0, 1, 1849, 43 * 47 * 53]:
+        assert weil.prime_factors(n) == sorted(sympy.primefactors(n)), n
 
 
 def test_power_rows_and_trace_sums():
@@ -193,7 +239,7 @@ def _seeded_weil_sextics_and_octics():
                 h = sympy.Poly(coeffs, s).as_expr()
                 f = sympy.Poly(sympy.expand(t**g * h.subs(s, t + sympy.Rational(q) / t)), t)
                 f = [int(c) for c in f.all_coeffs()]
-                if weil.validate_weil(f, q):
+                if validate_weil(f, q):
                     out.append((p, r, g, f))
                     kept += 1
     return out
@@ -212,7 +258,7 @@ def test_quartic_root_location_matches_rueck():
                 rueck = (a1 * a1 <= 16 * q and a2 + 2 * q >= 0
                          and 4 * a1 * a1 * q <= (a2 + 2 * q) ** 2
                          and 4 * a2 <= a1 * a1 + 8 * q)
-                assert weil.validate_weil([1, a1, a2, q * a1, q * q], q) == rueck, (q, a1, a2)
+                assert validate_weil([1, a1, a2, q * a1, q * q], q) == rueck, (q, a1, a2)
 
 
 def test_root_location_matches_sympy_real_roots():
@@ -249,7 +295,7 @@ def test_root_location_matches_sympy_real_roots():
         real = h.real_roots()
         expected = len(real) == g and all(bool(r**2 <= 4 * q) for r in real)
         verdicts.add(expected)
-        assert weil.validate_weil([int(c) for c in f.all_coeffs()], q) == expected, (q, h)
+        assert validate_weil([int(c) for c in f.all_coeffs()], q) == expected, (q, h)
     assert verdicts == {True, False}
 
 
@@ -263,7 +309,7 @@ def test_root_location_matches_sympy():
         squarefree = pol.quo(sympy.gcd(pol, pol.diff(t)))  # nroots chokes on repeats
         roots = squarefree.nroots(n=30)
         on_circle = all(abs(abs(complex(ro)) ** 2 - q) < 1e-9 for ro in roots)
-        assert weil.validate_weil(coeffs, q) == on_circle, (coeffs, q)
+        assert validate_weil(coeffs, q) == on_circle, (coeffs, q)
 
 
 def test_enumeration_counts_ordinary_irreducible():
@@ -291,7 +337,7 @@ def test_enumeration_brute_force_g1():
         q = p**r
         brute = set()
         for a1 in range(-2 * q, 2 * q + 1):  # wide net, wider than needed
-            if weil.validate_weil([1, a1, q], q):
+            if validate_weil([1, a1, q], q):
                 brute.add((1, a1, q))
         got = {ctx.f for ctx in weil.enumerate_weil_contexts(p, r, 1)}
         assert got == brute
@@ -320,7 +366,7 @@ def test_quartic_box_is_exact():
         top1 = isqrt(16 * q)
         wide = [(1, a1, a2, q * a1, q * q) for a1 in range(-top1, top1 + 1)
                 for a2 in range(-6 * q, 6 * q + 1)
-                if weil.validate_weil([1, a1, a2, q * a1, q * q], q)]
+                if validate_weil([1, a1, a2, q * a1, q * q], q)]
         assert [ctx.f for ctx in weil.enumerate_weil_contexts(p, r, 2)] == wide, q
         # a2 - 1 falls below the lower end, or a2 + 1 above the upper end
         lower_edge = [f for f in wide if f[2] - 1 + 2 * q < 0
