@@ -5,16 +5,21 @@ most a Minkowski-type bound, so listing the integral ideals up to that
 index and deduplicating them under equivalence yields the full monoid.
 At g = 1 each ideal is invertible over its multiplicator ring, and its
 reduced binary quadratic form names its class, so deduplication is one set
-lookup per candidate; for g >= 2 each candidate is tested against every
-kept representative with the same multiplicator ring.  That ring is
-R = Z[F, V], with no colon ideal, where the data proves it, else (I : I).
-At g = 1 it is R exactly when the reduced form has discriminant disc(R).
-For g >= 2 an ideal I of index d of R has R <= (I : I) <= d^-1 R, so it
-is R unless some prime p | d has p^2 | disc(R) and R is not p-maximal,
-which one Pohst-Zassenhaus test per prime decides (Cohen, GTM 138, 6.1.3).
-The tests run the witness search of orders.ideal_equivalent with that
-ring, and a test against R itself builds no colon ideal either, since
-(b : R) = b.
+lookup per candidate.  For g >= 2 each candidate N keeps its class and a
+witness x with x * rep = N, and most candidates are placed by descent from
+ones already placed (Marseglia, arXiv:1805.09671): x^-1 N for a placed
+over-ideal M = x C of N, or the conjugate of N, which is listed too since
+Z[F, V] is closed under conjugation.  Only a candidate with neither is
+tested against every kept representative with its multiplicator ring.
+That ring is R = Z[F, V], with no colon ideal, where the data proves it,
+else (I : I).  At g = 1 it is R exactly when the reduced form has
+discriminant disc(R).  For g >= 2 an ideal I of index d of R has
+R <= (I : I) <= d^-1 R, so it is R unless some prime p | d has
+p^2 | disc(R) and R is not p-maximal, which one Pohst-Zassenhaus test per
+prime decides (Cohen, GTM 138, 6.1.3).  The tests run the witness search
+of orders.ideal_equivalent with that ring and its search weights, built
+once per ring, and a test against R itself builds no colon ideal either,
+since (b : R) = b.
 
 The integral ideals are built prime by prime (Cohen, GTM 138, 6.2).  At
 g = 1 the order Z[F, V] is Z[alpha], since q/alpha = -a1 - alpha, and its
@@ -56,16 +61,17 @@ from . import linalg, orders
 from . import polynomials as poly
 from .errors import CapabilityError, ConsistencyError, InputError
 from .orders import IdealLattice, OrderDesc
-from .weil import is_prime, prime_factors
+from .weil import is_int, is_prime, prime_factors
 
 logger = logging.getLogger(__name__)
 
 # Default index bound caps.  Listing the integral ideals is cheap at any
-# bound; the caps bound the pairwise equivalence tests among them.  On one
-# core of a 2-vCPU container, t^4 - t^2 + 49 over F_7 certifies at its
-# Minkowski bound 119 in about 0.7 s (111 candidates, 8 classes), but
-# t^4 + 2t^3 - 13t^2 + 32t + 256 over F_16 takes about 100 s at its bound
-# 287 (989 candidates, listed in under 1 s); the bounds grow as sqrt(|disc|).
+# bound; the caps bound the equivalence tests among them.  On one core of a
+# 2-vCPU container, enumerate_icm certifies t^4 - t^2 + 49 over F_7 at its
+# Minkowski bound 119 in about 0.15 s (111 candidates, 48 of them searched,
+# 8 classes), and t^4 + 2t^3 - 13t^2 + 32t + 256 over F_16 at its bound 287
+# in about 3 s (989 candidates, 62 searched, 16 classes; listed in 0.2 s);
+# the bounds grow as sqrt(|disc|).
 QUARTIC_INDEX_CAP = 24
 HIGH_GENUS_INDEX_CAP = 12
 # g = 1 certifies at its Minkowski bound or refuses a default bound above
@@ -326,12 +332,14 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
     follows that order, and each indeterminate pair (i, j, bound) names two
     classes by it.  Rings come from _ring_decider, read off the reduced
     form at g = 1 and the index for g >= 2.  At g = 1 a candidate is new
-    when its reduced form (orders.form_key) is.  For g >= 2 it is new when
-    the witness search of orders.ideal_equivalent, given its ring,
-    separates it from every kept representative with the same ring.
-    Non-Weil input raises not_weil and reducible input not_irreducible, at
-    every g (WeilContext.refuse_non_simple).  At g = 1 a default bound, the
-    Minkowski bound, above G1_INDEX_CAP raises CapabilityError.
+    when its reduced form (orders.form_key) is.  For g >= 2 _classes_by_descent
+    places a candidate in a class by descent when it can, and else it is new
+    when the witness search separates it from every kept representative
+    with its ring.  index_bound must be a positive int (weil.is_int), or
+    InputError bad_bound.  Non-Weil input raises not_weil and reducible
+    input not_irreducible, at every g (WeilContext.refuse_non_simple).  At
+    g = 1 a default bound, the Minkowski bound, above G1_INDEX_CAP raises
+    CapabilityError.
 
     completeness is "certified" when the bound covers the Minkowski-type
     bound and every equivalence test was definitive; any indeterminate
@@ -347,40 +355,22 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
                                   f"cap {G1_INDEX_CAP}; an explicit index bound is honoured")
         cap = QUARTIC_INDEX_CAP if ctx.g == 2 else HIGH_GENUS_INDEX_CAP
         index_bound = mink if ctx.g == 1 else min(mink, cap)
-    if index_bound < 1:
+    if not is_int(index_bound) or index_bound < 1:
         raise InputError("bad_bound", "index bound must be a positive integer")
     ring_of = _ring_decider(order)
-    reps: list[IdealLattice] = []
-    rings: list[IdealLattice] = []
-    indeterminate: list[tuple[int, int, int]] = []
-    keys = set()
-    for t in integral_ideals(order, index_bound):
-        cand = IdealLattice.over(ctx, linalg.mat_mul(t, order.lattice.mat), order.lattice.den)
-        if ctx.g == 1:
+    ideals = integral_ideals(order, index_bound)
+    if ctx.g == 1:
+        reps, rings, keys = [], [], set()
+        for t in ideals:
+            cand = IdealLattice.over(ctx, linalg.mat_mul(t, order.lattice.mat), order.lattice.den)
             key = orders.form_key(cand)
             if key not in keys:
                 keys.add(key)
                 reps.append(cand)
                 rings.append(ring_of(cand, key))
-            continue
-        ring = ring_of(cand, prod(t[k][k] for k in range(ctx.n)))
-        duplicate = False
-        unresolved = []
-        for i, rep in enumerate(reps):
-            if rings[i] != ring:
-                continue
-            eq = orders._witness_search(rep, cand, ring)
-            if eq.status == "equivalent":
-                duplicate = True
-                break
-            if eq.status == "indeterminate":
-                unresolved.append((i, len(reps), eq.search_bound))
-        if not duplicate:
-            # an unresolved comparison against a kept candidate may
-            # overcount classes; surfaced, never silently resolved
-            indeterminate.extend(unresolved)
-            reps.append(cand)
-            rings.append(ring)
+        indeterminate = []
+    else:
+        reps, rings, indeterminate, _ = _classes_by_descent(order, ideals, ring_of)
     certified = index_bound >= mink and not indeterminate
     if indeterminate:
         logger.warning("equivalence search exhausted on %d pairs; class count may overshoot",
@@ -395,6 +385,88 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
         completeness="certified" if certified else "heuristic",
         indeterminate_pairs=tuple((rank[i], rank[j], b) for i, j, b in indeterminate),
     )
+
+
+def _classes_by_descent(order: OrderDesc, ideals, ring_of):
+    """The classes of the candidates of integral_ideals (g >= 2), in the
+    order they are first met: (reps, rings, indeterminate, labels), labels
+    mapping the (den, mat) of each candidate N to (c, x) with x * reps[c] = N.
+
+    A candidate is placed by descent when it can, else by the witness search
+    against every kept representative with its ring, which is complete at
+    g = 2.  A descent only ever proves an equivalence, with its witness.
+    Over-ideal: an earlier candidate M > N, of index properly dividing N's,
+    with M = x C for its representative C, gives x^-1 N <= C, a listed
+    integral ideal of index [R : C] [M : N]; if it is labelled (c, y), N is
+    (c, x y).  Conjugate: R = Z[F, V] is closed under conjugation, so
+    conj(N) is listed at N's index; if it is labelled (c, y) and
+    conj(reps[c]) is (c', z), N is (c', conj(y) z).  The search weights are
+    built once per ring."""
+    ctx, lat = order.ctx, order.lattice
+    d, conj_rows = orders._conj_power_rows(ctx)
+
+    def label_of_conj(x: IdealLattice):
+        bar = IdealLattice.over(ctx, linalg.mat_mul(x.mat, conj_rows), x.den * d)
+        return labels.get((bar.den, bar.mat))
+
+    reps: list[IdealLattice] = []
+    rings: list[IdealLattice] = []
+    indeterminate: list[tuple[int, int, int]] = []
+    labels: dict = {}
+    over: dict[int, list] = {}  # index -> (t, x^-1, x) of each candidate placed with x != 1
+    weights: dict[IdealLattice, tuple] = {}
+    counts = dict.fromkeys(("over-ideal", "conjugate", "searched"), 0)
+    for t in ideals:
+        index = prod(t[k][k] for k in range(ctx.n))
+        cand = IdealLattice.over(ctx, linalg.mat_mul(t, lat.mat), lat.den)
+        label, kind = None, "over-ideal"
+        for m in sorted(over):
+            if m >= index or label:
+                break
+            if index % m:
+                continue
+            for sup, inv, x in over[m]:
+                if all(orders.integer_coords(sup, row) is not None for row in t):
+                    below = cand.scale(inv)
+                    if (below.den, below.mat) in labels:
+                        c, y = labels[below.den, below.mat]
+                        label = (c, x * y)
+                        break
+        if label is None and (found := label_of_conj(cand)):
+            c, y = found
+            if found := label_of_conj(reps[c]):
+                c, z = found
+                (bar_y,) = linalg.mat_mul([y.num], conj_rows)
+                label, kind = (c, orders.FieldElement.over(ctx, bar_y, y.den * d) * z), "conjugate"
+        if label is None:
+            kind, ring = "searched", ring_of(cand, index)
+            unresolved = []
+            for i, rep in enumerate(reps):
+                if rings[i] != ring:
+                    continue
+                if ring not in weights:
+                    weights[ring] = orders._search_weights(ring)
+                eq = orders._witness_search(rep, cand, ring, weights[ring])
+                if eq.status == "equivalent":
+                    label = (i, eq.witness)
+                    break
+                if eq.status == "indeterminate":
+                    unresolved.append((i, len(reps), eq.search_bound))
+            if label is None:
+                # an unresolved comparison against a kept candidate may
+                # overcount classes; surfaced, never silently resolved
+                indeterminate.extend(unresolved)
+                label = (len(reps), orders.one(ctx))
+                reps.append(cand)
+                rings.append(ring)
+        counts[kind] += 1
+        labels[cand.den, cand.mat] = label
+        if reps[label[0]] is not cand:
+            over.setdefault(index, []).append((t, label[1].inverse(), label[1]))
+    logger.debug("%d candidates: %d by over-ideal descent, %d by conjugate descent, "
+                 "%d searched; %d classes", len(ideals), counts["over-ideal"],
+                 counts["conjugate"], counts["searched"], len(reps))
+    return reps, rings, indeterminate, labels
 
 
 def refine_by_sigma(result: IcmResult, ell: int) -> tuple[int, ...]:

@@ -13,8 +13,9 @@ K has one multiplication: FieldElement.mult_matrix, the integer matrix M(x)
 of the regular representation (Cohen, GTM 138, 4.2.2), is the one place
 that reduces by alpha^n = -(f_0 + f_1 alpha + .. + f_(n-1) alpha^(n-1)).
 Products of elements, scalings and products of lattices, multiplication
-matrices on a lattice and the conjugates the witness search reads off the
-powers of q/alpha are integer rows times M(x).
+matrices on a lattice and the conjugates icm reads off the powers of
+q/alpha are integer rows times M(x); the witness search needs no conjugate,
+as its trace forms are q^min(k, l) Tr(w alpha^|k - l|) on the power basis.
 
 Each job has one rule.  The multiplicator ring (a : a) is the colon ideal
 at every g.  At g = 1 the reduced binary quadratic form of a lattice
@@ -24,9 +25,10 @@ ideal_equivalent runs the witness search on (b : a) with no multiplicator
 ring: a witness x * a = b forces (a : a) = (b : b), and the unit the search
 scans by is the least power of a fixed unit that maps b into itself.  Rings
 are compared only when a g >= 3 search ends indeterminate.  icm, which
-holds the common ring S of its candidates, calls the search with S; when a
-is S itself, b is an S-module and the search runs on (b : S) = b with no
-colon ideal.
+holds the common ring S of its candidates, calls the search with S and with
+the target-free part of its forms (_search_weights), built once per ring;
+when a is S itself, b is an S-module and the search runs on (b : S) = b
+with no colon ideal.
 """
 
 from __future__ import annotations
@@ -123,9 +125,10 @@ class FieldElement:
 def _conj_power_rows(ctx: WeilContext) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(d, rows) with rows[k] / d the coordinates of (q/alpha)^k,
     k = 0 .. n-1, so that the numerators x give those of conj(x) as x rows,
-    over d.  The one caller, the witness search, is reached only behind the
-    gate WeilContext.refuse_non_simple: f is a Weil polynomial there, q/alpha
-    is a root of f by the functional equation, and nothing is checked here."""
+    over d.  The one caller, icm's conjugate descent, is reached only behind
+    the gate WeilContext.refuse_non_simple: f is a Weil polynomial there,
+    q/alpha is a root of f by the functional equation, and nothing is
+    checked here."""
     abar = q_over_alpha(ctx)
     powers = [one(ctx)]
     for _ in range(ctx.n - 1):
@@ -440,37 +443,30 @@ def ideal_equivalent(a: IdealLattice, b: IdealLattice) -> EquivalenceResult:
     return eq
 
 
-def _witness_search(a: IdealLattice, b: IdealLattice,
-                    ring: IdealLattice | None = None) -> EquivalenceResult:
+def _witness_search(a: IdealLattice, b: IdealLattice, ring: IdealLattice | None = None,
+                    weights=None) -> EquivalenceResult:
     """The search of ideal_equivalent for ideals a != b of one Weil context,
     under forms whose unit is read off b.  ring, when given, is the common
     multiplicator ring S of a and b, which icm holds for its candidates:
     when a is S itself, b is a module over it and (b : a) = b, so no colon
-    ideal is built."""
+    ideal is built.  weights, when given, are _search_weights of a lattice
+    with ring S, which icm builds once per ring."""
     ctx = a.ctx
     target = lattice_index(b, a)  # the |N(x)| any witness must have
     quo = b if a == ring else ideal_quotient(b, a)
     n, den = ctx.n, quo.den
-    # with b_i = mat_i / den and conj(alpha^k) = powers_k / d, the numerators
-    # of scale * b_i conj(b_j) are (mat_j powers) M(mat_i); this scale is a
-    # positive multiple of the least one, and LLL and Fincke-Pohst are exact
-    # and homogeneous, so scaling the Gram matrices and the bound by it
-    # changes no decision, no witness and no output
-    d, powers = _conj_power_rows(ctx)
-    conj_mat, scale = linalg.mat_mul(quo.mat, powers), den * den * d
-    products = [linalg.mat_mul(conj_mat, FieldElement(ctx, row).mult_matrix()) for row in quo.mat]
-    forms, certified = _search_forms(b, target)
+    # with b_i = rows_i / den, den^2 Tr(w b_i conj(b_j)) = rows_i T_w rows_j^T
+    # (_weight_matrix); LLL and Fincke-Pohst are exact and homogeneous, so
+    # the Gram matrices and the bound scaled by den^2 decide as unscaled
+    forms, certified = _search_forms(ctx, weights or _search_weights(b), target)
     want_det = target * den**n
-    red = linalg.identity(n)  # consecutive forms differ little: reduce from the last basis
-    for traces, bound in forms:
-        # scale * Tr(w b_i conj(b_j)), as Tr(w y) = sum_k y_k Tr(w alpha^k)
-        gram = [[sum(c * t for c, t in zip(p, traces)) for p in row] for row in products]
-        gram = linalg.mat_mul(linalg.mat_mul(red, gram), linalg.transpose(red))
+    rows = quo.mat  # consecutive forms differ little: reduce from the last basis
+    for t_w, bound in forms:
+        gram = linalg.mat_mul(linalg.mat_mul(rows, t_w), linalg.transpose(rows))
         u = linalg.lll_reduce_gram(gram)
         gram = linalg.mat_mul(linalg.mat_mul(u, gram), linalg.transpose(u))
-        red = linalg.mat_mul(u, red)
-        rows = linalg.mat_mul(red, quo.mat)  # reduced basis of den * (b : a)
-        for v in linalg.short_vectors(gram, scale * bound):
+        rows = linalg.mat_mul(u, rows)  # reduced basis of den * (b : a)
+        for v in linalg.short_vectors(gram, den * den * bound):
             coords = [sum(v[i] * rows[i][j] for i in range(n)) for j in range(n)]
             # |N(x)| = T, read off the integer multiplication matrix of den * x
             if abs(linalg.determinant(FieldElement(ctx, tuple(coords)).mult_matrix())) != want_det:
@@ -492,11 +488,51 @@ def _witness_search(a: IdealLattice, b: IdealLattice,
 UNIT_SCAN_FROM = 16
 
 
-def _search_forms(lat: IdealLattice, target: Fraction) -> tuple[list[tuple[tuple, Fraction | int]], bool]:
-    """Forms Tr(w * x * conj(x)), each given by (Tr(w alpha^k))_k and a
+def _weight_matrix(w: FieldElement) -> list[list[int]]:
+    """T_w with x T_w y^T = Tr(w * x * conj(y)) on power-basis coordinates,
+    for an integral w of K+: alpha^k conj(alpha^l) is q^min(k, l) times
+    alpha^(k - l) or its conjugate, and Tr(w conj(z)) = Tr(w z) for real w,
+    so T_w[k][l] = q^min(k, l) Tr(w alpha^|k - l|) (the trace form, Cohen,
+    GTM 138, 5.1)."""
+    ctx = w.ctx
+    traces = [int(FieldElement.over(ctx, row, w.den).trace()) for row in w.mult_matrix()]
+    return [[ctx.q ** min(k, l) * traces[abs(k - l)] for l in range(ctx.n)]
+            for k in range(ctx.n)]
+
+
+def _search_weights(lat: IdealLattice) -> tuple[int | None, tuple]:
+    """The part of _search_forms that no target enters, for every lattice
+    with the multiplicator ring of lat: (span, weights), weights the triples
+    (w, T_w, N(w)) of the weights w and span = |Tr_{K+/Q}(eta)| + 2 when one
+    search under w = 1 covers the unit's range (g = 2), else None."""
+    ctx = lat.ctx
+    plain = one(ctx)
+    weights = ((plain, _weight_matrix(plain), 1),)
+    if ctx.g != 2:
+        return None, weights
+    a1, a2 = ctx.f_low[3], ctx.f_low[2]
+    d = a1 * a1 - 4 * (a2 - 2 * ctx.q)  # disc of beta = alpha + q/alpha; not a square
+    beta = alpha(ctx) + q_over_alpha(ctx)
+    span = _real_unit_trace(lat, d, beta) + 2
+    if span <= UNIT_SCAN_FROM:
+        return span, weights
+    # A in (2 sqrt(d), 3 sqrt(d)] puts (A + sqrt(d)) / (A - sqrt(d)) in [2, 3)
+    big_a = isqrt(4 * d) + 1
+    root = plain * (big_a - a1) - 2 * beta  # sqrt(d) = +-(2 beta + a1)
+    gamma, gamma_norm = root * root, (big_a * big_a - d) ** 2
+    weights, w = [], plain
+    for j in range(2 * span.bit_length() + 1):  # rho^m >= 4^m > span^4
+        weights.append((w, _weight_matrix(w), gamma_norm**j))
+        w = w * gamma
+    return None, tuple(weights)
+
+
+def _search_forms(ctx: WeilContext, weights, target: Fraction) -> tuple[list, bool]:
+    """Forms Tr(w * x * conj(x)), each given by T_w (_weight_matrix) and a
     bound, such that some witness x meets one of them, and whether that is
-    proven.  A witness can be moved by any unit of the multiplicator ring S
-    of lat, read off any lattice lat with that ring (_real_unit_trace).
+    proven; weights are _search_weights of a lattice with the ring S of the
+    target lattice.  A witness can be moved by any unit of S
+    (_real_unit_trace).
 
     g = 1: w = 1 and Tr(x * conj(x)) = 2 N(x) = 2T exactly.
     g = 2: write P_i = |x_i|^2 at the two places of K+, so P_1 P_2 = T, and
@@ -513,32 +549,17 @@ def _search_forms(lat: IdealLattice, target: Fraction) -> tuple[list[tuple[tuple
     g >= 3: w = 1 under a fixed multiple of the AM-GM floor n T^(1/g),
     heuristic.
     """
-    ctx = lat.ctx
-    plain = ctx.trace_sums[:ctx.n]
+    span, weights = weights
     if ctx.g == 1:
-        return [(plain, 2 * target)], True
+        return [(weights[0][1], 2 * target)], True
     if ctx.g >= 3:
         r = 1
         while Fraction(r) ** ctx.g < target:
             r += 1
-        return [(plain, 4 * ctx.n * r)], False
-    a1, a2 = ctx.f_low[3], ctx.f_low[2]
-    d = a1 * a1 - 4 * (a2 - 2 * ctx.q)  # disc of beta = alpha + q/alpha; not a square
-    beta = alpha(ctx) + q_over_alpha(ctx)
-    span = _real_unit_trace(lat, d, beta) + 2
-    if span <= UNIT_SCAN_FROM:
-        return [(plain, 2 * _sqrt_ceil(target) * span)], True
-    # A in (2 sqrt(d), 3 sqrt(d)] puts (A + sqrt(d)) / (A - sqrt(d)) in [2, 3)
-    big_a = isqrt(4 * d) + 1
-    root = one(ctx) * (big_a - a1) - 2 * beta  # sqrt(d) = +-(2 beta + a1)
-    gamma, gamma_norm = root * root, (big_a * big_a - d) ** 2
-    forms, w = [], one(ctx)
-    for j in range(2 * span.bit_length() + 1):  # rho^m >= 4^m > span^4
-        traces = tuple(int(FieldElement.over(ctx, row, w.den).trace())
-                       for row in w.mult_matrix())
-        forms.append((traces, Fraction(14, 3) * _sqrt_ceil(target * gamma_norm**j)))
-        w = w * gamma
-    return forms, True
+        return [(weights[0][1], 4 * ctx.n * r)], False
+    if span is not None:
+        return [(weights[0][1], 2 * _sqrt_ceil(target) * span)], True
+    return [(t_w, Fraction(14, 3) * _sqrt_ceil(target * norm)) for _, t_w, norm in weights], True
 
 
 def _sqrt_ceil(x: Fraction) -> Fraction:

@@ -11,17 +11,18 @@ FieldElement.mult_matrix, and the lattice kernels that read it off, the
 conjugate built on it, which serves as the oracle for the conjugation rows
 of the witness search, the zero element and the norm det M(x) / den^n
 of a field element, the ring-first equivalence decision that serves as the
-oracle for orders.ideal_equivalent, the cofactor matrix read off the
-adjugate of linalg._leverrier, and the element built from rational
-coordinates and the Weil test on bare coefficients, which only tests
-need."""
+oracle for orders.ideal_equivalent, the pairwise class listing that
+serves as the oracle for the descents of icm._classes_by_descent, the
+cofactor matrix read off the adjugate of linalg._leverrier, and the element
+built from rational coordinates and the Weil test on bare coefficients,
+which only tests need."""
 
 import json
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
-from avcyclic import linalg, orders, weil
+from avcyclic import icm, linalg, orders, weil
 from avcyclic import polynomials as poly
 from avcyclic.errors import DegenerateLatticeError
 
@@ -188,6 +189,43 @@ def ring_first_equivalent(a, b):
     if ring != orders.multiplicator_ring(b).lattice:
         return orders.EquivalenceResult("not_equivalent")
     return orders._witness_search(a, b, ring)
+
+
+def pairwise_icm(order, index_bound):
+    """icm.enumerate_icm at g >= 2 with no descent: each candidate is a new
+    class unless the witness search, given its ring, finds it equivalent to
+    a kept representative with that ring, and each pair the search leaves
+    undecided against a kept candidate is reported."""
+    ctx, lat = order.ctx, order.lattice
+    ring_of = icm._ring_decider(order)
+    reps, rings, indeterminate = [], [], []
+    for t in icm.integral_ideals(order, index_bound):
+        cand = orders.IdealLattice.over(ctx, linalg.mat_mul(t, lat.mat), lat.den)
+        ring = ring_of(cand, prod(t[k][k] for k in range(ctx.n)))
+        unresolved = []
+        for i, rep in enumerate(reps):
+            if rings[i] != ring:
+                continue
+            eq = orders._witness_search(rep, cand, ring)
+            if eq.status == "equivalent":
+                break
+            if eq.status == "indeterminate":
+                unresolved.append((i, len(reps), eq.search_bound))
+        else:
+            indeterminate.extend(unresolved)
+            reps.append(cand)
+            rings.append(ring)
+    certified = index_bound >= icm.minkowski_index_bound(order) and not indeterminate
+    ranked = sorted(range(len(reps)), key=lambda i: (reps[i].den, reps[i].mat))
+    rank = {old: new for new, old in enumerate(ranked)}
+    return icm.IcmResult(
+        order=order,
+        classes=tuple(reps[i] for i in ranked),
+        multiplicator_rings=tuple(rings[i] for i in ranked),
+        index_bound=index_bound,
+        completeness="certified" if certified else "heuristic",
+        indeterminate_pairs=tuple((rank[i], rank[j], b) for i, j, b in indeterminate),
+    )
 
 
 def products_matrix(x, lat):

@@ -7,11 +7,11 @@ from math import prod
 
 import pytest
 
-from avcyclic import icm, linalg, orders, weil
+from avcyclic import cyclicity, icm, linalg, orders, weil
 from avcyclic.errors import CapabilityError, InputError
 from avcyclic.orders import IdealLattice
 
-from _helpers import corpus_contexts, g1_contexts, is_integral, vec_mat, zero
+from _helpers import corpus_contexts, g1_contexts, is_integral, pairwise_icm, vec_mat, zero
 
 
 def pair_order(p, r, g, coeffs):
@@ -103,6 +103,18 @@ def test_bound_edge_cases():
     tiny = icm.enumerate_icm(o, index_bound=1)
     assert len(tiny.classes) == 1  # only the order itself at index 1
     assert tiny.completeness == "heuristic"  # bound below the certified one
+
+
+@pytest.mark.parametrize("bound", [True, False, 2.5, 3.0, "3", Fraction(3)])
+def test_a_bound_that_is_not_an_int_is_refused(bound):
+    # one rule for integer input, weil.is_int: a bool is not a bound, and
+    # neither is a float, a string or a Fraction, in icm or the pipeline
+    ctx = weil.make_context(5, 1, 1, [1, -2, 5])
+    for call in (lambda: icm.enumerate_icm(orders.frobenius_pair_order(ctx), bound),
+                 lambda: cyclicity.classify_isogeny_class(ctx, bound)):
+        with pytest.raises(InputError) as e:
+            call()
+        assert e.value.code == "bad_bound"
 
 
 def test_monotone_and_stabilizing():
@@ -393,3 +405,53 @@ def test_colon_by_the_ring_is_the_ideal():
         result = icm.enumerate_icm(orders.frobenius_pair_order(ctx))
         for b, ring in zip(result.classes, result.multiplicator_rings):
             assert orders.ideal_quotient(b, ring) == b, (ctx.f, b)
+
+
+def _corpus_quartic_orders():
+    return [orders.frobenius_pair_order(ctx) for ctx in corpus_contexts() if ctx.g == 2]
+
+
+def test_descent_lists_the_classes_of_the_pairwise_search():
+    # the descents only ever prove equivalences, so the class list, the
+    # rings, the flag and the undecided pairs are those of the pairwise
+    # search; on the corpus quartics every descent witness is exact
+    cases = [(o, None) for o in _corpus_quartic_orders()]
+    cases += [(pair_order(p, r, 2, f), bound) for p, r, f, bound in BOUNDED_QUARTICS]
+    for o, bound in cases:
+        result = icm.enumerate_icm(o, bound)
+        assert result == pairwise_icm(o, result.index_bound), o.ctx.f
+    for o, _ in cases[:-len(BOUNDED_QUARTICS)]:
+        ideals = icm.integral_ideals(o, icm.enumerate_icm(o).index_bound)
+        reps, _, _, labels = icm._classes_by_descent(o, ideals, icm._ring_decider(o))
+        assert len(labels) == len(ideals)
+        for t in ideals:
+            cand = IdealLattice.over(o.ctx, linalg.mat_mul(t, o.lattice.mat), o.lattice.den)
+            c, x = labels[cand.den, cand.mat]
+            assert reps[c].scale(x) == cand, (o.ctx.f, t)
+
+
+def test_descent_counters_on_the_corpus_quartics(monkeypatch):
+    # machine-independent counts: the descents leave 64 of the pairwise
+    # search's 168 witness searches, and the unit is read once per searched
+    # ring of each context, the same on every run
+    calls = {}
+
+    def counted(name):
+        fn = getattr(orders, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(orders, name, wrapper)
+
+    counted("_witness_search")
+    counted("_real_unit_trace")
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        for o in _corpus_quartic_orders():
+            icm.enumerate_icm(o)
+        runs.append(dict(calls))
+    assert runs[0] == runs[1]
+    assert runs[0]["_witness_search"] <= 64
+    assert runs[0]["_real_unit_trace"] <= 20

@@ -895,3 +895,28 @@ def test_conj_power_rows_match_convolution(ctx):
         x = make_element(ctx, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                                     for _ in range(ctx.n)])
         assert conj(conj(x)) == x
+
+
+def test_weight_matrix_is_the_trace_form(monkeypatch):
+    # T_w[k][l] = q^min(k, l) Tr(w alpha^|k - l|) is Tr(w alpha^k conj(alpha^l))
+    # for real w: w = 1 and the first scan weights gamma^j on the corpus
+    # quartics, and w = 1 and powers of beta = alpha + q/alpha at g = 3
+    monkeypatch.setattr(orders, "UNIT_SCAN_FROM", 0)  # every quartic scans
+    cases = []
+    for ctx in corpus_contexts():
+        if ctx.g == 2:
+            _, weights = orders._search_weights(orders.frobenius_pair_order(ctx).lattice)
+            assert weights[0][0] == orders.one(ctx)
+            cases += [(w, t_w) for w, t_w, _ in weights[:4]]
+    ctx = _ONE_CONTEXT_PER_DEGREE[2]
+    beta = orders.alpha(ctx) + orders.q_over_alpha(ctx)
+    cases += [(w, orders._weight_matrix(w)) for w in (orders.one(ctx), beta, beta * beta)]
+    assert len(cases) == 83
+    for w, t_w in cases:
+        ctx = w.ctx
+        d, rows = orders._conj_power_rows(ctx)
+        powers = [orders.one(ctx)]
+        for _ in range(ctx.n - 1):
+            powers.append(powers[-1] * orders.alpha(ctx))
+        conj_powers = [FieldElement.over(ctx, row, d) for row in rows]
+        assert t_w == [[(w * x * y).trace() for y in conj_powers] for x in powers], ctx.f
