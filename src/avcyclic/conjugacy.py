@@ -18,8 +18,10 @@ construction: pull_back builds the lattice from an explicit basis, and the
 change of basis Q to the canonical one is integral and unimodular with
 Q^T rep = m Q^T exactly when the lattice realizes m (Latimer-MacDuffee).
 u = (Q^T)^-1 is then a witness rep = u m u^-1, so converting needs no
-equivalence search; matrices_conjugate, which must find a witness for two
-given matrices, runs one.
+equivalence search.  matrices_conjugate, which must find a witness for two
+given matrices, takes the equivalence witness x of their lattices from
+orders.ideal_equivalent, read off the reduced bases at g = 1 and found by
+the witness search for g >= 2, and turns it into the integer matrix u.
 """
 
 from __future__ import annotations

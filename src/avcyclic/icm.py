@@ -362,7 +362,7 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
     if ctx.g == 1:
         reps, rings, keys = [], [], set()
         for t in ideals:
-            cand = IdealLattice.over(ctx, linalg.mat_mul(t, order.lattice.mat), order.lattice.den)
+            cand = IdealLattice(ctx, 1, linalg.freeze(t))  # already canonical over Z[alpha]
             key = orders.form_key(cand)
             if key not in keys:
                 keys.add(key)

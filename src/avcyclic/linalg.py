@@ -128,19 +128,21 @@ def _leverrier(b: Matrix) -> tuple[list[int], list[list[int]]]:
     """(c, adj(B)) for a square integer matrix B: c = [1, c_1, .., c_n] with
     det(tI - B) = sum_k c_k t^(n-k), by integer Faddeev-LeVerrier.
 
-    M_k = B (M_(k-1) + c_(k-1) I) from M_0 = 0, and c_k = -tr(M_k) / k is an
+    M_k = B (M_(k-1) + c_(k-1) I) from M_1 = B, and c_k = -tr(M_k) / k is an
     exact integer.  M_(n-1) + c_(n-1) I = B^(n-1) + c_1 B^(n-2) + .. + c_(n-1) I,
-    which is (-1)^(n+1) adj(B) by Cayley-Hamilton, singular B included.
+    which is (-1)^(n+1) adj(B) by Cayley-Hamilton, singular B included; the
+    last step needs only tr(M_n), read off B and that matrix with no product.
     """
     n = len(b)
-    c = [1]
-    m = adj = zeros(n, n)
-    for k in range(1, n + 1):
-        for i in range(n):
-            m[i][i] += c[-1]
-        adj = m
-        m = mat_mul(b, m)
+    c, adj, m = [1], identity(n), copy_rows(b)
+    for k in range(1, n):
         c.append(-sum(m[i][i] for i in range(n)) // k)
+        adj = m
+        for i in range(n):
+            adj[i][i] += c[-1]
+        if k < n - 1:
+            m = mat_mul(b, adj)
+    c.append(-sum(x * adj[j][i] for i, row in enumerate(b) for j, x in enumerate(row)) // n)
     return c, adj if n % 2 else [[-x for x in row] for row in adj]
 
 

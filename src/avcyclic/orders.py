@@ -20,15 +20,18 @@ as its trace forms are q^min(k, l) Tr(w alpha^|k - l|) on the power basis.
 Each job has one rule.  The multiplicator ring (a : a) is the colon ideal
 at every g.  At g = 1 the reduced binary quadratic form of a lattice
 (form_key) names its class, and ideal_equivalent decides by it, as icm
-does; the witness search then only builds the witness.  For g >= 2
-ideal_equivalent runs the witness search on (b : a) with no multiplicator
-ring: a witness x * a = b forces (a : a) = (b : b), and the unit the search
-scans by is the least power of a fixed unit that maps b into itself.  Rings
-are compared only when a g >= 3 search ends indeterminate.  icm, which
-holds the common ring S of its candidates, calls the search with S and with
-the target-free part of its forms (_search_weights), built once per ring;
-when a is S itself, b is an S-module and the search runs on (b : S) = b
-with no colon ideal.
+does; the one reduction (_reduced_form) also carries the basis along, and
+the witness is the ratio of the first reduced basis vectors, with no colon
+ideal and no search.  For g >= 2 ideal_equivalent runs the witness search
+on (b : a) with no multiplicator ring: a witness x * a = b forces
+(a : a) = (b : b), and the unit the search scans by is the least power of
+a fixed unit that maps b into itself.  Rings are compared only when a
+g >= 3 search ends indeterminate.  icm, which holds the common ring S of
+its candidates, calls the search with S and with the target-free part of
+its forms (_search_weights), built once per ring; when a is S itself, b is
+an S-module and the search runs on (b : S) = b with no colon ideal.  The
+search keeps its certified g = 1 bound, though only the tests reach it
+there.
 """
 
 from __future__ import annotations
@@ -364,9 +367,20 @@ def form_key(lat: IdealLattice) -> tuple[int, int, int]:
     tau = v / u is a root of A t^2 - B t + C with A > 0.  Every lattice of
     a quadratic field is invertible over its multiplicator ring O, so
     B^2 - 4AC, kept by reduction, is disc(O).  Every basis here is oriented
-    alike (m00 m11 > 0), so equal reduced forms mean lambda I = J for some
-    lambda in K^* (Cohen, GTM 138, 5.2.8), never I and its conjugate.
+    alike (m00 m11 > 0) and reduction keeps the orientation, so equal
+    reduced forms mean equal tau on the reduced bases, and
+    J = (u_J / u_I) I (Cohen, GTM 138, 5.2.8), never I and its conjugate:
+    ideal_equivalent reads that witness off _reduced_form.
     """
+    return _reduced_form(lat)[0]
+
+
+def _reduced_form(lat: IdealLattice) -> tuple[tuple[int, int, int], tuple[int, int]]:
+    """(form_key(lat), u) with u the numerators over lat.den of the first
+    vector of the reduced basis (u, v) that reduction carries along: a
+    translation b -> b - 2ak sends v to v - k u, the swap (a, b, c) ->
+    (c, -b, a) sends (u, v) to (v, -u), and the final flip of b < 0 when
+    a = c takes u to v."""
     (m00, m01), (_, m11) = lat.mat
     q, a1 = lat.ctx.f_low[:2]  # N(c0 + c1 alpha) = c0^2 - a1 c0 c1 + q c1^2
     a = m00 * m00 - a1 * m00 * m01 + q * m01 * m01
@@ -374,6 +388,7 @@ def form_key(lat: IdealLattice) -> tuple[int, int, int]:
     c = q * m11 * m11
     k = gcd(a, b, c)
     a, b, c = a // k, b // k, c // k
+    (u0, u1), (v0, v1) = (m00, m01), (0, m11)
     # reduce to |b| <= a <= c, b >= 0 if |b| = a or a = c (Cohen, 5.4.2)
     while True:
         if not -a < b <= a:
@@ -381,9 +396,13 @@ def form_key(lat: IdealLattice) -> tuple[int, int, int]:
             if r > a:
                 k, r = k + 1, r - 2 * a
             b, c = r, c - (b + r) // 2 * k
+            v0, v1 = v0 - k * u0, v1 - k * u1
         if a <= c:
-            return (a, -b if a == c and b < 0 else b, c)
+            if a == c and b < 0:
+                b, u0, u1 = -b, v0, v1
+            return (a, b, c), (u0, u1)
         a, b, c = c, -b, a
+        (u0, u1), (v0, v1) = (v0, v1), (-u0, -u1)
 
 
 def discriminant(order: OrderDesc) -> int:
@@ -409,34 +428,42 @@ class EquivalenceResult:
 
 
 def ideal_equivalent(a: IdealLattice, b: IdealLattice) -> EquivalenceResult:
-    """Searches for x with x * a = b.
+    """Decides whether x * a = b for some x in K, with the witness x.
 
-    Every witness lies in (b : a) and has |N(x)| = [a : b].  A witness also
-    forces (a : a) = (b : b), so the search needs no multiplicator ring: it
-    runs on (b : a) at once, under forms whose unit is the least power of a
-    fixed unit that maps b into itself (_search_forms).  It is an exact
-    Fincke-Pohst enumeration of (b : a) under trace forms
-    Tr(w * x * conj(x)), w totally positive in K+, each on an LLL-reduced
-    basis.  An irreducible Weil polynomial makes K a CM field, on which
-    these forms are positive definite.  For g <= 2 (unit rank g - 1 <= 1)
-    the bounds provably cover some witness.  At g = 1 equal reduced forms
-    (form_key) decide, the rule icm uses, and the search only builds the
-    witness of an equivalent pair: equal keys with no witness found raise
-    ConsistencyError.  At g = 2 a failed search is a proof of
-    inequivalence, for ideals with different rings too.  For g >= 3 the
-    bound is heuristic: an exhausted search reports indeterminate, unless
-    the multiplicator rings, compared only then, differ.
+    At g = 1 the reduced forms decide (form_key), the rule icm uses, and
+    the witness is read off the two reduced bases: x = u_b / u_a
+    (_reduced_form), certified by a.scale(x) == b, with no colon ideal and
+    no search.  Equal keys whose witness fails that certificate raise
+    ConsistencyError.
+
+    For g >= 2 it searches.  Every witness lies in (b : a) and has
+    |N(x)| = [a : b].  A witness also forces (a : a) = (b : b), so the
+    search needs no multiplicator ring: it runs on (b : a) at once, under
+    forms whose unit is the least power of a fixed unit that maps b into
+    itself (_search_forms).  It is an exact Fincke-Pohst enumeration of
+    (b : a) under trace forms Tr(w * x * conj(x)), w totally positive in
+    K+, each on an LLL-reduced basis.  An irreducible Weil polynomial makes
+    K a CM field, on which these forms are positive definite.  At g = 2
+    (unit rank 1) the bounds provably cover some witness, so a failed
+    search is a proof of inequivalence, for ideals with different rings
+    too.  For g >= 3 the bound is heuristic: an exhausted search reports
+    indeterminate, unless the multiplicator rings, compared only then,
+    differ.
     """
     _same_ctx(a, b)
     ctx = a.ctx
     ctx.refuse_non_simple()
     if a == b:
         return EquivalenceResult("equivalent", one(ctx))
-    if ctx.g == 1 and form_key(a) != form_key(b):
-        return EquivalenceResult("not_equivalent")
+    if ctx.g == 1:
+        (key_a, u_a), (key_b, u_b) = _reduced_form(a), _reduced_form(b)
+        if key_a != key_b:
+            return EquivalenceResult("not_equivalent")
+        x = FieldElement.over(ctx, u_b, b.den) * FieldElement.over(ctx, u_a, a.den).inverse()
+        if a.scale(x) != b:
+            raise ConsistencyError("equal reduced forms, but u_b / u_a does not carry a to b")
+        return EquivalenceResult("equivalent", x)
     eq = _witness_search(a, b)
-    if ctx.g == 1 and eq.status != "equivalent":
-        raise ConsistencyError("equal reduced forms, but the search found no witness")
     if eq.status == "indeterminate" and (multiplicator_ring(a).lattice
                                          != multiplicator_ring(b).lattice):
         return EquivalenceResult("not_equivalent")
@@ -445,12 +472,13 @@ def ideal_equivalent(a: IdealLattice, b: IdealLattice) -> EquivalenceResult:
 
 def _witness_search(a: IdealLattice, b: IdealLattice, ring: IdealLattice | None = None,
                     weights=None) -> EquivalenceResult:
-    """The search of ideal_equivalent for ideals a != b of one Weil context,
-    under forms whose unit is read off b.  ring, when given, is the common
-    multiplicator ring S of a and b, which icm holds for its candidates:
-    when a is S itself, b is a module over it and (b : a) = b, so no colon
-    ideal is built.  weights, when given, are _search_weights of a lattice
-    with ring S, which icm builds once per ring."""
+    """The search of ideal_equivalent for g >= 2, for ideals a != b of one
+    Weil context, under forms whose unit is read off b; sound at g = 1 too.
+    ring, when given, is the common multiplicator ring S of a and b, which
+    icm holds for its candidates: when a is S itself, b is a module over it
+    and (b : a) = b, so no colon ideal is built.  weights, when given, are
+    _search_weights of a lattice with ring S, which icm builds once per
+    ring."""
     ctx = a.ctx
     target = lattice_index(b, a)  # the |N(x)| any witness must have
     quo = b if a == ring else ideal_quotient(b, a)
@@ -493,9 +521,10 @@ def _weight_matrix(w: FieldElement) -> list[list[int]]:
     for an integral w of K+: alpha^k conj(alpha^l) is q^min(k, l) times
     alpha^(k - l) or its conjugate, and Tr(w conj(z)) = Tr(w z) for real w,
     so T_w[k][l] = q^min(k, l) Tr(w alpha^|k - l|) (the trace form, Cohen,
-    GTM 138, 5.1)."""
-    ctx = w.ctx
-    traces = [int(FieldElement.over(ctx, row, w.den).trace()) for row in w.mult_matrix()]
+    GTM 138, 5.1), and Tr(w alpha^m) = sum_i w_i p_(i+m) for the power sums
+    p_k = Tr(alpha^k), k <= 2n - 2."""
+    ctx, p = w.ctx, w.ctx.trace_sums
+    traces = [sum(x * p[i + m] for i, x in enumerate(w.num)) // w.den for m in range(ctx.n)]
     return [[ctx.q ** min(k, l) * traces[abs(k - l)] for l in range(ctx.n)]
             for k in range(ctx.n)]
 

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from avcyclic import conjugacy, linalg, orders, weil
+from avcyclic import conjugacy, icm, linalg, orders, weil
 from avcyclic.errors import ConsistencyError, InputError
 from avcyclic.orders import IdealLattice
 
-from _helpers import conjugate, inverse_unimodular, make_element, random_unimodular
+from _helpers import (conjugate, corpus_contexts, inverse_unimodular, make_element,
+                      random_unimodular)
 
 
 def ctx2():
@@ -217,6 +218,34 @@ def test_quartic_conjugacy_test_builds_one_colon_ideal_and_no_ring(monkeypatch):
     r = conjugacy.matrices_conjugate(c, moved, base)
     assert r.status == "conjugate"
     assert calls == {"ideal_quotient": 1}
+
+
+
+def test_g1_conjugacy_runs_no_search_and_no_colon_ideal(monkeypatch):
+    # at g = 1 the witness is read off the reduced bases: U M U^-1 against M
+    # for every g = 1 corpus class M, both ways round, with the witness
+    # search and the colon ideal refused, still finds a verified witness
+    reps = [(ctx, conjugacy.ideal_to_matrix(lat).rep) for ctx in corpus_contexts() if ctx.g == 1
+            for lat in icm.enumerate_icm(orders.frobenius_pair_order(ctx)).classes]
+    assert len(reps) == 68
+
+    def refuse(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(orders, "_witness_search", refuse)
+    monkeypatch.setattr(orders, "ideal_quotient", refuse)
+    rng = random.Random(41)
+    moved_lattices = 0
+    for ctx, m in reps:
+        m = [list(row) for row in m]
+        moved = conjugate(m, random_unimodular(rng, 2))
+        moved_lattices += conjugacy.matrix_to_ideal(ctx, moved) != conjugacy.matrix_to_ideal(ctx, m)
+        for a, b in ((moved, m), (m, moved)):
+            r = conjugacy.matrices_conjugate(ctx, a, b)
+            assert r.status == "conjugate", (ctx.f, a, b)
+            u = [list(row) for row in r.witness]
+            assert linalg.is_unimodular(u) and linalg.mat_mul(b, u) == linalg.mat_mul(u, a)
+    assert moved_lattices == 57
 
 
 def test_quartic_roundtrip():

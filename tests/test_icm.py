@@ -264,6 +264,23 @@ def test_g1_form_key_decides_equivalence():
     assert pairs > 0
 
 
+
+def test_g1_candidates_are_already_canonical():
+    # at g = 1 the order is Z[alpha], with basis (1, alpha) over den 1, and
+    # integral_ideals returns canonical Hermite forms, so enumerate_icm takes
+    # each as the lattice (1, t) with no second Hermite form
+    count = 0
+    for ctx in g1_contexts(64):
+        order = orders.frobenius_pair_order(ctx)
+        base = order.lattice
+        assert (base.den, base.mat) == (1, ((1, 0), (0, 1)))
+        for t in icm.integral_ideals(order, icm.minkowski_index_bound(order)):
+            cand = IdealLattice.over(ctx, linalg.mat_mul(t, base.mat), base.den)
+            assert IdealLattice(ctx, 1, linalg.freeze(t)) == cand, (ctx.f, t)
+            count += 1
+    assert count == 2536
+
+
 def test_refine_by_sigma_values():
     r5 = icm.enumerate_icm(pair_order(5, 1, 1, [1, -2, 5]))
     kept = icm.refine_by_sigma(r5, 2)

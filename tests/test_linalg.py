@@ -628,9 +628,11 @@ def _low_rank_matrices(draw):
 @PROPERTY
 @given(_low_rank_matrices())
 def test_cofactor_matrix_matches_sympy_adjugate(m):
+    # the adjugate of _leverrier, and its charpoly, on singular matrices too
     want = sympy.Matrix(m).adjugate().T.tolist() if len(m) > 1 else [[1]]
     assert cofactor_matrix(m) == [[int(x) for x in row] for row in want]
     assert linalg.tau(m) == linalg.entries_gcd(want)
+    assert linalg.charpoly(m) == _sympy_charpoly(m)
 
 
 def test_low_rank_matrices_reach_every_rank_drop():
@@ -658,3 +660,21 @@ def test_tau_reads_no_determinant(monkeypatch):
     monkeypatch.setattr(linalg, "determinant", refuse)
     assert [linalg.tau(m) for m in mats] == want
     assert want[-2:] == [1, 3]
+
+
+def test_leverrier_takes_n_minus_2_products(monkeypatch):
+    # M_1 = B needs no product B I, and the last step reads tr(B adj) off
+    # the two matrices: no product at n <= 2, two fewer than n above that
+    calls = []
+    product = linalg.mat_mul
+
+    def counted(a, b):
+        calls.append(len(a))
+        return product(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    rng = random.Random(37)
+    for n in range(1, 9):
+        calls.clear()
+        linalg._leverrier(random_int_matrix(rng, n))
+        assert len(calls) == max(n - 2, 0), n

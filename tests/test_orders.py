@@ -354,19 +354,25 @@ def test_g1_multiplicator_ring_matches_colon_ring(ctx, kind, data):
 @given(st.sampled_from(list(g1_contexts(64))), st.sampled_from(("scaled", "any")),
        st.booleans(), st.data())
 def test_g1_equivalence_status_is_the_search_status(ctx, kind, moved, data):
-    # ideal_equivalent decides g = 1 pairs by the reduced form; the
-    # certified search, which reads no form, reaches the same status on
-    # pairs of scaled ideals, on pairs of lattices that alpha does not map
-    # into themselves, and on a lattice against a scaled copy of itself
+    # ideal_equivalent decides g = 1 pairs by the reduced form and reads the
+    # witness u_b / u_a off the reduced bases; the certified search, which
+    # reads no form, reaches the same status on pairs of scaled ideals, on
+    # pairs of lattices that alpha does not map into themselves, and on a
+    # lattice against a scaled copy of itself.  Both witnesses carry a to b,
+    # so they differ by a unit of the common multiplicator ring
     a = _draw_g1_lattice(ctx, kind, data)
     if moved:
         coords = st.lists(st.fractions(-9, 9, max_denominator=7), min_size=2, max_size=2)
         b = a.scale(make_element(ctx, data.draw(coords.filter(any))))
     else:
         b = _draw_g1_lattice(ctx, kind, data)
-    r = orders.ideal_equivalent(a, b)
-    assert r.status == orders._witness_search(a, b).status
-    assert r.status == "not_equivalent" or a.scale(r.witness) == b
+    r, search = orders.ideal_equivalent(a, b), orders._witness_search(a, b)
+    assert r.status == search.status
+    if r.status == "equivalent":
+        assert a.scale(r.witness) == b == a.scale(search.witness)
+        unit, ring = r.witness * search.witness.inverse(), orders.multiplicator_ring(a).lattice
+        assert unit in ring and unit.inverse() in ring
+
 
 
 def test_discriminants():
@@ -420,17 +426,24 @@ def test_equivalence_distinct_rings_short_circuit():
 
 
 def test_g1_equal_keys_without_a_witness_raise(monkeypatch):
-    # at g = 1 the reduced forms decide and the search only builds the
-    # witness: a search that finds none for equal keys is a consistency
+    # at g = 1 the reduced forms decide and the witness u_b / u_a is read
+    # off the reduced bases, then certified: a witness that does not carry
+    # a to b, from a broken reduction or a broken scaling, is a consistency
     # failure, never an answer
     c = ctx5()
     std = IdealLattice.standard(c)
     moved = std.scale(make_element(c, [1, 1]))
     assert orders.form_key(std) == orders.form_key(moved)
-    monkeypatch.setattr(orders, "_witness_search",
-                        lambda a, b: orders.EquivalenceResult("not_equivalent"))
-    with pytest.raises(ConsistencyError):
-        orders.ideal_equivalent(std, moved)
+    assert orders.ideal_equivalent(std, moved).status == "equivalent"
+    reduced = orders._reduced_form
+    with monkeypatch.context() as patch:
+        patch.setattr(orders, "_reduced_form", lambda lat: (reduced(lat)[0], (lat.den, 0)))
+        with pytest.raises(ConsistencyError):
+            orders.ideal_equivalent(std, moved)
+    with monkeypatch.context() as patch:
+        patch.setattr(IdealLattice, "scale", lambda lat, x: lat)
+        with pytest.raises(ConsistencyError):
+            orders.ideal_equivalent(std, moved)
 
 
 def test_equivalence_certified_negative():
@@ -666,15 +679,17 @@ def test_equivalence_finds_a_witness_for_any_scaling(g, data):
 def test_equivalence_agrees_with_the_ring_first_decision_on_corpus_lattices():
     # on every ordered pair of the class representatives and multiplicator
     # rings of each corpus context (g = 1 and g = 2) ideal_equivalent reaches
-    # the status and the witness of the decision that compares the rings
-    # first, and where the rings differ the certified search alone, with no
-    # ring, proves inequivalence
+    # the status of the decision that compares the rings first, each witness
+    # carries a to b, and where the rings differ the certified search alone,
+    # with no ring, proves inequivalence
     pairs = distinct = 0
     for result in _corpus_results():
         lattices = list(dict.fromkeys(result.classes + result.multiplicator_rings))
         for a in lattices:
             for b in lattices:
-                assert orders.ideal_equivalent(a, b) == ring_first_equivalent(a, b), (a, b)
+                r, want = orders.ideal_equivalent(a, b), ring_first_equivalent(a, b)
+                assert r.status == want.status, (a, b)
+                assert r.witness is None or a.scale(r.witness) == b, (a, b)
                 pairs += 1
                 if orders.multiplicator_ring(a) != orders.multiplicator_ring(b):
                     assert orders._witness_search(a, b).status == "not_equivalent", (a, b)
@@ -694,7 +709,8 @@ def test_equivalence_agrees_with_the_ring_first_decision_on_conjugate_pairs():
         moved = conjugate(m, random_unimodular(rng, ctx.n))
         a, b = conjugacy.matrix_to_ideal(ctx, moved), conjugacy.matrix_to_ideal(ctx, m)
         r = orders.ideal_equivalent(a, b)
-        assert r.status == "equivalent" and r == ring_first_equivalent(a, b), (ctx.f, moved)
+        assert r.status == "equivalent" == ring_first_equivalent(a, b).status, (ctx.f, moved)
+        assert a.scale(r.witness) == b, (ctx.f, moved)
         searched += a != b
     assert searched == 167
 
@@ -897,21 +913,23 @@ def test_conj_power_rows_match_convolution(ctx):
         assert conj(conj(x)) == x
 
 
+
 def test_weight_matrix_is_the_trace_form(monkeypatch):
-    # T_w[k][l] = q^min(k, l) Tr(w alpha^|k - l|) is Tr(w alpha^k conj(alpha^l))
-    # for real w: w = 1 and the first scan weights gamma^j on the corpus
-    # quartics, and w = 1 and powers of beta = alpha + q/alpha at g = 3
+    # T_w[k][l] = q^min(k, l) Tr(w alpha^|k - l|), its traces read off the
+    # power sums, is Tr(w alpha^k conj(alpha^l)) for real w: w = 1 and every
+    # scan weight gamma^j on the corpus quartics, and w = 1 and powers of
+    # beta = alpha + q/alpha at g = 3
     monkeypatch.setattr(orders, "UNIT_SCAN_FROM", 0)  # every quartic scans
     cases = []
     for ctx in corpus_contexts():
         if ctx.g == 2:
             _, weights = orders._search_weights(orders.frobenius_pair_order(ctx).lattice)
             assert weights[0][0] == orders.one(ctx)
-            cases += [(w, t_w) for w, t_w, _ in weights[:4]]
+            cases += [(w, t_w) for w, t_w, _ in weights]
     ctx = _ONE_CONTEXT_PER_DEGREE[2]
     beta = orders.alpha(ctx) + orders.q_over_alpha(ctx)
     cases += [(w, orders._weight_matrix(w)) for w in (orders.one(ctx), beta, beta * beta)]
-    assert len(cases) == 83
+    assert len(cases) == 149
     for w, t_w in cases:
         ctx = w.ctx
         d, rows = orders._conj_power_rows(ctx)

@@ -172,13 +172,18 @@ def test_one_multiplication_in_k():
 def test_one_ring_formula_and_one_g1_equivalence_rule():
     # the multiplicator ring is the colon ideal at every g, with no g = 1
     # closed form and no norm-form helper left, and ideal_equivalent
-    # decides g = 1 pairs by the reduced form, the rule icm uses
+    # decides g = 1 pairs by the reduced form, the rule icm uses: form_key
+    # and ideal_equivalent share the one reduction, which also yields the
+    # g = 1 witness
     kernels = _functions("orders")
     ring = kernels["multiplicator_ring"]
     assert "g" not in {node.attr for node in ast.walk(ring) if isinstance(node, ast.Attribute)}
     assert "ideal_quotient" in _called_names(ring)
     assert not [path.name for path in SOURCES if "_norm_form" in path.read_text(encoding="utf-8")]
-    assert "form_key" in _called_names(kernels["ideal_equivalent"])
+    assert _called_names(kernels["form_key"]) == {"_reduced_form"}
+    assert "_reduced_form" in _called_names(kernels["ideal_equivalent"])
+    assert {(m, scope) for m, scope, _ in _call_sites("_reduced_form")} == {
+        ("orders", "form_key"), ("orders", "ideal_equivalent")}
 
 
 def test_no_option_or_member_only_tests_reach():
