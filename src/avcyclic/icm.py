@@ -11,15 +11,13 @@ ones already placed (Marseglia, arXiv:1805.09671): x^-1 N for a placed
 over-ideal M = x C of N, or the conjugate of N, which is listed too since
 Z[F, V] is closed under conjugation.  Only a candidate with neither is
 tested against every kept representative with its multiplicator ring.
-That ring is R = Z[F, V], with no colon ideal, where the data proves it,
-else (I : I).  At g = 1 it is R exactly when the reduced form has
-discriminant disc(R).  For g >= 2 an ideal I of index d of R has
-R <= (I : I) <= d^-1 R, so it is R unless some prime p | d has
-p^2 | disc(R) and R is not p-maximal, which one Pohst-Zassenhaus test per
-prime decides (Cohen, GTM 138, 6.1.3).  The tests run the witness search
-of orders.ideal_equivalent with that ring and its search weights, built
-once per ring, and a test against R itself builds no colon ideal either,
-since (b : R) = b.
+That ring is R = Z[F, V], with no colon ideal, where the discriminant
+proves it, else (I : I).  At g = 1 it is R exactly when the reduced form
+has discriminant disc(R).  For g >= 2 an ideal I of index d of R has
+R <= (I : I) <= d^-1 R, so it is R when no prime p | d has p^2 | disc(R).
+The tests run the witness search of orders.ideal_equivalent with that ring
+and its search weights, built once per ring, and a test against R itself
+builds no colon ideal either, since (b : R) = b.
 
 The integral ideals are built prime by prime (Cohen, GTM 138, 6.2).  At
 g = 1 the order Z[F, V] is Z[alpha], since q/alpha = -a1 - alpha, and its
@@ -270,58 +268,20 @@ def _kernel_mod(rows, p: int) -> list[list[int]]:
     return out
 
 
-def _ring_decider(order: OrderDesc):
-    """ring_of(I, e), the multiplicator ring of an ideal I of the order R:
-    R itself, with no colon ideal, where the evidence e read off I proves
-    it, else (I : I).  At g = 1, e is the reduced form (a, b, c) of I,
-    whose discriminant is that of (I : I) >= R, and an order of an
+def _ring_of(order: OrderDesc, disc: int, ideal: IdealLattice, evidence) -> IdealLattice:
+    """The multiplicator ring of an ideal I of the order R of discriminant
+    disc: R itself, with no colon ideal, where the evidence e read off I
+    proves it, else (I : I).  At g = 1, e is the reduced form (a, b, c) of
+    I, whose discriminant is that of (I : I) >= R, and an order of an
     imaginary quadratic field is fixed by its discriminant.  For g >= 2, e
     is the index d of I: dR <= I gives R <= (I : I) <= d^-1 R, and an
-    over-order S with p | [S : R] needs p^2 | disc(R) and R not p-maximal.
-    Each p-maximality is decided once, on first need."""
-    disc = orders.discriminant(order)
-    maximal: dict[int, bool] = {}
-
-    def p_maximal(p: int) -> bool:
-        if p not in maximal:
-            maximal[p] = _is_p_maximal(order, p)
-        return maximal[p]
-
-    def ring_of(ideal: IdealLattice, evidence) -> IdealLattice:
-        if order.ctx.g == 1:
-            a, b, c = evidence
-            proven = b * b - 4 * a * c == disc
-        else:
-            proven = all(disc % (p * p) or p_maximal(p) for p in prime_factors(evidence))
-        return order.lattice if proven else orders.multiplicator_ring(ideal).lattice
-
-    return ring_of
-
-
-def _is_p_maximal(order: OrderDesc, p: int) -> bool:
-    """Whether p does not divide [O_K : R] for the order R: exactly when the
-    multiplicator ring of the p-radical of R is R (Pohst-Zassenhaus, Cohen,
-    GTM 138, 6.1.3).  The radical is pR plus the kernel of the F_p-linear
-    map x -> x^(p^k) on R/pR, p^k >= n."""
-    lat = order.lattice
-    n, basis = lat.ctx.n, lat.elements
-    power = p
-    while power < n:
-        power *= p
-    one, frob = [lat.coords(orders.one(lat.ctx))], []
-    for e in basis:
-        # the coordinates of e^power are those of 1 times the power-th power
-        # of the matrix of multiplication by e, all mod p
-        m, y, k = orders.multiplication_matrix(e, lat), one, power
-        while k:
-            if k & 1:
-                y = [[c % p for c in row] for row in linalg.mat_mul(y, m)]
-            m, k = [[c % p for c in row] for row in linalg.mat_mul(m, m)], k >> 1
-        frob += y
-    rows = _kernel_mod(linalg.transpose(frob), p) + [[p * (i == j) for j in range(n)]
-                                                      for i in range(n)]
-    radical = IdealLattice.over(lat.ctx, linalg.mat_mul(rows, lat.mat), lat.den)
-    return orders.multiplicator_ring(radical).lattice == lat
+    over-order S with p | [S : R] has p | d and p^2 | disc(R)."""
+    if order.ctx.g == 1:
+        a, b, c = evidence
+        proven = b * b - 4 * a * c == disc
+    else:
+        proven = all(disc % (p * p) for p in prime_factors(evidence))
+    return order.lattice if proven else orders.multiplicator_ring(ideal).lattice
 
 
 def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult:
@@ -330,7 +290,7 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
     of each class in the order of integral_ideals, listed in (den, mat)
     order, the one index space of the class list.  multiplicator_rings
     follows that order, and each indeterminate pair (i, j, bound) names two
-    classes by it.  Rings come from _ring_decider, read off the reduced
+    classes by it.  Each ring comes from _ring_of, read off the reduced
     form at g = 1 and the index for g >= 2.  At g = 1 a candidate is new
     when its reduced form (orders.form_key) is.  For g >= 2 _classes_by_descent
     places a candidate in a class by descent when it can, and else it is new
@@ -357,7 +317,7 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
         index_bound = mink if ctx.g == 1 else min(mink, cap)
     if not is_int(index_bound) or index_bound < 1:
         raise InputError("bad_bound", "index bound must be a positive integer")
-    ring_of = _ring_decider(order)
+    disc = orders.discriminant(order)
     ideals = integral_ideals(order, index_bound)
     if ctx.g == 1:
         reps, rings, keys = [], [], set()
@@ -367,10 +327,10 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
             if key not in keys:
                 keys.add(key)
                 reps.append(cand)
-                rings.append(ring_of(cand, key))
+                rings.append(_ring_of(order, disc, cand, key))
         indeterminate = []
     else:
-        reps, rings, indeterminate, _ = _classes_by_descent(order, ideals, ring_of)
+        reps, rings, indeterminate, _ = _classes_by_descent(order, ideals, disc)
     certified = index_bound >= mink and not indeterminate
     if indeterminate:
         logger.warning("equivalence search exhausted on %d pairs; class count may overshoot",
@@ -387,10 +347,11 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
     )
 
 
-def _classes_by_descent(order: OrderDesc, ideals, ring_of):
+def _classes_by_descent(order: OrderDesc, ideals, disc: int):
     """The classes of the candidates of integral_ideals (g >= 2), in the
     order they are first met: (reps, rings, indeterminate, labels), labels
     mapping the (den, mat) of each candidate N to (c, x) with x * reps[c] = N.
+    disc is disc(R), from which _ring_of reads the rings.
 
     A candidate is placed by descent when it can, else by the witness search
     against every kept representative with its ring, which is complete at
@@ -439,7 +400,7 @@ def _classes_by_descent(order: OrderDesc, ideals, ring_of):
                 (bar_y,) = linalg.mat_mul([y.num], conj_rows)
                 label, kind = (c, orders.FieldElement.over(ctx, bar_y, y.den * d) * z), "conjugate"
         if label is None:
-            kind, ring = "searched", ring_of(cand, index)
+            kind, ring = "searched", _ring_of(order, disc, cand, index)
             unresolved = []
             for i, rep in enumerate(reps):
                 if rings[i] != ring:

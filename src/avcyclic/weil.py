@@ -92,18 +92,21 @@ def prime_factors(n: int) -> list[int]:
 
 
 def prime_power_split(q: int) -> tuple[int, int] | None:
-    """(p, r) with q = p^r, or None if q is not a prime power."""
+    """(p, r) with q = p^r, or None if q is not a prime power: p is the
+    integer r-th root of q for the largest r that has one, so no factor
+    search runs.  A root p of MILLER_RABIN_BOUND or more raises
+    CapabilityError (is_prime)."""
     if q < 2:
         return None
-    ps = prime_factors(q)
-    if len(ps) != 1:
-        return None
-    p = ps[0]
-    r = 0
-    while q > 1:
-        q //= p
-        r += 1
-    return p, r
+    bits = q.bit_length()
+    for r in range(bits, 0, -1):
+        # integer Newton from 2^ceil(bits / r) >= q^(1/r) down to floor(q^(1/r))
+        p = 1 << -(-bits // r)
+        while (below := ((r - 1) * p + q // p ** (r - 1)) // r) < p:
+            p = below
+        if p ** r == q:
+            return (p, r) if is_prime(p) else None
+    return None
 
 
 @dataclass(frozen=True)

@@ -3,24 +3,23 @@ Hasse interval, seeded random matrix generation and the exact inverse of a
 unimodular matrix, the integer kernel, row-vector product, ideal sum and
 ideal intersection that serve as oracles for the lattice kernels, the
 rational determinant and trace-pairing Gram route that serve as oracles for
-orders.discriminant, the integrality test on field elements that serves as
-the oracle for p-maximality, the two-pass document writer that serves as
-the oracle for cli._dump, the convolution product with the per-basis
-products built on it, which serve as oracles for the one multiplication,
-FieldElement.mult_matrix, and the lattice kernels that read it off, the
-conjugate built on it, which serves as the oracle for the conjugation rows
-of the witness search, the zero element and the norm det M(x) / den^n
-of a field element, the ring-first equivalence decision that serves as the
-oracle for orders.ideal_equivalent, the pairwise class listing that
-serves as the oracle for the descents of icm._classes_by_descent, the
-cofactor matrix read off the adjugate of linalg._leverrier, and the element
-built from rational coordinates and the Weil test on bare coefficients,
-which only tests need."""
+orders.discriminant, the integrality test on field elements, the two-pass
+document writer that serves as the oracle for cli._dump, the convolution
+product with the per-basis products built on it, which serve as oracles for
+the one multiplication, FieldElement.mult_matrix, and the lattice kernels
+that read it off, the conjugate built on it, which serves as the oracle for
+the conjugation rows of the witness search, the zero element and the norm
+det M(x) / den^n of a field element, the ring-first equivalence decision
+that serves as the oracle for orders.ideal_equivalent, the pairwise class
+listing, rings by colon ideals, that serves as the oracle for the descents
+and the rings of icm._classes_by_descent, the cofactor matrix read off the
+adjugate of linalg._leverrier, and the element built from rational
+coordinates and the Weil test on bare coefficients, which only tests need."""
 
 import json
 import random
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 
 from avcyclic import icm, linalg, orders, weil
 from avcyclic import polynomials as poly
@@ -192,16 +191,16 @@ def ring_first_equivalent(a, b):
 
 
 def pairwise_icm(order, index_bound):
-    """icm.enumerate_icm at g >= 2 with no descent: each candidate is a new
-    class unless the witness search, given its ring, finds it equivalent to
-    a kept representative with that ring, and each pair the search leaves
-    undecided against a kept candidate is reported."""
+    """icm.enumerate_icm at g >= 2 with no descent and no ring read off the
+    discriminant: each candidate's ring is its colon ideal, and it is a new
+    class unless the witness search, given that ring, finds it equivalent
+    to a kept representative with that ring, and each pair the search
+    leaves undecided against a kept candidate is reported."""
     ctx, lat = order.ctx, order.lattice
-    ring_of = icm._ring_decider(order)
     reps, rings, indeterminate = [], [], []
     for t in icm.integral_ideals(order, index_bound):
         cand = orders.IdealLattice.over(ctx, linalg.mat_mul(t, lat.mat), lat.den)
-        ring = ring_of(cand, prod(t[k][k] for k in range(ctx.n)))
+        ring = orders.multiplicator_ring(cand).lattice
         unresolved = []
         for i, rep in enumerate(reps):
             if rings[i] != ring:

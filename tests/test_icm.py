@@ -11,7 +11,7 @@ from avcyclic import cyclicity, icm, linalg, orders, weil
 from avcyclic.errors import CapabilityError, InputError
 from avcyclic.orders import IdealLattice
 
-from _helpers import corpus_contexts, g1_contexts, is_integral, pairwise_icm, vec_mat, zero
+from _helpers import corpus_contexts, g1_contexts, pairwise_icm, vec_mat
 
 
 def pair_order(p, r, g, coeffs):
@@ -379,40 +379,15 @@ def test_decided_ring_is_the_multiplicator_ring():
     for ctx, bound in cases:
         o = orders.frobenius_pair_order(ctx)
         bound = bound or icm.minkowski_index_bound(o)
-        ring_of = icm._ring_decider(o)
+        disc = orders.discriminant(o)
         for t in icm.integral_ideals(o, bound):
             cand = IdealLattice.over(ctx, linalg.mat_mul(t, o.lattice.mat), o.lattice.den)
             evidence = (orders.form_key(cand) if ctx.g == 1
                         else prod(t[k][k] for k in range(ctx.n)))
-            ring = ring_of(cand, evidence)
+            ring = icm._ring_of(o, disc, cand, evidence)
             assert ring == orders.multiplicator_ring(cand).lattice, (ctx.f, t)
             routes.add((ctx.g, ring == o.lattice))
     assert routes == {(1, True), (1, False), (2, True), (2, False)}
-
-
-def _p_maximal_by_search(o, p) -> bool:
-    """R is p-maximal iff no y / p with y in R \\ pR is integral."""
-    basis = o.lattice.elements
-    for coeffs in product(range(p), repeat=len(basis)):
-        if any(coeffs):
-            y = sum((c * e for c, e in zip(coeffs, basis)), zero(o.ctx))
-            if is_integral(y * Fraction(1, p)):
-                return False
-    return True
-
-
-def test_p_maximality_matches_integral_element_search():
-    verdicts = []
-    for p, r in ((2, 1), (3, 1), (2, 2)):
-        for ctx in weil.enumerate_weil_contexts(p, r, 2, ordinary=True, irreducible=True):
-            o = orders.frobenius_pair_order(ctx)
-            disc = orders.discriminant(o)
-            for ell in (2, 3, 5):
-                if disc % (ell * ell) == 0:
-                    got = icm._is_p_maximal(o, ell)
-                    assert got == _p_maximal_by_search(o, ell), (ctx.f, ell)
-                    verdicts.append(got)
-    assert len(verdicts) == 100 and verdicts.count(False) == 22
 
 
 def test_colon_by_the_ring_is_the_ideal():
@@ -439,7 +414,7 @@ def test_descent_lists_the_classes_of_the_pairwise_search():
         assert result == pairwise_icm(o, result.index_bound), o.ctx.f
     for o, _ in cases[:-len(BOUNDED_QUARTICS)]:
         ideals = icm.integral_ideals(o, icm.enumerate_icm(o).index_bound)
-        reps, _, _, labels = icm._classes_by_descent(o, ideals, icm._ring_decider(o))
+        reps, _, _, labels = icm._classes_by_descent(o, ideals, orders.discriminant(o))
         assert len(labels) == len(ideals)
         for t in ideals:
             cand = IdealLattice.over(o.ctx, linalg.mat_mul(t, o.lattice.mat), o.lattice.den)

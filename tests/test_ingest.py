@@ -1,6 +1,7 @@
 """Fixture parsing and claim cross-validation."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -37,16 +38,24 @@ def test_malformed_lines_reported_with_numbers(tmp_path):
         + json.dumps({"label": "c", "q": 2, "g": 1, "poly": [2, -1]}) + "\n"
         + json.dumps({"label": "d", "q": 2, "g": 1, "poly": [2, -1, 3]}) + "\n"
         + json.dumps({"label": "", "q": 2, "g": 1, "poly": [2, -1, 1]}) + "\n"
-        + json.dumps({"q": 2, "g": 1, "poly": [2, -1, 1]}) + "\n",
+        + json.dumps({"q": 2, "g": 1, "poly": [2, -1, 1]}) + "\n"
+        # two 12-digit prime factors, and a prime above the Miller-Rabin
+        # bound: refused at once, with no factor search
+        + json.dumps(dict(good, label="e", q=999999999989 * 999999999899)) + "\n"
+        + json.dumps(dict(good, label="f", q=2**89 - 1)) + "\n",
         encoding="utf-8",
     )
+    start = time.perf_counter()
     load = ingest.load_fixture(f)
+    assert time.perf_counter() - start < 1.0
     assert [r.label for r in load.records] == ["a"]
-    assert [line for line, _ in load.rejected] == [2, 4, 5, 6, 7, 8]
+    assert [line for line, _ in load.rejected] == [2, 4, 5, 6, 7, 8, 9, 10]
     reasons = dict(load.rejected)
     assert "prime power" in reasons[4]
     assert "monic" in reasons[6]
     assert "missing field" in reasons[8]
+    assert "prime power" in reasons[9]
+    assert "primality" in reasons[10]
 
 
 def test_non_object_and_mistyped_claims_rejected_with_line_numbers(tmp_path):

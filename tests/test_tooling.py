@@ -3,11 +3,12 @@ wraps must stay an attribute of its module.  The runtime imports the
 standard library only, one gate, in front of every conversion, refuses
 non-Weil and reducible input, convert runs no equivalence search, the
 per-context classify path and the int-not-bool input rule are each written
-once, K has one multiplication, the multiplicator ring one formula and g = 1
-equivalence one rule, no option or member stays that only tests reach,
-and the exact kernels take integers: linalg has one rational entry and the
-sigma refinement inverts nothing in K.  The class list is ordered once, in
-icm, and the primality test is bounded, with no dead refusal left."""
+once, K has one multiplication, the multiplicator ring one formula, icm one
+ring rule and g = 1 equivalence one rule, no option or member stays that
+only tests reach, and the exact kernels take integers: linalg has one
+rational entry and the sigma refinement inverts nothing in K.  The class
+list is ordered once, in icm, and the primality test is bounded, with no
+dead refusal left."""
 
 import ast
 import importlib
@@ -174,7 +175,8 @@ def test_one_ring_formula_and_one_g1_equivalence_rule():
     # closed form and no norm-form helper left, and ideal_equivalent
     # decides g = 1 pairs by the reduced form, the rule icm uses: form_key
     # and ideal_equivalent share the one reduction, which also yields the
-    # g = 1 witness
+    # g = 1 witness; icm reads a ring off the discriminant or takes the
+    # colon, with no p-maximality test and no decider closure
     kernels = _functions("orders")
     ring = kernels["multiplicator_ring"]
     assert "g" not in {node.attr for node in ast.walk(ring) if isinstance(node, ast.Attribute)}
@@ -184,6 +186,10 @@ def test_one_ring_formula_and_one_g1_equivalence_rule():
     assert "_reduced_form" in _called_names(kernels["ideal_equivalent"])
     assert {(m, scope) for m, scope, _ in _call_sites("_reduced_form")} == {
         ("orders", "form_key"), ("orders", "ideal_equivalent")}
+    icm_source = (ROOT / "src" / "avcyclic" / "icm.py").read_text(encoding="utf-8")
+    assert "_is_p_maximal" not in icm_source and "_ring_decider" not in icm_source
+    assert {(m, scope) for m, scope, _ in _call_sites("multiplicator_ring")
+            if m == "icm"} == {("icm", "_ring_of")}
 
 
 def test_no_option_or_member_only_tests_reach():

@@ -26,6 +26,11 @@ def test_prime_helpers():
     assert weil.prime_power_split(7) == (7, 1)
     assert weil.prime_power_split(6) is None
     assert weil.prime_power_split(1) is None
+    # integer roots, no factor search: a large prime power splits at once,
+    # and a root above MILLER_RABIN_BOUND is refused, not trial-divided
+    assert weil.prime_power_split(3**40) == (3, 40)
+    with pytest.raises(CapabilityError):
+        weil.prime_power_split(2**89 - 1)
 
 
 def test_make_context_basic_flags():
