@@ -24,8 +24,11 @@ class InputError(AvcyclicError, ValueError):
 
 
 class CapabilityError(AvcyclicError):
-    """A request outside the supported desk-scale envelope (degree caps,
-    disabled network access, unsupported dimension)."""
+    """A request outside the supported desk-scale envelope: a degree over
+    DEGREE_CAP, an enumeration past its q or g cap, a factor or divisor
+    search past FACTOR_BOX_CAP, a g = 1 default bound past G1_INDEX_CAP, a
+    primality test past MILLER_RABIN_BOUND, or a q too long for the JSON
+    writer."""
 
 
 class DegenerateLatticeError(AvcyclicError):

@@ -185,12 +185,12 @@ def _local_ideals(mats, f_low, p: int, bound: int) -> list[tuple[int, list[list[
                 for a in mats]
         if c == 1:
             # gens[0] is alpha, whose characteristic polynomial on M/pM is f mod p
-            spaces = [_kernel_mod([[x - lam * (i == j) for j, x in enumerate(row)]
-                                   for i, row in enumerate(gens[0])], p) for lam in roots]
+            spaces = [linalg.kernel_mod([[x - lam * (i == j) for j, x in enumerate(row)]
+                                         for i, row in enumerate(gens[0])], p) for lam in roots]
         else:
             spaces = [linalg.identity(n)]
         for u in _stable_subspaces(spaces, gens, p, c):
-            rows = _kernel_mod(u, p) + [[p * (i == j) for j in range(n)] for i in range(n)]
+            rows = linalg.kernel_mod(u, p) + [[p * (i == j) for j in range(n)] for i in range(n)]
             h = linalg._hnf_core(linalg.mat_mul(rows, t))[0][:n]
             key = linalg.freeze(h)
             if key not in seen:
@@ -218,54 +218,19 @@ def _stable_subspaces(spaces, gens, p: int, c: int) -> set[tuple[tuple[int, ...]
 def _cyclic_span(u, gens, p: int, c: int):
     """The smallest subspace containing u that gens map into itself, or
     None when its dimension exceeds c."""
-    span = _insert_mod((), u, p)
+    span = linalg.insert_mod((), u, p)
     todo = [u]
     while todo:
         v = todo.pop()
         for a in gens:
             w = [sum(x * y for x, y in zip(row, v)) % p for row in a]
-            bigger = _insert_mod(span, w, p)
+            bigger = linalg.insert_mod(span, w, p)
             if bigger is not span:
                 if len(bigger) > c:
                     return None
                 span = bigger
                 todo.append(w)
     return span
-
-
-def _insert_mod(echelon: tuple, v, p: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced row echelon basis mod p (the canonical form of a subspace)
-    of the span of an echelon basis and v; the same object when v is
-    already in that span."""
-    for b in echelon:
-        x = v[b.index(1)]  # the pivot of a reduced row is its first 1
-        if x:
-            v = [(y - x * z) % p for y, z in zip(v, b)]
-    lead = next((j for j, x in enumerate(v) if x), None)
-    if lead is None:
-        return echelon
-    inv = pow(v[lead], -1, p)
-    v = tuple(x * inv % p for x in v)
-    rows = [tuple((y - b[lead] * z) % p for y, z in zip(b, v)) for b in echelon] + [v]
-    return tuple(sorted(rows, key=lambda r: r.index(1)))
-
-
-def _kernel_mod(rows, p: int) -> list[list[int]]:
-    """Basis of {v : row . v = 0 mod p for every row}."""
-    n = len(rows[0])
-    echelon = ()
-    for row in rows:
-        echelon = _insert_mod(echelon, [x % p for x in row], p)
-    pivots = [r.index(1) for r in echelon]
-    out = []
-    for free in range(n):
-        if free not in pivots:
-            v = [0] * n
-            v[free] = 1
-            for piv, r in zip(pivots, echelon):
-                v[piv] = -r[free] % p
-            out.append(v)
-    return out
 
 
 def _ring_of(order: OrderDesc, disc: int, ideal: IdealLattice, evidence) -> IdealLattice:

@@ -9,7 +9,9 @@ bases are reproducible byte for byte) and the Smith normal form from
 alternating row and column Hermite forms, and integral LLL and the
 Fincke-Pohst search of short_vectors, both on one integral Gram-Schmidt
 (Gram determinants).  hnf_rational is the one rational entry: it clears a
-rational generating set by its least common denominator first.
+rational generating set by its least common denominator first.  The one
+mod-p kernel, a reduced row echelon form grown a vector at a time, gives
+canonical subspaces of F_p^n and null spaces mod p.
 """
 
 from __future__ import annotations
@@ -240,6 +242,45 @@ def smith_normal_form(a: Matrix) -> SnfResult:
         for j in range(i + 1, n):
             d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
     return SnfResult(tuple(d))
+
+
+# ---------------------------------------------------------------------------
+# Linear algebra mod p
+
+
+def insert_mod(echelon: tuple, v, p: int) -> tuple[tuple[int, ...], ...]:
+    """Reduced row echelon basis mod p (the canonical form of a subspace)
+    of the span of an echelon basis and v; the same object when v is
+    already in that span."""
+    for b in echelon:
+        x = v[b.index(1)]  # the pivot of a reduced row is its first 1
+        if x:
+            v = [(y - x * z) % p for y, z in zip(v, b)]
+    lead = next((j for j, x in enumerate(v) if x), None)
+    if lead is None:
+        return echelon
+    inv = pow(v[lead], -1, p)
+    v = tuple(x * inv % p for x in v)
+    rows = [tuple((y - b[lead] * z) % p for y, z in zip(b, v)) for b in echelon] + [v]
+    return tuple(sorted(rows, key=lambda r: r.index(1)))
+
+
+def kernel_mod(rows, p: int) -> list[list[int]]:
+    """Basis of {v : row . v = 0 mod p for every row}."""
+    n = len(rows[0])
+    echelon = ()
+    for row in rows:
+        echelon = insert_mod(echelon, [x % p for x in row], p)
+    pivots = [r.index(1) for r in echelon]
+    out = []
+    for free in range(n):
+        if free not in pivots:
+            v = [0] * n
+            v[free] = 1
+            for piv, r in zip(pivots, echelon):
+                v[piv] = -r[free] % p
+            out.append(v)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ which holds exactly when all g roots of h lie in [-2*sqrt(q), 2*sqrt(q)].
 
 Irreducibility of a Weil polynomial is read off h as well: f = t^g h(t + q/t)
 is irreducible iff h is irreducible and has no root +-2*sqrt(q).  Any other
-monic polynomial goes through one exact factor search over Z whose box is
-bounded by Landau-Mignotte and capped at FACTOR_BOX_CAP points.  A context
-decides irreducibility on first use, after the gate has refused non-Weil f.
+monic polynomial goes through a sieve of factor degrees mod small primes,
+read off Berlekamp's matrix by the mod-p kernel of linalg, then one exact
+factor search over Z whose box is bounded by Landau-Mignotte and capped at
+FACTOR_BOX_CAP points.  A context decides irreducibility on first use,
+after the gate has refused non-Weil f.
 """
 
 from __future__ import annotations
@@ -272,11 +274,12 @@ def _roots_in_interval(h: tuple, q: int) -> bool:
 def is_irreducible(coeffs: Sequence[int]) -> bool:
     """Irreducibility over Q of a monic integer polynomial of degree <= 8.
 
-    No integer root, a nonzero resultant of f and f' (square-free), then
-    factor-degree patterns over several small finite fields; any degree the
-    sieve cannot rule out is settled by an exhaustive search for a monic
-    integer factor inside the Landau-Mignotte box, which raises
-    CapabilityError when that box holds more than FACTOR_BOX_CAP points.
+    No integer root, a nonzero resultant r of f and f' (square-free), then
+    factor-degree patterns over the small fields F_p with p not dividing r;
+    any degree the sieve cannot rule out is settled by an exhaustive search
+    for a monic integer factor inside the Landau-Mignotte box.  Both
+    searches raise CapabilityError past FACTOR_BOX_CAP: the box when it
+    holds more points, the divisors of f(0) when sqrt|f(0)| exceeds it.
     `WeilContext.is_irreducible` calls this on h, of degree g, for a Weil
     polynomial.
     """
@@ -294,13 +297,14 @@ def is_irreducible(coeffs: Sequence[int]) -> bool:
         return False
     if n <= 3:
         return True  # no rational root and degree <= 3
-    if linalg.determinant(poly.sylvester(f_low, poly.derivative(f_low))) == 0:
+    res = linalg.determinant(poly.sylvester(f_low, poly.derivative(f_low)))
+    if res == 0:
         return False
     candidates = set(range(2, n // 2 + 1))
     for pr in _SIEVE_PRIMES:
-        pattern = poly.distinct_degree_pattern(f_low, pr)
-        if pattern is None:
-            continue
+        if res % pr == 0:
+            continue  # f mod pr is not square-free
+        pattern = _factor_degrees(f_low, pr)
         if pattern == [n]:
             return True
         candidates &= _subset_sums(pattern)
@@ -323,9 +327,41 @@ def _integer_root_exists(f_low: tuple) -> bool:
 
 
 def _divisors(v: int) -> list[int]:
-    out = [d for d in range(1, isqrt(v) + 1) if v % d == 0]
+    """The divisors of v >= 1, by trial division up to sqrt(v), which is
+    refused past FACTOR_BOX_CAP."""
+    top = isqrt(v)
+    if top > FACTOR_BOX_CAP:
+        raise CapabilityError(f"listing the divisors of {v} needs {top} trial divisions, "
+                              f"over the cap {FACTOR_BOX_CAP}")
+    out = [d for d in range(1, top + 1) if v % d == 0]
     out += [v // d for d in reversed(out) if d * d != v]
     return out
+
+
+def _factor_degrees(f_low: tuple, p: int) -> list[int]:
+    """The degrees, sorted, of the irreducible factors over F_p of the monic
+    f of degree n, for a prime p not dividing Res(f, f'), so that f mod p is
+    square-free.  Berlekamp's matrix Q, whose row j is t^(pj) mod f, is
+    x -> x^p on F_p[t]/(f) = prod F_(p^d_i), so dim ker(Q^d - I) is
+    sum_i gcd(d, d_i) (Cohen, GTM 138, section 3.4).  For d = 1..n that is
+    one integer system G c = k in the number c_e of factors of degree e,
+    G = (gcd(d, e)), solved by the integer inverse pair of G."""
+    n = len(f_low) - 1
+    power = [1] + [0] * (n - 1)
+    rows = [power]
+    for k in range(1, p * (n - 1) + 1):
+        # power <- t * power mod f, as t^n = -(f_0 + .. + f_(n-1) t^(n-1))
+        power = [((power[i - 1] if i else 0) - power[-1] * f_low[i]) % p for i in range(n)]
+        if k % p == 0:
+            rows.append(power)
+    dims, qd = [], linalg.identity(n)
+    for d in range(1, n + 1):
+        qd = [[x % p for x in row] for row in linalg.mat_mul(qd, rows)]
+        dims.append(len(linalg.kernel_mod([[x - (i == j) for j, x in enumerate(row)]
+                                           for i, row in enumerate(qd)], p)))
+    e, den = linalg.inverse_pair([[gcd(d, k) for k in range(1, n + 1)] for d in range(1, n + 1)])
+    counts = [sum(x * y for x, y in zip(row, dims)) // den for row in e]
+    return [k for k, c in enumerate(counts, start=1) for _ in range(c)]
 
 
 def _subset_sums(multiset: list[int]) -> set[int]:

@@ -1,7 +1,9 @@
 """End-to-end command line behavior: documents, exit codes, determinism."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -17,6 +19,7 @@ from avcyclic.errors import CapabilityError, ConsistencyError, DegenerateLattice
 from _helpers import conjugate, corpus_contexts, dump_oracle, random_unimodular
 
 FIXTURE = Path(__file__).parent / "fixtures" / "external_records.jsonl"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, argv):
@@ -579,6 +582,24 @@ def test_validate_factor_search_is_capped(capsys):
     assert time.monotonic() - start < 1
     assert code == 2
     assert json.loads(out)["error"]["code"] == "capability"
+
+
+@pytest.mark.parametrize("context", [
+    # not Weil: the integer-root test would list the divisors of 10^30 + 1
+    ["--p", "2", "--r", "1", "--g", "1", "--poly=1,0,1000000000000000000000000000001"],
+    # Weil over F_p, p = 10^18 + 3: h = t^2 + t + (1 - 2p) meets the same scan
+    ["--p", "1000000000000000003", "--r", "1", "--g", "2",
+     "--poly=1,1,1,1000000000000000003,1000000000000000006000000000000000009"],
+])
+def test_validate_divisor_scan_is_capped(context):
+    # listing the divisors of a constant term c takes sqrt|c| trial divisions,
+    # refused past weil.FACTOR_BOX_CAP; run in a subprocess, so a stall hits
+    # the time limit instead of hanging the suite
+    done = subprocess.run([sys.executable, "-m", "avcyclic.cli", "validate", *context],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 2, done.stdout
+    assert json.loads(done.stdout)["error"]["code"] == "capability"
 
 
 def test_validate_refuses_q_too_long_to_write(capsys):

@@ -8,19 +8,26 @@ ring rule and g = 1 equivalence one rule, no option or member stays that
 only tests reach, and the exact kernels take integers: linalg has one
 rational entry and the sigma refinement inverts nothing in K.  The class
 list is ordered once, in icm, and the primality test is bounded, with no
-dead refusal left."""
+dead refusal left.  There is one mod-p toolkit, the echelon form in linalg,
+and the benchmark's worker still runs a few ops of every workload."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from avcyclic import cli, conjugacy, linalg, orders, weil
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKER = ROOT / "perfbench" / "worker.py"
 SOURCES = sorted((ROOT / "src" / "avcyclic").glob("*.py"))
 
 
@@ -230,3 +237,35 @@ def test_one_class_order_and_a_bounded_prime_test():
     assert not [path.name for path in SOURCES
                 if "bad_point_count" in path.read_text(encoding="utf-8")]
     assert "prime_factors" not in _called_names(_functions("weil")["is_prime"])
+
+
+def test_one_mod_p_toolkit():
+    # the sieve reads its factor degrees off Berlekamp's matrix with the one
+    # mod-p echelon form, defined in linalg and called by icm and weil; no
+    # F_p[t] arithmetic is left
+    assert not [path.name for path in SOURCES
+                if "pmod" in (text := path.read_text(encoding="utf-8"))
+                or "distinct_degree_pattern" in text]
+    defined = {(path.stem, node.name) for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name.endswith("_mod")}
+    assert defined == {("linalg", "insert_mod"), ("linalg", "kernel_mod")}
+    assert {m for m, _, _ in _call_sites("kernel_mod") + _call_sites("insert_mod")} >= {
+        "icm", "weil"}
+    assert "kernel_mod" in _called_names(_functions("weil")["_factor_degrees"])
+    assert not {"add", "sub"} & set(_functions("polynomials"))
+
+
+@pytest.mark.parametrize("workload, mode", [
+    ("corpus", "pass"), ("g1-wide", "pass"), ("roundtrip", "pass"), ("corpus", "trace")])
+def test_the_benchmark_worker_runs(workload, mode):
+    # three ops of the workload in a fresh interpreter, as the benchmark runs
+    # them: the worker's cold-cache check, context enumeration, cli.main and
+    # matrices_conjugate all still answer, and no check fails
+    env = {**os.environ, "PYTHONPATH": ""}
+    done = subprocess.run([sys.executable, str(WORKER), "--workload", workload, "--seed", "1",
+                           "--mode", mode, "--ops", "3"],
+                          capture_output=True, text=True, timeout=60, cwd=ROOT, env=env)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert (result["failed"], result["attempted"]) == (0, 3), done.stderr
