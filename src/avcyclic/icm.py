@@ -28,12 +28,14 @@ grow breadth first from the order R.  Below an ideal M of index m, the
 ideals N with pM <= N < M are the preimages of the subspaces W of M/pM
 that the ring maps into themselves; dually U = W^perp is stable too, of
 dimension at most
-c = floor(log_p(bound / m)).  For c = 1, U is a common eigenline, whose
-eigenvalue under alpha is a root of f mod p; for c >= 2, U is the cyclic
-subspace spanned from a point of the projective space.  These cyclic steps
-reach every ideal: a stable U contains a cyclic U', whose ideal N' has
-smaller index and is queued itself, and the ideal of U lies between pN' and
-N'.  Ideals I and J of coprime indices d and e then intersect in e I + d J.
+c = floor(log_p(bound / m)).  Each U found is the cyclic subspace spanned
+from a point of ker(alpha - lam) mod p for a root lam of f mod p, or, for
+c >= 2, of V', the image of prod (alpha - lam)^n mod p, where alpha has no
+eigenvalue in F_p.  These simple steps reach every ideal: along a
+composition series each step's U is simple, and alpha acts on it as a
+scalar of F_p, inside an eigenspace, or as an element outside F_p, inside
+V' by Fitting's lemma.  Ideals I and J of coprime indices d and e then
+intersect in e I + d J.
 The candidates are visited by index and Hermite shape, so the first
 representative of each class is the least shape of index at most the
 bound.
@@ -68,7 +70,7 @@ logger = logging.getLogger(__name__)
 # 2-vCPU container, enumerate_icm certifies t^4 - t^2 + 49 over F_7 at its
 # Minkowski bound 119 in about 0.15 s (111 candidates, 48 of them searched,
 # 8 classes), and t^4 + 2t^3 - 13t^2 + 32t + 256 over F_16 at its bound 287
-# in about 3 s (989 candidates, 62 searched, 16 classes; listed in 0.2 s);
+# in about 3 s (989 candidates, 62 searched, 16 classes; listed in 0.15 s);
 # the bounds grow as sqrt(|disc|).
 QUARTIC_INDEX_CAP = 24
 HIGH_GENUS_INDEX_CAP = 12
@@ -167,8 +169,17 @@ def _quadratic_ideals(f_low, p: int, bound: int) -> list[tuple[int, list[list[in
 
 def _local_ideals(mats, f_low, p: int, bound: int) -> list[tuple[int, list[list[int]]]]:
     """(index, Hermite form) of every ideal of index p^k, 1 <= k, at most
-    bound, grown breadth first: each such ideal N lies between pM and M for
-    the ideal M = {x in R : p x in N} of smaller index."""
+    bound, grown breadth first by simple steps.  An ideal N of p-power index
+    has a composition series R > N_1 > ... > N; each step N_(i+1) contains
+    p N_i and has index at most the bound, so its U = W^perp is a simple
+    module of dimension at most c.  alpha acts on a simple U as an element
+    of its residue field: one in F_p is a root lam of f mod p, and then
+    U <= ker(alpha - lam); one outside F_p makes prod (alpha - lam)
+    invertible on U, and then U <= V' = im prod (alpha - lam)^n, the part of
+    M/pM where alpha has no eigenvalue in F_p (Fitting's lemma).  So the
+    cyclic spans of the points of those spaces (_scan_spaces) reach every
+    step, and every span found is a stable subspace, whose ideal is
+    genuine."""
     n = len(mats[0])
     roots = [x for x in range(p) if poly.evaluate(f_low, x) % p == 0]
     queue = [(1, linalg.identity(n))]
@@ -183,13 +194,8 @@ def _local_ideals(mats, f_low, p: int, bound: int) -> list[tuple[int, list[list[
         # each U = W^perp into itself exactly when W is stable
         gens = [[[x % p for x in orders.integer_coords(t, row)] for row in linalg.mat_mul(t, a)]
                 for a in mats]
-        if c == 1:
-            # gens[0] is alpha, whose characteristic polynomial on M/pM is f mod p
-            spaces = [linalg.kernel_mod([[x - lam * (i == j) for j, x in enumerate(row)]
-                                         for i, row in enumerate(gens[0])], p) for lam in roots]
-        else:
-            spaces = [linalg.identity(n)]
-        for u in _stable_subspaces(spaces, gens, p, c):
+        # gens[0] is alpha, whose characteristic polynomial on M/pM is f mod p
+        for u in _stable_subspaces(_scan_spaces(gens[0], roots, p, c), gens, p, c):
             rows = linalg.kernel_mod(u, p) + [[p * (i == j) for j in range(n)] for i in range(n)]
             h = linalg._hnf_core(linalg.mat_mul(rows, t))[0][:n]
             key = linalg.freeze(h)
@@ -199,10 +205,32 @@ def _local_ideals(mats, f_low, p: int, bound: int) -> list[tuple[int, list[list[
     return queue[1:]
 
 
+def _scan_spaces(alpha, roots, p: int, c: int) -> list:
+    """Bases of the spaces that hold every simple stable U of dimension at
+    most c: ker(alpha - lam) for each root lam of f mod p and, for c >= 2,
+    V' = im prod (alpha - lam)^n when it is not zero (a line of V' is never
+    stable under alpha)."""
+    n = len(alpha)
+    shifted = [[[(x - lam * (i == j)) % p for j, x in enumerate(row)]
+                for i, row in enumerate(alpha)] for lam in roots]
+    spaces = [linalg.kernel_mod(a, p) for a in shifted]
+    if c >= 2:
+        power = linalg.identity(n)
+        for a in shifted * n:
+            power = [[x % p for x in row] for row in linalg.mat_mul(power, a)]
+        image = ()
+        for column in linalg.transpose(power):
+            image = linalg.insert_mod(image, column, p)
+        if image:
+            spaces.append(image)
+    return spaces
+
+
 def _stable_subspaces(spaces, gens, p: int, c: int) -> set[tuple[tuple[int, ...], ...]]:
     """Every subspace of dimension 1..c of F_p^n that gens span from one
-    point of the given spaces (the smallest one containing the point that
-    each matrix in gens maps into itself), in reduced echelon form."""
+    point of the given spaces, each given by a basis (the smallest subspace
+    containing the point that each matrix in gens maps into itself), in
+    reduced echelon form.  Each projective point of a space is tried once."""
     found = set()
     for basis in spaces:
         for lead in range(len(basis)):
@@ -256,15 +284,15 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
     order, the one index space of the class list.  multiplicator_rings
     follows that order, and each indeterminate pair (i, j, bound) names two
     classes by it.  Each ring comes from _ring_of, read off the reduced
-    form at g = 1 and the index for g >= 2.  At g = 1 a candidate is new
-    when its reduced form (orders.form_key) is.  For g >= 2 _classes_by_descent
-    places a candidate in a class by descent when it can, and else it is new
-    when the witness search separates it from every kept representative
-    with its ring.  index_bound must be a positive int (weil.is_int), or
-    InputError bad_bound.  Non-Weil input raises not_weil and reducible
-    input not_irreducible, at every g (WeilContext.refuse_non_simple).  At
-    g = 1 a default bound, the Minkowski bound, above G1_INDEX_CAP raises
-    CapabilityError.
+    form at g = 1, once per form discriminant, and the index for g >= 2.
+    At g = 1 a candidate is new when its reduced form (orders.form_key) is.
+    For g >= 2 _classes_by_descent places a candidate in a class by descent
+    when it can, and else it is new when the witness search separates it
+    from every kept representative with its ring.  index_bound must be a
+    positive int (weil.is_int), or InputError bad_bound.  Non-Weil input
+    raises not_weil and reducible input not_irreducible, at every g
+    (WeilContext.refuse_non_simple).  At g = 1 a default bound, the
+    Minkowski bound, above G1_INDEX_CAP raises CapabilityError.
 
     completeness is "certified" when the bound covers the Minkowski-type
     bound and every equivalence test was definitive; any indeterminate
@@ -285,14 +313,18 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
     disc = orders.discriminant(order)
     ideals = integral_ideals(order, index_bound)
     if ctx.g == 1:
-        reps, rings, keys = [], [], set()
+        reps, rings, keys, ring_of_disc = [], [], set(), {}
         for t in ideals:
             cand = IdealLattice(ctx, 1, linalg.freeze(t))  # already canonical over Z[alpha]
             key = orders.form_key(cand)
             if key not in keys:
                 keys.add(key)
                 reps.append(cand)
-                rings.append(_ring_of(order, disc, cand, key))
+                # the form's discriminant is that of the ring, which it fixes
+                a, b, c = key
+                if (form_disc := b * b - 4 * a * c) not in ring_of_disc:
+                    ring_of_disc[form_disc] = _ring_of(order, disc, cand, key)
+                rings.append(ring_of_disc[form_disc])
         indeterminate = []
     else:
         reps, rings, indeterminate, _ = _classes_by_descent(order, ideals, disc)
@@ -326,8 +358,9 @@ def _classes_by_descent(order: OrderDesc, ideals, disc: int):
     integral ideal of index [R : C] [M : N]; if it is labelled (c, y), N is
     (c, x y).  Conjugate: R = Z[F, V] is closed under conjugation, so
     conj(N) is listed at N's index; if it is labelled (c, y) and
-    conj(reps[c]) is (c', z), N is (c', conj(y) z).  The search weights are
-    built once per ring."""
+    conj(reps[c]) is (c', z), N is (c', conj(y) z).  x^-1 is formed only
+    once an over-ideal test passes, the label of conj(reps[c]) is kept once
+    found, and the search weights are built once per ring."""
     ctx, lat = order.ctx, order.lattice
     d, conj_rows = orders._conj_power_rows(ctx)
 
@@ -339,7 +372,9 @@ def _classes_by_descent(order: OrderDesc, ideals, disc: int):
     rings: list[IdealLattice] = []
     indeterminate: list[tuple[int, int, int]] = []
     labels: dict = {}
-    over: dict[int, list] = {}  # index -> (t, x^-1, x) of each candidate placed with x != 1
+    # index -> [t, x, x^-1 once formed] of each candidate placed with x != 1
+    over: dict[int, list] = {}
+    conj_of_rep: dict[int, tuple] = {}  # c -> the label of conj(reps[c]), once found
     weights: dict[IdealLattice, tuple] = {}
     counts = dict.fromkeys(("over-ideal", "conjugate", "searched"), 0)
     for t in ideals:
@@ -351,8 +386,11 @@ def _classes_by_descent(order: OrderDesc, ideals, disc: int):
                 break
             if index % m:
                 continue
-            for sup, inv, x in over[m]:
+            for entry in over[m]:
+                sup, x, inv = entry
                 if all(orders.integer_coords(sup, row) is not None for row in t):
+                    if inv is None:
+                        inv = entry[2] = x.inverse()
                     below = cand.scale(inv)
                     if (below.den, below.mat) in labels:
                         c, y = labels[below.den, below.mat]
@@ -360,7 +398,10 @@ def _classes_by_descent(order: OrderDesc, ideals, disc: int):
                         break
         if label is None and (found := label_of_conj(cand)):
             c, y = found
-            if found := label_of_conj(reps[c]):
+            # conj(reps[c]) may be labelled only after more candidates are
+            # placed, so a miss is looked up again next time
+            if found := conj_of_rep.get(c) or label_of_conj(reps[c]):
+                conj_of_rep[c] = found
                 c, z = found
                 (bar_y,) = linalg.mat_mul([y.num], conj_rows)
                 label, kind = (c, orders.FieldElement.over(ctx, bar_y, y.den * d) * z), "conjugate"
@@ -388,7 +429,7 @@ def _classes_by_descent(order: OrderDesc, ideals, disc: int):
         counts[kind] += 1
         labels[cand.den, cand.mat] = label
         if reps[label[0]] is not cand:
-            over.setdefault(index, []).append((t, label[1].inverse(), label[1]))
+            over.setdefault(index, []).append([t, label[1], None])
     logger.debug("%d candidates: %d by over-ideal descent, %d by conjugate descent, "
                  "%d searched; %d classes", len(ideals), counts["over-ideal"],
                  counts["conjugate"], counts["searched"], len(reps))

@@ -12,9 +12,11 @@ the conjugation rows of the witness search, the zero element and the norm
 det M(x) / den^n of a field element, the ring-first equivalence decision
 that serves as the oracle for orders.ideal_equivalent, the pairwise class
 listing, rings by colon ideals, that serves as the oracle for the descents
-and the rings of icm._classes_by_descent, the cofactor matrix read off the
-adjugate of linalg._leverrier, and the element built from rational
-coordinates and the Weil test on bare coefficients, which only tests need."""
+and the rings of icm._classes_by_descent, the full projective scan that
+serves as the reference for the spaces of icm._scan_spaces, the cofactor
+matrix read off the adjugate of linalg._leverrier, and the element built
+from rational coordinates and the Weil test on bare coefficients, which
+only tests need."""
 
 import json
 import random
@@ -225,6 +227,18 @@ def pairwise_icm(order, index_bound):
         completeness="certified" if certified else "heuristic",
         indeterminate_pairs=tuple((rank[i], rank[j], b) for i, j, b in indeterminate),
     )
+
+
+def projective_scan_spaces(alpha, roots, p, c):
+    """The spaces of the full projective scan, the reference for
+    icm._scan_spaces: the eigenspaces of alpha for c = 1 and all of F_p^n
+    for c >= 2, every point of P(F_p^n) (a stable U contains a cyclic U',
+    whose ideal is queued itself)."""
+    n = len(alpha)
+    if c >= 2:
+        return [linalg.identity(n)]
+    return [linalg.kernel_mod([[x - lam * (i == j) for j, x in enumerate(row)]
+                               for i, row in enumerate(alpha)], p) for lam in roots]
 
 
 def products_matrix(x, lat):

@@ -11,7 +11,8 @@ from avcyclic import cyclicity, icm, linalg, orders, weil
 from avcyclic.errors import CapabilityError, InputError
 from avcyclic.orders import IdealLattice
 
-from _helpers import corpus_contexts, g1_contexts, pairwise_icm, vec_mat
+from _helpers import (corpus_contexts, g1_contexts, pairwise_icm, projective_scan_spaces,
+                      vec_mat)
 
 
 def pair_order(p, r, g, coeffs):
@@ -339,6 +340,22 @@ def test_integral_ideals_match_hermite_walk():
         assert icm.integral_ideals(o, bound) == _hermite_walk(o, bound), (o.ctx.f, bound)
 
 
+def test_integral_ideals_match_the_projective_scan(monkeypatch):
+    # the simple steps, from the eigenspaces of alpha and V' only, list the
+    # ideals of the scan over every point of P(F_p^n)
+    cases = [(pair_order(p, r, 2, f), bound) for p, r, f, bound in BOUNDED_QUARTICS]
+    for ctx in weil.enumerate_weil_contexts(2, 2, 2, ordinary=True, irreducible=True):
+        o = orders.frobenius_pair_order(ctx)
+        cases.append((o, min(icm.minkowski_index_bound(o), icm.QUARTIC_INDEX_CAP)))
+    f7 = weil.enumerate_weil_contexts(7, 1, 2, ordinary=True, irreducible=True)
+    cases += [(orders.frobenius_pair_order(ctx), 60) for ctx in f7[::25][:5]]
+    cases.append((pair_order(2, 1, 3, [1, -2, 1, 1, 2, -8, 8]), 12))
+    listed = [icm.integral_ideals(o, bound) for o, bound in cases]
+    monkeypatch.setattr(icm, "_scan_spaces", projective_scan_spaces)
+    for (o, bound), ideals in zip(cases, listed):
+        assert icm.integral_ideals(o, bound) == ideals, (o.ctx.f, bound)
+
+
 def test_g1_integral_ideals_need_z_alpha():
     # the closed form lists the ideals of Z[alpha] only; an over-order is refused
     o = pair_order(5, 1, 1, [1, -2, 5])  # Z[alpha] = Z[2i] in Z[i]
@@ -351,7 +368,8 @@ def test_g1_integral_ideals_need_z_alpha():
 def test_integral_ideals_find_prime_of_residue_degree_two():
     # f = t^2 (t^2 + t + 1) mod 2, and P = (2, alpha^2 + alpha + 1) has
     # R/P = F_4, with no line stable under R: no eigenline of alpha finds P,
-    # only the search over all points of P^3(F_2)
+    # only a point of V', the image of alpha^n mod 2, on which alpha has no
+    # eigenvalue in F_2
     o = pair_order(2, 1, 2, [1, -1, -1, -2, 4])
     a = orders.alpha(o.ctx)
     gen = a * a + a + orders.one(o.ctx)
@@ -447,3 +465,52 @@ def test_descent_counters_on_the_corpus_quartics(monkeypatch):
     assert runs[0] == runs[1]
     assert runs[0]["_witness_search"] <= 64
     assert runs[0]["_real_unit_trace"] <= 20
+
+
+def test_listing_counters_on_the_corpus_quartics(monkeypatch):
+    # machine-independent counts: the simple steps try the points of the
+    # eigenspaces and of V' only, and an over-ideal's witness is inverted
+    # only once a containment test passes, the same on every run
+    calls = dict.fromkeys(("_cyclic_span", "inverse"), 0)
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(icm, "_cyclic_span")
+    counted(orders.FieldElement, "inverse")
+    runs = []
+    for _ in range(2):
+        calls.update(dict.fromkeys(calls, 0))
+        for o in _corpus_quartic_orders():
+            icm.enumerate_icm(o)
+        runs.append(dict(calls))
+    assert runs[0] == runs[1]
+    assert runs[0]["_cyclic_span"] <= 434
+    assert runs[0]["inverse"] <= 31
+
+
+def test_g1_rings_take_one_colon_per_form_discriminant(monkeypatch):
+    # an imaginary quadratic order is fixed by its discriminant, so the
+    # reduced forms' discriminants name the rings: one colon ideal per
+    # discriminant other than disc(R), and each ring is the colon (I : I)
+    colon = orders.multiplicator_ring
+    calls = []
+    monkeypatch.setattr(orders, "multiplicator_ring", lambda i: calls.append(i) or colon(i))
+    checked = 0
+    for ctx in g1_contexts(64):
+        o = orders.frobenius_pair_order(ctx)
+        calls.clear()
+        result = icm.enumerate_icm(o)
+        discs = set()
+        for rep, ring in zip(result.classes, result.multiplicator_rings):
+            a, b, c = orders.form_key(rep)
+            discs.add(b * b - 4 * a * c)
+            assert ring == colon(rep).lattice, (ctx.f, rep)
+            checked += 1
+        assert len(calls) == len(discs - {orders.discriminant(o)}), ctx.f
+    assert checked > 0
