@@ -1,8 +1,9 @@
 """Enumeration of the ideal class monoid of an order at desk scale.
 
 Every class of fractional ideals contains an integral ideal of index at
-most a Minkowski-type bound, so listing the integral ideals up to that
-index and deduplicating them under equivalence yields the full monoid.
+most floor(sqrt(|disc R| / k_n)), Hermite's bound (minkowski_index_bound),
+so listing the integral ideals up to that index and deduplicating them
+under equivalence yields the full monoid.
 At g = 1 each ideal is invertible over its multiplicator ring, and its
 reduced binary quadratic form names its class, so deduplication is one set
 lookup per candidate.  For g >= 2 each candidate N keeps its class and a
@@ -40,8 +41,8 @@ The candidates are visited by index and Hermite shape, so the first
 representative of each class is the least shape of index at most the
 bound.
 
-For g <= 2 every equivalence test is decided; g = 1 enumerates to the
-Minkowski bound, and refuses a default bound above a cap, while g = 2 and
+For g <= 2 every equivalence test is decided; g = 1 enumerates to that
+bound, and refuses a default bound above a cap, while g = 2 and
 g >= 3 get a capped default bound (and an honest "heuristic" completeness
 flag above it).  Both the form key and the equivalence search need
 K = Q[t]/(f) to be a CM field, so enumerate_icm refuses non-Weil and
@@ -52,10 +53,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import factorial, gcd, isqrt, prod
+from math import gcd, isqrt, prod
 
 from . import linalg, orders
 from . import polynomials as poly
@@ -68,17 +68,17 @@ logger = logging.getLogger(__name__)
 # Default index bound caps.  Listing the integral ideals is cheap at any
 # bound; the caps bound the equivalence tests among them.  On one core of a
 # 2-vCPU container, enumerate_icm certifies t^4 - t^2 + 49 over F_7 at its
-# Minkowski bound 119 in about 0.15 s (111 candidates, 48 of them searched,
-# 8 classes), and t^4 + 2t^3 - 13t^2 + 32t + 256 over F_16 at its bound 287
-# in about 3 s (989 candidates, 62 searched, 16 classes; listed in 0.15 s);
+# index bound 97 in about 0.11 s (82 candidates, 38 of them searched,
+# 8 classes), and t^4 + 2t^3 - 13t^2 + 32t + 256 over F_16 at its bound 235
+# in about 3 s (802 candidates, 61 searched, 16 classes; listed in 0.13 s);
 # the bounds grow as sqrt(|disc|).
 QUARTIC_INDEX_CAP = 24
 HIGH_GENUS_INDEX_CAP = 12
-# g = 1 certifies at its Minkowski bound or refuses a default bound above
-# this cap; an explicit bound is honoured.  In-process classify on one core
-# of a 2-vCPU container takes about 1.4 s at q = 2^24 (bound 5216, 4848
-# classes) and 3.6 s at q = 2^26 (bound 10431, 9984 classes), and the bound
-# grows as sqrt(q)
+# g = 1 certifies at its index bound or refuses a default bound above
+# this cap; an explicit bound is honoured.  In-process classify of
+# t^2 + t + q on one core of a 2-vCPU container takes about 1.1 s at
+# q = 2^24 (bound 4729, 4848 classes) and 2.8 s at q = 2^26 (bound 9459,
+# 9984 classes), and the bound grows as sqrt(q)
 G1_INDEX_CAP = 10**4
 
 
@@ -93,13 +93,45 @@ class IcmResult:
 
 
 def minkowski_index_bound(order: OrderDesc) -> int:
-    """Upper integer bound for (2g)!/(2g)^(2g) * (4/pi)^g * sqrt(|disc|),
-    exact: 4/pi is rounded up to 4 * 10^6 / 3141592 and the square root is
-    taken with isqrt, so certifying against it never understates the bound."""
-    n = order.ctx.n
-    c = Fraction(factorial(n), n**n) * Fraction(4 * 10**6, 3141592) ** (n // 2)
-    val = c * c * abs(orders.discriminant(order))
-    return isqrt(val.numerator // val.denominator) + 1
+    """floor(sqrt(|disc R| / k_n)) for the order R of degree n, with
+    k_n = (n / gamma_n)^n = 3, 64, 2187, 65536 for n = 2, 4, 6, 8
+    (gamma_n Hermite's constant): every ideal class of R meets an integral
+    ideal of index at most this bound.  The public name keeps Minkowski's;
+    the constant is Hermite's.  At g = 1 the bound is Gauss's
+    a <= sqrt(|D| / 3) for reduced forms.
+
+    Proof.  K is a CM field, so Tr(x xbar) = sum_i |sigma_i(x)|^2 is
+    positive definite, and on a full lattice L its Gram matrix has
+    determinant |disc R| [R : L]^2.  By the definition of Hermite's
+    constant some x != 0 in L has Tr(x xbar) <= gamma_n (|disc R| [R : L]^2)^(1/n),
+    and AM-GM over the n embeddings gives |N(x)|^(2/n) <= Tr(x xbar) / n,
+    so |N(x)| <= sqrt(|disc R| / k_n) [R : L].  For a fractional ideal I
+    take L = (R : I) and y its short element: y I <= R lies in the class
+    of I, and [R : y I] = |N(y)| [R : I]
+    <= sqrt(|disc R| / k_n) [R : (R : I)] [R : I] <= sqrt(|disc R| / k_n).
+    The last step, [R : (R : I)] [R : I] <= 1, is an equality when R is
+    Gorenstein, since then I -> (R : I) reverses inclusions and keeps
+    indices; Z[F, V] = Z[beta][t] / (t^2 - beta t + q) over the monogenic
+    Z[beta] is a complete intersection, hence Gorenstein.  For an order
+    that is not Gorenstein the step is not proven here, and Minkowski's
+    convex-body bound (n! / n^n) (4 / pi)^g sqrt(|disc R|) rests on it
+    too: the constant enters only through the short element.
+
+    gamma_2^2 = 4/3 (Lagrange-Gauss), gamma_4^4 = 4 (Korkine-Zolotarev),
+    gamma_6^6 = 64/3 and gamma_8^8 = 256 (Blichfeldt 1935); see Cassels,
+    An Introduction to the Geometry of Numbers, and Conway-Sloane, SPLAG,
+    ch. 1.  Even n <= 8 covers weil.DEGREE_CAP.  The integer form is exact,
+    since floor(sqrt(floor(x))) = floor(sqrt(x))."""
+    return _index_bound(order.ctx.n, orders.discriminant(order))
+
+
+# k_n = (n / gamma_n)^n for the even degrees up to weil.DEGREE_CAP
+_HERMITE_K = {2: 3, 4: 64, 6: 2187, 8: 65536}
+
+
+def _index_bound(n: int, disc: int) -> int:
+    """minkowski_index_bound of an order of degree n and discriminant disc."""
+    return isqrt(abs(disc) // _HERMITE_K[n])
 
 
 def integral_ideals(order: OrderDesc, index_bound: int) -> list[list[list[int]]]:
@@ -292,25 +324,26 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
     positive int (weil.is_int), or InputError bad_bound.  Non-Weil input
     raises not_weil and reducible input not_irreducible, at every g
     (WeilContext.refuse_non_simple).  At g = 1 a default bound, the
-    Minkowski bound, above G1_INDEX_CAP raises CapabilityError.
+    minkowski_index_bound, above G1_INDEX_CAP raises CapabilityError.
+    disc(R) is computed once, for that bound and for _ring_of.
 
-    completeness is "certified" when the bound covers the Minkowski-type
-    bound and every equivalence test was definitive; any indeterminate
+    completeness is "certified" when the bound covers minkowski_index_bound
+    and every equivalence test was definitive; any indeterminate
     equivalence keeps both candidates (never undercounts) and downgrades
     the flag to "heuristic".
     """
     ctx = order.ctx
     ctx.refuse_non_simple()
-    mink = minkowski_index_bound(order)
+    disc = orders.discriminant(order)
+    needed = _index_bound(ctx.n, disc)
     if index_bound is None:
-        if ctx.g == 1 and mink > G1_INDEX_CAP:
-            raise CapabilityError(f"the g = 1 Minkowski bound {mink} exceeds the default "
+        if ctx.g == 1 and needed > G1_INDEX_CAP:
+            raise CapabilityError(f"the g = 1 index bound {needed} exceeds the default "
                                   f"cap {G1_INDEX_CAP}; an explicit index bound is honoured")
         cap = QUARTIC_INDEX_CAP if ctx.g == 2 else HIGH_GENUS_INDEX_CAP
-        index_bound = mink if ctx.g == 1 else min(mink, cap)
+        index_bound = needed if ctx.g == 1 else min(needed, cap)
     if not is_int(index_bound) or index_bound < 1:
         raise InputError("bad_bound", "index bound must be a positive integer")
-    disc = orders.discriminant(order)
     ideals = integral_ideals(order, index_bound)
     if ctx.g == 1:
         reps, rings, keys, ring_of_disc = [], [], set(), {}
@@ -328,7 +361,7 @@ def enumerate_icm(order: OrderDesc, index_bound: int | None = None) -> IcmResult
         indeterminate = []
     else:
         reps, rings, indeterminate, _ = _classes_by_descent(order, ideals, disc)
-    certified = index_bound >= mink and not indeterminate
+    certified = index_bound >= needed and not indeterminate
     if indeterminate:
         logger.warning("equivalence search exhausted on %d pairs; class count may overshoot",
                        len(indeterminate))

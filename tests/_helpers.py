@@ -14,14 +14,15 @@ that serves as the oracle for orders.ideal_equivalent, the pairwise class
 listing, rings by colon ideals, that serves as the oracle for the descents
 and the rings of icm._classes_by_descent, the full projective scan that
 serves as the reference for the spaces of icm._scan_spaces, the cofactor
-matrix read off the adjugate of linalg._leverrier, and the element built
-from rational coordinates and the Weil test on bare coefficients, which
-only tests need."""
+matrix read off the adjugate of linalg._leverrier, Minkowski's
+convex-body index bound that serves as the reference for
+icm.minkowski_index_bound, and the element built from rational coordinates
+and the Weil test on bare coefficients, which only tests need."""
 
 import json
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import factorial, isqrt, lcm
 
 from avcyclic import icm, linalg, orders, weil
 from avcyclic import polynomials as poly
@@ -239,6 +240,17 @@ def projective_scan_spaces(alpha, roots, p, c):
         return [linalg.identity(n)]
     return [linalg.kernel_mod([[x - lam * (i == j) for j, x in enumerate(row)]
                                for i, row in enumerate(alpha)], p) for lam in roots]
+
+
+def minkowski_convex_body_bound(order) -> int:
+    """The reference for icm.minkowski_index_bound: an upper integer bound
+    for Minkowski's (2g)!/(2g)^(2g) * (4/pi)^g * sqrt(|disc|), exact: 4/pi
+    is rounded up to 4 * 10^6 / 3141592 and the square root is taken with
+    isqrt, so the bound is never understated."""
+    n = order.ctx.n
+    c = Fraction(factorial(n), n**n) * Fraction(4 * 10**6, 3141592) ** (n // 2)
+    val = c * c * abs(orders.discriminant(order))
+    return isqrt(val.numerator // val.denominator) + 1
 
 
 def products_matrix(x, lat):

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from avcyclic import cli, conjugacy, cyclicity, icm, orders, weil
 from avcyclic.errors import CapabilityError, ConsistencyError, DegenerateLatticeError, InputError
 
-from _helpers import conjugate, corpus_contexts, dump_oracle, random_unimodular
+from _helpers import (conjugate, corpus_contexts, dump_oracle, minkowski_convex_body_bound,
+                      random_unimodular)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "external_records.jsonl"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -105,7 +106,7 @@ def test_classify_document_shape(capsys):
     doc = json.loads(out)
     assert doc["summary"] == {
         "total": "2", "cyclic": "1", "not_cyclic": "1", "point_count": "4",
-        "index_bound": "3", "completeness": "certified", "indeterminate_pairs": [],
+        "index_bound": "2", "completeness": "certified", "indeterminate_pairs": [],
     }
     first, second = doc["classes"]
     assert first["matrix"] == [["0", "-5"], ["1", "2"]]
@@ -470,7 +471,7 @@ def test_classify_g1_runs_no_colon_ideal_and_no_subspace_scan(capsys, monkeypatc
 
 def test_classify_quartic_over_its_own_ring_runs_no_colon_ideal(capsys, monkeypatch):
     # disc(R) = 13^2 * 17 for t^4 - t^3 + t^2 - 2t + 4 over F_2, so below its
-    # bound 9 no index has a prime whose square divides it: every candidate's
+    # bound 6 no index has a prime whose square divides it: every candidate's
     # ring is R, and every test is against R, where (b : R) = b
     argv = ["classify", "--p", "2", "--r", "1", "--g", "2", "--poly=1,-1,1,-2,4",
             "--no-timing"]
@@ -482,7 +483,7 @@ def test_classify_quartic_over_its_own_ring_runs_no_colon_ideal(capsys, monkeypa
     orders.multiplicator_ring.cache_clear()
     monkeypatch.setattr(orders, "ideal_quotient", refuse)
     assert run(capsys, argv) == want
-    assert want[0] == 0 and json.loads(want[1])["summary"]["index_bound"] == "9"
+    assert want[0] == 0 and json.loads(want[1])["summary"]["index_bound"] == "6"
 
 
 @pytest.mark.parametrize("exc, code, exit_code", [
@@ -561,8 +562,25 @@ def test_sweep_capability_exit_2(capsys):
         assert json.loads(out)["error"]["code"] == "capability"
 
 
+def test_classify_at_the_convex_body_bound_prints_the_same_document(capsys):
+    # on every corpus context the document at the default bound is the one
+    # at Minkowski's convex-body bound, but for the bound it names
+    for ctx in corpus_contexts():
+        argv = ["classify", "--p", str(ctx.p), "--r", str(ctx.r), "--g", str(ctx.g),
+                "--poly=" + ",".join(map(str, ctx.f)), "--no-timing"]
+        old = minkowski_convex_body_bound(orders.frobenius_pair_order(ctx))
+        docs = []
+        for extra in ([], ["--index-bound", str(old)]):
+            code, out = run(capsys, argv + extra)
+            assert code == 0, ctx.f
+            docs.append(json.loads(out))
+        assert docs[1]["summary"].pop("index_bound") == str(old)
+        del docs[0]["summary"]["index_bound"]
+        assert docs[0] == docs[1], ctx.f
+
+
 def test_classify_refuses_a_g1_minkowski_bound_over_the_cap(capsys):
-    # q = 2^61: the default g = 1 bound, the Minkowski bound of about 2e9, is
+    # q = 2^61: the default g = 1 bound, minkowski_index_bound, about 1.8e9, is
     # over icm.G1_INDEX_CAP, so classify refuses at once, where listing the
     # ideals up to it would not end
     start = time.monotonic()

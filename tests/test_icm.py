@@ -11,8 +11,8 @@ from avcyclic import cyclicity, icm, linalg, orders, weil
 from avcyclic.errors import CapabilityError, InputError
 from avcyclic.orders import IdealLattice
 
-from _helpers import (corpus_contexts, g1_contexts, pairwise_icm, projective_scan_spaces,
-                      vec_mat)
+from _helpers import (corpus_contexts, g1_contexts, minkowski_convex_body_bound, pairwise_icm,
+                      projective_scan_spaces, vec_mat)
 
 
 def pair_order(p, r, g, coeffs):
@@ -20,13 +20,15 @@ def pair_order(p, r, g, coeffs):
 
 
 def test_minkowski_bound_values():
-    assert icm.minkowski_index_bound(pair_order(2, 1, 1, [1, 1, 2])) == 2  # disc -7
-    assert icm.minkowski_index_bound(pair_order(5, 1, 1, [1, -2, 5])) == 3  # disc -16
-    assert icm.minkowski_index_bound(pair_order(2, 2, 1, [1, 1, 4])) == 3  # disc -15
+    # floor(sqrt(|D| / 3)) at g = 1, Gauss's bound on a reduced form's a
+    assert icm.minkowski_index_bound(pair_order(2, 1, 1, [1, 1, 2])) == 1  # disc -7
+    assert icm.minkowski_index_bound(pair_order(5, 1, 1, [1, -2, 5])) == 2  # disc -16
+    assert icm.minkowski_index_bound(pair_order(2, 2, 1, [1, 1, 4])) == 2  # disc -15
 
 
 def test_g1_default_bound_is_capped_and_an_explicit_one_honoured():
-    order = pair_order(2, 26, 1, [1, 1, 2**26])
+    # bound 18918 at q = 2^28; q = 2^26 gives 9459, under the cap
+    order = pair_order(2, 28, 1, [1, 1, 2**28])
     assert icm.minkowski_index_bound(order) > icm.G1_INDEX_CAP
     with pytest.raises(CapabilityError):
         icm.enumerate_icm(order)
@@ -41,7 +43,7 @@ def test_single_class_monoid():
     assert r.classes[0] == IdealLattice.standard(r.order.ctx)
     assert r.completeness == "certified"
     assert r.indeterminate_pairs == ()
-    assert r.index_bound == 2
+    assert r.index_bound == 1
 
 
 def test_two_class_monoid_with_distinct_rings():
@@ -279,7 +281,7 @@ def test_g1_candidates_are_already_canonical():
             cand = IdealLattice.over(ctx, linalg.mat_mul(t, base.mat), base.den)
             assert IdealLattice(ctx, 1, linalg.freeze(t)) == cand, (ctx.f, t)
             count += 1
-    assert count == 2536
+    assert count == 1888
 
 
 def test_refine_by_sigma_values():
@@ -441,8 +443,8 @@ def test_descent_lists_the_classes_of_the_pairwise_search():
 
 
 def test_descent_counters_on_the_corpus_quartics(monkeypatch):
-    # machine-independent counts: the descents leave 64 of the pairwise
-    # search's 168 witness searches, and the unit is read once per searched
+    # machine-independent counts: the descents leave 47 of the pairwise
+    # search's witness searches, and the unit is read once per searched
     # ring of each context, the same on every run
     calls = {}
 
@@ -463,8 +465,8 @@ def test_descent_counters_on_the_corpus_quartics(monkeypatch):
             icm.enumerate_icm(o)
         runs.append(dict(calls))
     assert runs[0] == runs[1]
-    assert runs[0]["_witness_search"] <= 64
-    assert runs[0]["_real_unit_trace"] <= 20
+    assert runs[0]["_witness_search"] <= 47
+    assert runs[0]["_real_unit_trace"] <= 17
 
 
 def test_listing_counters_on_the_corpus_quartics(monkeypatch):
@@ -490,8 +492,52 @@ def test_listing_counters_on_the_corpus_quartics(monkeypatch):
             icm.enumerate_icm(o)
         runs.append(dict(calls))
     assert runs[0] == runs[1]
-    assert runs[0]["_cyclic_span"] <= 434
-    assert runs[0]["inverse"] <= 31
+    assert runs[0]["_cyclic_span"] <= 259
+    assert runs[0]["inverse"] <= 18
+
+
+def _bound_oracle_orders():
+    """Z[F, V] of every g = 1 context with q <= 64, of every ordinary
+    irreducible quartic over F_2, F_3 and F_4, and of the F_5 quartics
+    whose convex-body bound is at most 40."""
+    out = [orders.frobenius_pair_order(ctx) for ctx in g1_contexts(64)]
+    for p, r in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        for ctx in weil.enumerate_weil_contexts(p, r, 2, ordinary=True, irreducible=True):
+            o = orders.frobenius_pair_order(ctx)
+            if p < 5 or minkowski_convex_body_bound(o) <= 40:
+                out.append(o)
+    return out
+
+
+def test_hermite_bound_lists_the_classes_of_the_convex_body_bound():
+    # Hermite's bound is at most Minkowski's, and listing to it finds the
+    # same classes, rings and flag as listing to Minkowski's
+    cases = _bound_oracle_orders()
+    assert len(cases) == 558
+    for o in cases:
+        bound, old = icm.minkowski_index_bound(o), minkowski_convex_body_bound(o)
+        assert bound <= old, o.ctx.f
+        new, ref = icm.enumerate_icm(o, bound), icm.enumerate_icm(o, old)
+        assert new.completeness == ref.completeness == "certified", o.ctx.f
+        assert new.classes == ref.classes, o.ctx.f
+        assert new.multiplicator_rings == ref.multiplicator_rings, o.ctx.f
+
+
+def test_dual_index_step_of_the_bound():
+    # the proof's index step: [R : (R : I)] [R : I] <= 1 for every ideal I,
+    # an equality since Z[F, V] is Gorenstein
+    checked = 0
+    for p in (2, 3):
+        for ctx in weil.enumerate_weil_contexts(p, 1, 2, ordinary=True, irreducible=True):
+            o = orders.frobenius_pair_order(ctx)
+            base = o.lattice
+            for t in icm.integral_ideals(o, 12):
+                ideal = IdealLattice.over(ctx, linalg.mat_mul(t, base.mat), base.den)
+                dual = orders.ideal_quotient(base, ideal)
+                assert (orders.lattice_index(dual, base)
+                        * orders.lattice_index(ideal, base)) == 1, (ctx.f, t)
+                checked += 1
+    assert checked == 490
 
 
 def test_g1_rings_take_one_colon_per_form_discriminant(monkeypatch):

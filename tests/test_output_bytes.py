@@ -22,7 +22,8 @@ A change that alters these bytes on purpose rewrites the fixture with
 
     PYTHONPATH=src python tests/test_output_bytes.py --write
 
-and says so in CHANGES.md.
+which prints, per document kind, how many digests changed, were added,
+were removed and stayed, and says so in CHANGES.md.
 """
 
 import hashlib
@@ -31,6 +32,7 @@ import json
 import random
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stdout
 from math import isqrt
 from pathlib import Path
@@ -206,7 +208,37 @@ def test_output_bytes_match_recorded_digests():
     assert got.keys() == recorded.keys()
 
 
+REWRITE_STATES = ("changed", "added", "removed", "unchanged")
+
+
+def rewrite_report(old: dict, new: dict) -> list[str]:
+    """One line per document kind, the first word of a label (classify,
+    convert, validate, sweep, error): how many digests of old changed in
+    new, were added, were removed and stayed."""
+    counts = {}
+    for label in old.keys() | new.keys():
+        state = ("added" if label not in old else "removed" if label not in new
+                 else "unchanged" if old[label] == new[label] else "changed")
+        counts.setdefault(label.split()[0], Counter())[state] += 1
+    return [f"{kind}: " + ", ".join(f"{c[s]} {s}" for s in REWRITE_STATES)
+            for kind, c in sorted(counts.items())]
+
+
+def test_rewrite_report_counts_by_kind():
+    old = {"classify a": "1", "classify b": "2", "error x": "3", "sweep s": "4"}
+    new = {"classify a": "1", "classify b": "5", "error x": "3", "validate v": "6"}
+    assert rewrite_report(old, new) == [
+        "classify: 1 changed, 0 added, 0 removed, 1 unchanged",
+        "error: 0 changed, 0 added, 0 removed, 1 unchanged",
+        "sweep: 0 changed, 0 added, 1 removed, 0 unchanged",
+        "validate: 0 changed, 1 added, 0 removed, 0 unchanged",
+    ]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: PYTHONPATH=src python tests/test_output_bytes.py --write")
-    FIXTURE.write_text(json.dumps(dict(output_digests()), indent=1) + "\n", encoding="utf-8")
+    old = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
+    new = dict(output_digests())
+    FIXTURE.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
+    print("\n".join(rewrite_report(old, new)))
